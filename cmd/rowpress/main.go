@@ -678,27 +678,7 @@ func runSweep(eng *engine.Engine, led *ledger.Ledger, spec sweep.Spec, format st
 		os.Exit(1)
 	}
 	if led != nil {
-		a := res.Aggregate
-		docs := make([]*report.Doc, len(res.Points))
-		for i := range res.Points {
-			docs[i] = res.Points[i].Doc
-		}
-		w := eng.Metrics().Sub(before)
-		lr := ledger.Record{
-			Kind:        ledger.KindSweep,
-			Experiment:  res.Experiment,
-			OptionsHash: ledger.HashJSON("sweep", spec),
-			DocHash:     ledger.DocsHash(docs),
-			WallMS:      a.WallMS,
-			Shards:      a.ShardRefs,
-			Workers:     eng.Workers(),
-			SubShards:   a.SubExecuted,
-			Tiers:       ledger.SweepTiers(w, a.Executed, a.ShardRefs),
-		}
-		if a.Failed > 0 {
-			lr.Error = fmt.Sprintf("%d/%d points failed", a.Failed, a.Points)
-		}
-		lr.FillWindow(w)
+		lr := res.LedgerRecord(spec, eng.Workers(), eng.Metrics().Sub(before))
 		if _, aerr := led.Append(lr); aerr != nil {
 			fmt.Fprintf(os.Stderr, "rowpress: ledger: %v\n", aerr)
 		}

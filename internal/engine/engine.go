@@ -7,6 +7,12 @@
 // the ordered shard payloads to the plan's Merge to build the exact
 // result document the serial path would have produced.
 //
+// There is one execution core, ExecuteBatch: it derives every plan's
+// cache keys, deduplicates them across the batch, looks each unique key
+// up in the cache tiers, scatters the misses over the pool, and merges
+// each plan. Execute is the one-plan batch. Every plan's OnShard sees
+// one ShardEvent per shard, whichever entry point ran it.
+//
 // The engine is generic: it knows nothing about DRAM or the paper. The
 // core package builds plans; cmd/rowpress, cmd/rowpressd, and the bench
 // harness pick the worker count and share engines (and therefore caches)
@@ -59,8 +65,9 @@ type SubShard struct {
 
 // Cache tiers as they appear in ShardEvent.Tier and the serving
 // layer's metrics. TierJoin marks a shard adopted from a concurrent
-// in-flight execution — cached from this call's point of view, though
-// no cache tier answered it. TierRemote marks a shard answered by a
+// in-flight execution or resolved by an earlier plan of the same batch
+// — cached from this plan's point of view, though no cache tier
+// answered it. TierRemote marks a shard answered by a
 // fabric peer's tiers or pool over the wire (see RemoteTier).
 const (
 	TierMem    = "mem"
@@ -69,9 +76,9 @@ const (
 	TierRemote = "remote"
 )
 
-// ShardEvent describes one resolved shard of an Execute call: either a
-// cache hit (Cached, Wall 0, Tier naming the tier that answered) or a
-// completed execution (Worker is the pool slot that ran it, Queue the
+// ShardEvent describes one resolved shard of a plan: either a cache hit
+// (Cached, Wall 0, Tier naming the tier that answered) or a completed
+// execution (Worker is the pool slot that ran it, Queue the
 // dispatch→execution wait). Err is non-nil when the shard failed. A
 // split shard is executed by many pool slots at once, so its Worker is
 // -1; Subs and SubsRun break out how much of its split ran.
@@ -94,7 +101,8 @@ type ShardEvent struct {
 // the final typed result document. OnShard, when set, is invoked once
 // per shard as it resolves — possibly concurrently from worker
 // goroutines, so observers must synchronize — before Merge runs; the
-// serving layer uses it to stream per-shard completion events.
+// serving layer uses it to stream per-shard completion events, and
+// sweeps share one observer across a batch to count tiers exactly.
 type Plan struct {
 	Experiment  string // experiment id, e.g. "fig6"
 	Fingerprint string // canonical encoding of the run options
@@ -110,7 +118,7 @@ type Plan struct {
 	Remote any
 }
 
-// RunStats describes one Execute call. Shard counts are unit-level: a
+// RunStats describes one plan's execution. Shard counts are unit-level: a
 // split shard counts once in Shards/Executed/CacheHits; its declared
 // and actually-run sub-shards are broken out in SubShards/SubExecuted.
 type RunStats struct {
@@ -120,7 +128,7 @@ type RunStats struct {
 	SubShards   int           // sub-shards declared across the plan's split shards
 	SubExecuted int           // sub-shards this call actually ran
 	QueueWait   time.Duration // summed dispatch→execution wait across executed shards
-	Wall        time.Duration // wall-clock time of the whole Execute, merge included
+	Wall        time.Duration // Execute: wall clock, merge included; ExecuteBatch: attributed compute
 }
 
 // LatencyStats is an always-on (count, total) latency aggregate — the
@@ -403,123 +411,16 @@ func (e *Engine) tierPut(key string, v any) {
 	}
 }
 
-// Execute runs the plan: cached shards are served from the memory tier
-// (falling back to the disk tier when one is attached), the rest run on
-// the worker pool, and Merge assembles the payloads in shard order into
-// the result document. The first shard error (by shard index) aborts
-// the run.
+// Execute runs one plan as a one-plan ExecuteBatch: cached shards are
+// served from the memory tier (falling back to the disk and remote
+// tiers when attached), the rest run on the worker pool, and Merge
+// assembles the payloads in shard order into the result document. The
+// first shard error (by shard index) aborts the run. RunStats.Wall is
+// the call's wall clock, merge included.
 func (e *Engine) Execute(p Plan) (*report.Doc, RunStats, error) {
-	start := time.Now()
-	stats := RunStats{Shards: len(p.Shards)}
-
-	parts := make([]any, len(p.Shards))
-	errs := make([]error, len(p.Shards))
-	var missing []int
-	keys := make([]string, len(p.Shards))
-	for i, s := range p.Shards {
-		keys[i] = Key(p.Experiment, p.Fingerprint, s.Key)
-		stats.SubShards += len(s.Subs)
-		v, tier, lat, ok := e.tierGet(keys[i])
-		if e.rec != nil {
-			e.rec.Record(lookupKind(tier), -1, i, p.Experiment, s.Key, time.Now().Add(-lat), lat, 0)
-		}
-		if ok {
-			parts[i] = v
-			stats.CacheHits++
-			if p.OnShard != nil {
-				p.OnShard(ShardEvent{Index: i, Key: s.Key, Cached: true, Tier: tier, Worker: -1, Subs: len(s.Subs)})
-			}
-		} else {
-			missing = append(missing, i)
-		}
-	}
-
-	var shardTime time.Duration
-	var joined int // shards adopted from a concurrent in-flight execution
-	if len(missing) > 0 {
-		barrierStart := time.Now()
-		var wg sync.WaitGroup
-		var tmu sync.Mutex
-		for _, i := range missing {
-			wg.Add(1)
-			enq := time.Now()
-			go func(i int) {
-				defer wg.Done()
-				v, ran, wid, qd, d, subsRun, peer, err := e.resolveShard(keys[i], p.Shards[i], p.Experiment, p.Remote, i, enq)
-				if p.OnShard != nil {
-					ev := ShardEvent{Index: i, Key: p.Shards[i].Key, Cached: !ran, Worker: wid,
-						Queue: qd, Wall: d, Subs: len(p.Shards[i].Subs), SubsRun: subsRun, Err: err}
-					if !ran {
-						ev.Tier = TierJoin
-						if peer != "" {
-							ev.Tier, ev.Peer = TierRemote, peer
-						}
-					}
-					p.OnShard(ev)
-				}
-				tmu.Lock()
-				parts[i], errs[i] = v, err
-				shardTime += d
-				stats.QueueWait += qd
-				stats.SubExecuted += subsRun
-				if !ran {
-					joined++
-				}
-				tmu.Unlock()
-			}(i)
-		}
-		wg.Wait()
-		if e.rec != nil {
-			e.rec.Record(obs.Barrier, -1, -1, p.Experiment, "", barrierStart, time.Since(barrierStart), 0)
-		}
-		stats.Executed = len(missing) - joined
-		stats.CacheHits += joined
-	}
-
-	var firstErr error
-	for _, i := range missing {
-		if errs[i] != nil {
-			firstErr = fmt.Errorf("engine: %s shard %q: %w", p.Experiment, p.Shards[i].Key, errs[i])
-			break
-		}
-	}
-
-	var out *report.Doc
-	if firstErr == nil {
-		var err error
-		var mt time.Time
-		if e.rec != nil {
-			mt = time.Now()
-		}
-		out, err = p.Merge(parts)
-		if e.rec != nil {
-			e.rec.Record(obs.Merge, -1, -1, p.Experiment, "", mt, time.Since(mt), 0)
-		}
-		if err != nil {
-			firstErr = fmt.Errorf("engine: %s merge: %w", p.Experiment, err)
-		}
-	}
-	stats.Wall = time.Since(start)
-
-	e.mu.Lock()
-	e.metrics.Runs++
-	e.metrics.ShardsPlanned += uint64(stats.Shards)
-	e.metrics.ShardsExecuted += uint64(stats.Executed)
-	e.metrics.SubShardsPlanned += uint64(stats.SubShards)
-	e.metrics.SubShardsExecuted += uint64(stats.SubExecuted)
-	e.metrics.CacheHits += uint64(stats.CacheHits)
-	e.metrics.CacheMisses += uint64(stats.Executed)
-	e.metrics.TotalWall += stats.Wall
-	e.metrics.TotalShardTime += shardTime
-	if firstErr != nil {
-		e.metrics.Errors++
-	}
-	e.mu.Unlock()
-
-	if firstErr != nil {
-		return nil, stats, firstErr
-	}
-	return out, stats, nil
+	outs, stats, errs, bs := e.ExecuteBatch([]Plan{p})
+	stats[0].Wall = bs.Wall
+	return outs[0], stats[0], errs[0]
 }
 
 // BatchStats describes one ExecuteBatch call. Shard references are
@@ -538,32 +439,55 @@ type BatchStats struct {
 	Wall         time.Duration
 }
 
-// batchShard is the shared execution slot for one unique key in a batch.
-type batchShard struct {
-	shard  Shard // the first-seen Shard for this key (all are equivalent)
-	val    any
-	err    error
-	cached bool          // served from the cache or a concurrent in-flight run
-	owner  int           // index of the first plan referencing this key
-	queue  time.Duration // dispatch→execution wait when this batch ran it
-	dur    time.Duration // execution time when this batch ran it
-	subs   int           // sub-shards run when this batch executed a split shard
+// resolution is the outcome of resolving one shard or sub-shard address
+// past the caller's cache lookup.
+type resolution struct {
+	val     any
+	err     error
+	ran     bool          // this call did the work (false: joined, cache re-check, or remote)
+	worker  int           // pool slot that ran a leaf; -1 when joined, remote, or split
+	queue   time.Duration // dispatch→execution wait (summed over sub-shards)
+	wall    time.Duration // execution time (summed over sub-shards, gather included)
+	subsRun int           // sub-shards this call ran
+	peer    string        // answering fabric peer when resolved remotely
 }
 
-// ExecuteBatch runs many plans as one deduplicated unit of work: the
-// union of all shard keys is computed up front, each unique shard is
-// fetched from the cache or executed exactly once on the worker pool,
-// and every plan's Merge then assembles its report from the shared
-// payloads. Plans are independent: a shard or merge failure poisons only
-// the plans that reference it, reported per-plan in errs.
+// batchShard is the shared slot for one unique shard key in a batch,
+// owned by the first plan (and shard index) referencing it.
+type batchShard struct {
+	resolution
+	key          string
+	owner, index int
+	tier         string // answering tier; "" when this batch ran the shard
+}
+
+// event is the owning plan's ShardEvent for the resolved slot.
+func (sl *batchShard) event(s *Shard) ShardEvent {
+	return ShardEvent{Index: sl.index, Key: s.Key, Cached: !sl.ran, Tier: sl.tier, Peer: sl.peer,
+		Worker: sl.worker, Queue: sl.queue, Wall: sl.wall, Subs: len(s.Subs), SubsRun: sl.subsRun, Err: sl.err}
+}
+
+// ExecuteBatch is the engine's one execution core; Execute is the
+// one-plan case. It runs many plans as one deduplicated unit of work:
+// the union of all shard keys is computed up front, each unique shard
+// is fetched from the cache tiers or executed exactly once on the
+// worker pool, and every plan's Merge then assembles its report from
+// the shared payloads. Plans are independent: a shard or merge failure
+// poisons only the plans that reference it, reported per-plan in errs.
 //
-// Per-plan RunStats follow first-owner accounting: the first plan
-// referencing a shard records its execution, and every later plan
-// records a cache hit — so summing Executed over stats equals
-// BatchStats.Executed, and each plan's CacheHits+Executed equals its
-// shard count, exactly as if the plans had run sequentially through
-// Execute. Per-plan Wall is the compute attributed to that plan (its
-// owned shard time plus its merge), not batch wall clock.
+// Each plan's OnShard fires once per shard ref. The plan owning a key
+// (its first reference) sees the real resolution: the answering tier
+// and peer, or the worker, queue wait, wall, and sub-shard counts of the
+// execution. A later ref to a key already resolved in this batch is
+// reported Cached with Tier "join".
+//
+// Per-plan RunStats follow the same first-owner accounting: the owner
+// records the shard's execution, and every later ref records a cache
+// hit — so summing Executed over stats equals BatchStats.Executed, and
+// each plan's CacheHits+Executed equals its shard count, exactly as if
+// the plans had run sequentially through Execute. Per-plan Wall is the
+// compute attributed to that plan (its owned shard time plus its
+// merge), not batch wall clock.
 func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStats, errs []error, bs BatchStats) {
 	start := time.Now()
 	bs.Plans = len(plans)
@@ -571,121 +495,134 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 	stats = make([]RunStats, len(plans))
 	errs = make([]error, len(plans))
 
-	keys := make([][]string, len(plans))
-	slots := map[string]*batchShard{}
-	var order []string // unique keys in first-occurrence order
-	for pi, p := range plans {
-		keys[pi] = make([]string, len(p.Shards))
-		stats[pi].Shards = len(p.Shards)
-		bs.ShardRefs += len(p.Shards)
-		for si, s := range p.Shards {
+	for pi := range plans {
+		bs.ShardRefs += len(plans[pi].Shards)
+	}
+	// refs holds every plan's shard refs back to back, each pointing at
+	// its key's slot in pool. pool never grows past its capacity, so
+	// pointers into it stay valid.
+	refs := make([]*batchShard, 0, bs.ShardRefs)
+	pool := make([]batchShard, 0, bs.ShardRefs)
+	slots := make(map[string]*batchShard, bs.ShardRefs)
+	var missing []*batchShard
+	for pi := range plans {
+		p := &plans[pi]
+		for si := range p.Shards {
+			s := &p.Shards[si]
 			k := Key(p.Experiment, p.Fingerprint, s.Key)
-			keys[pi][si] = k
-			stats[pi].SubShards += len(s.Subs)
-			if _, ok := slots[k]; ok {
+			if sl, ok := slots[k]; ok {
+				refs = append(refs, sl)
 				bs.Deduplicated++
 				continue
 			}
-			slots[k] = &batchShard{shard: s, owner: pi}
-			order = append(order, k)
+			pool = append(pool, batchShard{resolution: resolution{worker: -1}, key: k, owner: pi, index: si})
+			sl := &pool[len(pool)-1]
+			slots[k] = sl
+			refs = append(refs, sl)
+			v, tier, lat, ok := e.tierGet(k)
+			if e.rec != nil {
+				e.rec.Record(lookupKind(tier), -1, si, p.Experiment, s.Key, time.Now().Add(-lat), lat, 0)
+			}
+			if !ok {
+				missing = append(missing, sl)
+				continue
+			}
+			sl.val, sl.tier = v, tier
+			if p.OnShard != nil {
+				p.OnShard(sl.event(s))
+			}
 		}
 	}
-	bs.UniqueShards = len(order)
+	bs.UniqueShards = len(slots)
 
-	var missing []string
-	for _, k := range order {
-		sl := slots[k]
-		v, tier, lat, ok := e.tierGet(k)
-		if e.rec != nil {
-			e.rec.Record(lookupKind(tier), -1, -1, plans[sl.owner].Experiment, sl.shard.Key, time.Now().Add(-lat), lat, 0)
+	if len(missing) > 0 {
+		barrierStart := time.Now()
+		var wg sync.WaitGroup
+		for _, sl := range missing {
+			wg.Add(1)
+			go func(sl *batchShard, enq time.Time) {
+				defer wg.Done()
+				p := &plans[sl.owner]
+				s := &p.Shards[sl.index]
+				sl.resolution = e.resolveShard(sl.key, *s, p.Experiment, p.Remote, sl.index, enq)
+				if !sl.ran {
+					sl.tier = TierJoin
+					if sl.peer != "" {
+						sl.tier = TierRemote
+					}
+				}
+				if p.OnShard != nil {
+					p.OnShard(sl.event(s))
+				}
+			}(sl, time.Now())
 		}
-		if ok {
-			sl.val, sl.cached = v, true
-			bs.CacheHits++
-		} else {
-			missing = append(missing, k)
+		wg.Wait()
+		if e.rec != nil {
+			e.rec.Record(obs.Barrier, -1, -1, plans[0].Experiment, "", barrierStart, time.Since(barrierStart), 0)
 		}
 	}
 
 	var shardTime time.Duration
-	if len(missing) > 0 {
-		barrierStart := time.Now()
-		var wg sync.WaitGroup
-		var tmu sync.Mutex
-		for _, k := range missing {
-			wg.Add(1)
-			enq := time.Now()
-			go func(k string) {
-				defer wg.Done()
-				sl := slots[k]
-				v, ran, _, qd, d, subsRun, _, err := e.resolveShard(k, sl.shard, plans[sl.owner].Experiment, plans[sl.owner].Remote, -1, enq)
-				tmu.Lock()
-				sl.val, sl.err, sl.queue, sl.dur, sl.subs = v, err, qd, d, subsRun
-				if ran {
-					bs.Executed++
-					bs.SubExecuted += subsRun
-					bs.QueueWait += qd
-				} else {
-					sl.cached = true // joined a concurrent execution
-					bs.CacheHits++
-				}
-				shardTime += d
-				tmu.Unlock()
-			}(k)
-		}
-		wg.Wait()
-		if e.rec != nil {
-			e.rec.Record(obs.Barrier, -1, -1, "batch", "", barrierStart, time.Since(barrierStart), 0)
-		}
-	}
-
-	for pi, p := range plans {
+	var subShards, failed int
+	for pi := range plans {
+		p, st := &plans[pi], &stats[pi]
+		st.Shards = len(p.Shards)
 		parts := make([]any, len(p.Shards))
-		for si := range p.Shards {
-			sl := slots[keys[pi][si]]
-			if sl.err != nil && errs[pi] == nil {
-				errs[pi] = fmt.Errorf("engine: %s shard %q: %w", p.Experiment, p.Shards[si].Key, sl.err)
-			}
+		for si, sl := range refs[:st.Shards] {
+			s := &p.Shards[si]
+			st.SubShards += len(s.Subs)
 			parts[si] = sl.val
-			if sl.cached || sl.owner != pi {
-				stats[pi].CacheHits++
+			if sl.err != nil && errs[pi] == nil {
+				errs[pi] = fmt.Errorf("engine: %s shard %q: %w", p.Experiment, s.Key, sl.err)
+			}
+			owned := sl.owner == pi && sl.index == si
+			if owned && sl.ran {
+				st.Executed++
+				st.SubExecuted += sl.subsRun
+				st.QueueWait += sl.queue
+				st.Wall += sl.wall
+				continue
+			}
+			st.CacheHits++
+			if !owned && p.OnShard != nil {
+				p.OnShard(ShardEvent{Index: si, Key: s.Key, Cached: true, Tier: TierJoin, Worker: -1, Subs: len(s.Subs), Err: sl.err})
+			}
+		}
+		refs = refs[st.Shards:]
+		bs.Executed += st.Executed
+		bs.SubExecuted += st.SubExecuted
+		bs.QueueWait += st.QueueWait
+		shardTime += st.Wall
+		subShards += st.SubShards
+		if errs[pi] == nil {
+			t0 := time.Now()
+			out, err := p.Merge(parts)
+			if e.rec != nil {
+				e.rec.Record(obs.Merge, -1, -1, p.Experiment, "", t0, time.Since(t0), 0)
+			}
+			st.Wall += time.Since(t0)
+			if err != nil {
+				errs[pi] = fmt.Errorf("engine: %s merge: %w", p.Experiment, err)
 			} else {
-				stats[pi].Executed++
-				stats[pi].SubExecuted += sl.subs
-				stats[pi].QueueWait += sl.queue
-				stats[pi].Wall += sl.dur
+				outs[pi] = out
 			}
 		}
 		if errs[pi] != nil {
-			continue
+			failed++
 		}
-		t0 := time.Now()
-		out, err := p.Merge(parts)
-		if e.rec != nil {
-			e.rec.Record(obs.Merge, -1, -1, p.Experiment, "", t0, time.Since(t0), 0)
-		}
-		stats[pi].Wall += time.Since(t0)
-		if err != nil {
-			errs[pi] = fmt.Errorf("engine: %s merge: %w", p.Experiment, err)
-			continue
-		}
-		outs[pi] = out
 	}
+	bs.CacheHits = bs.UniqueShards - bs.Executed
 	bs.Wall = time.Since(start)
 
 	e.mu.Lock()
 	e.metrics.Runs += uint64(len(plans))
 	e.metrics.ShardsPlanned += uint64(bs.ShardRefs)
 	e.metrics.ShardsExecuted += uint64(bs.Executed)
+	e.metrics.SubShardsPlanned += uint64(subShards)
 	e.metrics.SubShardsExecuted += uint64(bs.SubExecuted)
+	e.metrics.CacheHits += uint64(bs.ShardRefs - bs.Executed)
 	e.metrics.CacheMisses += uint64(bs.Executed)
-	for pi := range plans {
-		e.metrics.SubShardsPlanned += uint64(stats[pi].SubShards)
-		e.metrics.CacheHits += uint64(stats[pi].CacheHits)
-		if errs[pi] != nil {
-			e.metrics.Errors++
-		}
-	}
+	e.metrics.Errors += uint64(failed)
 	e.metrics.TotalWall += bs.Wall
 	e.metrics.TotalShardTime += shardTime
 	e.mu.Unlock()
@@ -706,16 +643,13 @@ func lookupKind(tier string) obs.Kind {
 
 // resolveShard serves one missing plan shard: a leaf shard goes through
 // runOrJoin directly; a shard with a declared split fans its sub-shards
-// out on the pool and gathers. subsRun counts the sub-shards this call
-// executed (always 0 for a leaf). meta is the plan's Remote metadata;
-// peer names the fabric peer that answered a remotely resolved leaf.
-func (e *Engine) resolveShard(key string, s Shard, exp string, meta any, idx int, enq time.Time) (v any, ran bool, wid int, queue, d time.Duration, subsRun int, peer string, err error) {
+// out on the pool and gathers. meta is the plan's Remote metadata; idx
+// labels the recorded spans.
+func (e *Engine) resolveShard(key string, s Shard, exp string, meta any, idx int, enq time.Time) resolution {
 	if len(s.Subs) == 0 {
-		v, ran, wid, queue, d, peer, err = e.runOrJoin(key, s, exp, meta, s.Key, "", idx, enq)
-		return v, ran, wid, queue, d, 0, peer, err
+		return e.runOrJoin(key, s, exp, meta, s.Key, "", idx, enq)
 	}
-	v, ran, queue, d, subsRun, err = e.runSplit(key, s, exp, meta, idx, enq)
-	return v, ran, -1, queue, d, subsRun, "", err
+	return e.runSplit(key, s, exp, meta, idx, enq)
 }
 
 // SubKey derives a sub-shard's cache address from its parent shard's
@@ -725,6 +659,42 @@ func SubKey(shardKey, subKey string) string {
 	return Key(shardKey, "sub", subKey)
 }
 
+// claim registers the caller as key's executor and returns its
+// in-flight slot, or — with a nil slot — resolves key without running
+// it: by joining a concurrent in-flight execution, or from the memory
+// tier when one completed after the caller's cache miss. An executor
+// Puts its result before deregistering (see finish), so
+// absent-from-inflight + present-in-cache is authoritative and the
+// result must not be recomputed. peek keeps the hit/miss counters
+// honest (the caller already recorded this lookup as a miss).
+func (e *Engine) claim(key string) (*inflightShard, resolution) {
+	r := resolution{worker: -1}
+	e.ifmu.Lock()
+	if c, ok := e.inflight[key]; ok {
+		e.ifmu.Unlock()
+		<-c.done
+		r.val, r.err = c.val, c.err
+		return nil, r
+	}
+	if v, ok := e.cache.peek(key); ok {
+		e.ifmu.Unlock()
+		r.val = v
+		return nil, r
+	}
+	c := &inflightShard{done: make(chan struct{})}
+	e.inflight[key] = c
+	e.ifmu.Unlock()
+	return c, r
+}
+
+// finish deregisters a claimed in-flight slot and releases its joiners.
+func (e *Engine) finish(key string, c *inflightShard) {
+	e.ifmu.Lock()
+	delete(e.inflight, key)
+	e.ifmu.Unlock()
+	close(c.done)
+}
+
 // runSplit resolves a split shard: concurrent requests for the unit key
 // join the in-flight gather exactly as runOrJoin joins a leaf, missing
 // sub-shards run through runOrJoin — so they deduplicate, cache, and
@@ -732,25 +702,16 @@ func SubKey(shardKey, subKey string) string {
 // unit payload, cached under the unit key. The calling goroutine holds
 // no worker slot while its sub-shards queue, so a split never deadlocks
 // the pool, even at one worker; only sub-shard executions occupy slots.
-// queue and d are summed over the sub-shards this call ran (d includes
-// the gather). Sub-shards dispatch to the remote tier individually —
-// each carries its own sub key — while the gather always runs locally.
-func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, enq time.Time) (v any, ran bool, queue, d time.Duration, subsRun int, err error) {
-	e.ifmu.Lock()
-	if c, ok := e.inflight[key]; ok {
-		e.ifmu.Unlock()
-		<-c.done
-		return c.val, false, 0, 0, 0, c.err
+// queue and wall are summed over the sub-shards this call ran (wall
+// includes the gather). Sub-shards dispatch to the remote tier
+// individually — each carries its own sub key — while the gather always
+// runs locally.
+func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, enq time.Time) resolution {
+	c, r := e.claim(key)
+	if c == nil {
+		return r
 	}
-	// Same authoritative re-check as runOrJoin: a unit that completed
-	// after our caller's miss is served from the cache, not recomputed.
-	if v, ok := e.cache.peek(key); ok {
-		e.ifmu.Unlock()
-		return v, false, 0, 0, 0, nil
-	}
-	c := &inflightShard{done: make(chan struct{})}
-	e.inflight[key] = c
-	e.ifmu.Unlock()
+	defer e.finish(key, c)
 
 	parts := make([]any, len(s.Subs))
 	serrs := make([]error, len(s.Subs))
@@ -770,13 +731,13 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 		wg.Add(1)
 		go func(si int, sub SubShard, skey, label string) {
 			defer wg.Done()
-			sv, sran, _, sq, sd, _, serr := e.runOrJoin(skey, Shard{Key: label, Run: sub.Run}, exp, meta, s.Key, sub.Key, idx, enq)
+			sr := e.runOrJoin(skey, Shard{Key: label, Run: sub.Run}, exp, meta, s.Key, sub.Key, idx, enq)
 			smu.Lock()
-			parts[si], serrs[si] = sv, serr
-			queue += sq
-			d += sd
-			if sran {
-				subsRun++
+			parts[si], serrs[si] = sr.val, sr.err
+			r.queue += sr.queue
+			r.wall += sr.wall
+			if sr.ran {
+				r.subsRun++
 			}
 			smu.Unlock()
 		}(si, sub, skey, label)
@@ -784,25 +745,21 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 	wg.Wait()
 	for si, serr := range serrs {
 		if serr != nil {
-			err = fmt.Errorf("sub-shard %q: %w", s.Subs[si].Key, serr)
+			r.err = fmt.Errorf("sub-shard %q: %w", s.Subs[si].Key, serr)
 			break
 		}
 	}
-	if err == nil {
+	if r.err == nil {
 		t0 := time.Now()
-		v, err = gatherShard(s, parts)
-		d += time.Since(t0)
-		if err == nil {
-			e.tierPut(key, v)
+		r.val, r.err = gatherShard(s, parts)
+		r.wall += time.Since(t0)
+		if r.err == nil {
+			e.tierPut(key, r.val)
 		}
 	}
-	c.val, c.err = v, err
-
-	e.ifmu.Lock()
-	delete(e.inflight, key)
-	e.ifmu.Unlock()
-	close(c.done)
-	return v, true, queue, d, subsRun, err
+	c.val, c.err = r.val, r.err
+	r.ran = true
+	return r
 }
 
 // gatherShard isolates Gather panics the way runShard isolates Run's.
@@ -821,9 +778,9 @@ func gatherShard(s Shard, parts []any) (v any, err error) {
 // runOrJoin executes the shard under the engine-wide worker bound,
 // deduplicating against concurrent executions of the same key: the first
 // caller runs (and caches the result), later callers wait for it. ran
-// reports whether this caller did the work; wid is the worker slot that
-// carried it (-1 when joined), queue the enq→execution wait, d the
-// execution time. exp and idx label the recorded spans.
+// reports whether this caller did the work; worker is the slot that
+// carried it, queue the enq→execution wait, wall the execution time.
+// exp and idx label the recorded spans.
 //
 // When a remote tier is attached and the plan carries Remote metadata,
 // the shard is offered to the fabric after the in-flight registration
@@ -832,29 +789,16 @@ func gatherShard(s Shard, parts []any) (v any, err error) {
 // a local execution would, so concurrent requesters join it and warm
 // runs stay local. Remote resolutions never hold a pool slot — a
 // coordinator at one worker still fans a whole plan out to its peers.
-func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, subKey string, idx int, enq time.Time) (v any, ran bool, wid int, queue, d time.Duration, peer string, err error) {
-	e.ifmu.Lock()
-	if c, ok := e.inflight[key]; ok {
-		e.ifmu.Unlock()
-		<-c.done
-		return c.val, false, -1, 0, 0, "", c.err
+func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, subKey string, idx int, enq time.Time) resolution {
+	c, r := e.claim(key)
+	if c == nil {
+		return r
 	}
-	// Re-check the cache under ifmu: a shard that completed after our
-	// caller's cache miss Put its result *before* deregistering from
-	// inflight, so absent-from-inflight + present-in-cache is authoritative
-	// and the result must not be recomputed. peek keeps the hit/miss
-	// counters honest (the caller already recorded this lookup as a miss).
-	if v, ok := e.cache.peek(key); ok {
-		e.ifmu.Unlock()
-		return v, false, -1, 0, 0, "", nil
-	}
-	c := &inflightShard{done: make(chan struct{})}
-	e.inflight[key] = c
-	e.ifmu.Unlock()
+	defer e.finish(key, c)
 
 	if e.remote != nil && meta != nil {
 		t0 := time.Now()
-		rv, rpeer, ok, rerr := e.remote.Resolve(key, RemoteRequest{Experiment: exp, Meta: meta, Shard: shardKey, Sub: subKey})
+		rv, peer, ok, rerr := e.remote.Resolve(key, RemoteRequest{Experiment: exp, Meta: meta, Shard: shardKey, Sub: subKey})
 		if ok && rerr == nil {
 			rlat := time.Since(t0)
 			e.remoteLat.add(rlat)
@@ -863,11 +807,8 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 				e.rec.Record(obs.RemoteDispatch, -1, idx, exp, s.Key, t0, rlat, payloadBytes(rv))
 			}
 			c.val = rv
-			e.ifmu.Lock()
-			delete(e.inflight, key)
-			e.ifmu.Unlock()
-			close(c.done)
-			return rv, false, -1, 0, 0, rpeer, nil
+			r.val, r.peer = rv, peer
+			return r
 		}
 		if rerr != nil {
 			// Every attempted peer failed: count it and execute locally —
@@ -876,16 +817,16 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 		}
 	}
 
-	wid = <-e.sem
-	queue = time.Since(enq)
-	e.queueWait.add(queue)
+	r.worker = <-e.sem
+	r.queue = time.Since(enq)
+	e.queueWait.add(r.queue)
 	if e.rec != nil {
-		e.rec.Record(obs.QueueWait, wid, idx, exp, s.Key, enq, queue, 0)
+		e.rec.Record(obs.QueueWait, r.worker, idx, exp, s.Key, enq, r.queue, 0)
 	}
 	t0 := time.Now()
 	c.val, c.err = runShard(s)
-	d = time.Since(t0)
-	e.sem <- wid
+	r.wall = time.Since(t0)
+	e.sem <- r.worker
 	if c.err == nil {
 		e.tierPut(key, c.val)
 	}
@@ -894,14 +835,10 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 		if c.err == nil {
 			size = payloadBytes(c.val)
 		}
-		e.rec.Record(obs.Execute, wid, idx, exp, s.Key, t0, d, size)
+		e.rec.Record(obs.Execute, r.worker, idx, exp, s.Key, t0, r.wall, size)
 	}
-
-	e.ifmu.Lock()
-	delete(e.inflight, key)
-	e.ifmu.Unlock()
-	close(c.done)
-	return c.val, true, wid, queue, d, "", c.err
+	r.val, r.err, r.ran = c.val, c.err, true
+	return r
 }
 
 // ResolveLocal serves one shard address on behalf of a fabric
@@ -926,32 +863,24 @@ func (e *Engine) ResolveLocal(key string, s Shard, exp string) (v any, tier stri
 		return v, tier, nil
 	}
 
-	var ran bool
-	var d time.Duration
-	var subsRun int
-	if len(s.Subs) > 0 {
-		v, ran, _, d, subsRun, err = e.runSplit(key, s, exp, nil, -1, enq)
-	} else {
-		v, ran, _, _, d, _, err = e.runOrJoin(key, s, exp, nil, s.Key, "", -1, enq)
-	}
-	if !ran {
+	r := e.resolveShard(key, s, exp, nil, -1, enq)
+	if !r.ran {
 		tier = TierJoin
 	}
-
 	e.mu.Lock()
-	if ran {
+	if r.ran {
 		e.metrics.ShardsExecuted++
 		e.metrics.CacheMisses++
-		e.metrics.SubShardsExecuted += uint64(subsRun)
-		e.metrics.TotalShardTime += d
+		e.metrics.SubShardsExecuted += uint64(r.subsRun)
+		e.metrics.TotalShardTime += r.wall
 	} else {
 		e.metrics.CacheHits++
 	}
-	if err != nil {
+	if r.err != nil {
 		e.metrics.Errors++
 	}
 	e.mu.Unlock()
-	return v, tier, err
+	return r.val, tier, r.err
 }
 
 // countWriter counts bytes written through it.

@@ -228,12 +228,12 @@ func TestRunOrJoinRechecksCacheBeforeExecuting(t *testing.T) {
 	e := New(2, 0)
 	key := Key("exp", "fp", "late")
 	e.cache.Put(key, "already-done")
-	v, ran, _, _, _, _, err := e.runOrJoin(key, Shard{Key: "late", Run: func() (any, error) {
+	r := e.runOrJoin(key, Shard{Key: "late", Run: func() (any, error) {
 		t.Fatal("shard must not re-execute")
 		return nil, nil
 	}}, "exp", nil, "late", "", 0, time.Now())
-	if err != nil || ran || v != "already-done" {
-		t.Fatalf("v=%v ran=%v err=%v", v, ran, err)
+	if r.err != nil || r.ran || r.val != "already-done" {
+		t.Fatalf("r=%+v", r)
 	}
 }
 
@@ -365,6 +365,15 @@ func TestExecuteBatchDeduplicatesShards(t *testing.T) {
 		overlappingPlan("exp", "fp", []string{"b", "c"}, &n), // b shared with plan 0
 		overlappingPlan("exp", "fp", []string{"a", "b"}, &n), // fully duplicate point
 	}
+	var mu sync.Mutex
+	events := make([][]ShardEvent, len(plans))
+	for pi := range plans {
+		plans[pi].OnShard = func(ev ShardEvent) {
+			mu.Lock()
+			events[pi] = append(events[pi], ev)
+			mu.Unlock()
+		}
+	}
 	outs, stats, errs, bs := e.ExecuteBatch(plans)
 	for i, err := range errs {
 		if err != nil {
@@ -388,6 +397,28 @@ func TestExecuteBatchDeduplicatesShards(t *testing.T) {
 	for i, st := range stats {
 		if st.CacheHits+st.Executed != st.Shards {
 			t.Fatalf("plan %d accounting does not close: %+v", i, st)
+		}
+	}
+	// Every plan sees one event per shard ref; refs an earlier plan
+	// already resolved report a join, and the events close with RunStats.
+	joins := []map[string]bool{{}, {"b": true}, {"a": true, "b": true}}
+	for pi, evs := range events {
+		if len(evs) != len(plans[pi].Shards) {
+			t.Fatalf("plan %d: %d events for %d shards: %+v", pi, len(evs), len(plans[pi].Shards), evs)
+		}
+		var ran, cached int
+		for _, ev := range evs {
+			if joins[pi][ev.Key] != (ev.Cached && ev.Tier == TierJoin) {
+				t.Fatalf("plan %d shard %q: event %+v", pi, ev.Key, ev)
+			}
+			if ev.Cached {
+				cached++
+			} else {
+				ran++
+			}
+		}
+		if ran != stats[pi].Executed || cached != stats[pi].CacheHits {
+			t.Fatalf("plan %d: events ran=%d cached=%d, stats %+v", pi, ran, cached, stats[pi])
 		}
 	}
 }

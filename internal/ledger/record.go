@@ -15,8 +15,10 @@ import (
 
 // ObserveShards returns a shard-event observer that splits resolved
 // shards by answering tier, and a function producing the final split.
-// The snapshot function must only be called after the engine's Execute
-// returns — events arrive from worker goroutines until then.
+// One observer may be shared by every plan of a batch. The snapshot
+// function must only be called after the engine's Execute or
+// ExecuteBatch returns — events arrive from worker goroutines until
+// then.
 func ObserveShards() (func(engine.ShardEvent), func() TierCounts) {
 	var mu sync.Mutex
 	var tc TierCounts
@@ -56,21 +58,6 @@ func ObservePlan(p *engine.Plan) func() TierCounts {
 		}
 	}
 	return snapshot
-}
-
-// SweepTiers approximates a sweep's tier split from an engine metrics
-// window: batch execution has no per-shard event stream, so the
-// mem/disk counts come from the window's tier-attributed lookup
-// counters and within-batch deduplication lands in Join. Under a
-// concurrently serving daemon the window can include other requests'
-// lookups — an aggregate view, consistent with FillWindow's latency
-// fields.
-func SweepTiers(w engine.Metrics, executed, shardRefs int) TierCounts {
-	tc := TierCounts{Mem: int(w.MemLookup.Count), Disk: int(w.DiskLookup.Count), Remote: int(w.RemoteLookup.Count), Miss: executed}
-	if j := shardRefs - tc.Mem - tc.Disk - tc.Remote - tc.Miss; j > 0 {
-		tc.Join = j
-	}
-	return tc
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

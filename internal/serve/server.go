@@ -713,30 +713,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		},
 		CompletedAt: s.now().UTC(),
 	}
-	if a.Failed > 0 {
-		rec.Error = fmt.Sprintf("%d/%d points failed", a.Failed, a.Points)
-	}
+	rec.Error = res.Failure()
 	if s.ledger != nil {
-		docs := make([]*report.Doc, len(res.Points))
-		for i := range res.Points {
-			docs[i] = res.Points[i].Doc
-		}
-		w := s.eng.Metrics().Sub(before)
-		lr := ledger.Record{
-			Kind:        ledger.KindSweep,
-			Experiment:  res.Experiment,
-			OptionsHash: ledger.HashJSON("sweep", spec),
-			DocHash:     ledger.DocsHash(docs),
-			Error:       rec.Error,
-			CompletedAt: rec.CompletedAt,
-			WallMS:      a.WallMS,
-			Shards:      a.ShardRefs,
-			Workers:     s.eng.Workers(),
-			SubShards:   a.SubExecuted,
-			Peers:       s.peerCount(),
-			Tiers:       ledger.SweepTiers(w, a.Executed, a.ShardRefs),
-		}
-		lr.FillWindow(w)
+		lr := res.LedgerRecord(spec, s.eng.Workers(), s.eng.Metrics().Sub(before))
+		lr.CompletedAt, lr.Peers = rec.CompletedAt, s.peerCount()
 		rec.ID = s.appendLedger(r, lr)
 	}
 	s.record(rec, uint64(a.Failed))

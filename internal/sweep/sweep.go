@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ledger"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -93,12 +94,15 @@ type Wall struct {
 }
 
 // Result is a completed sweep: the expanded points in grid order plus
-// the aggregate view.
+// the aggregate view. Tiers is the exact cache-tier split of every shard
+// ref, counted off the batch's shard events; it feeds the ledger record
+// and stays off the wire.
 type Result struct {
-	Experiment string        `json:"experiment"`
-	Title      string        `json:"title,omitempty"`
-	Points     []PointResult `json:"points"`
-	Aggregate  Aggregate     `json:"aggregate"`
+	Experiment string            `json:"experiment"`
+	Title      string            `json:"title,omitempty"`
+	Points     []PointResult     `json:"points"`
+	Aggregate  Aggregate         `json:"aggregate"`
+	Tiers      ledger.TierCounts `json:"-"`
 }
 
 // MaxPoints bounds a single sweep's expanded grid. The paper's largest
@@ -168,6 +172,7 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	onShard, tiers := ledger.ObserveShards()
 	plans := make([]engine.Plan, len(points))
 	for i, pt := range points {
 		o := core.DefaultOptions()
@@ -176,12 +181,13 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
 		}
+		p.OnShard = onShard
 		plans[i] = p
 	}
 
 	outs, runStats, errs, bs := eng.ExecuteBatch(plans)
 
-	res := &Result{Experiment: spec.Experiment, Points: make([]PointResult, len(points))}
+	res := &Result{Experiment: spec.Experiment, Points: make([]PointResult, len(points)), Tiers: tiers()}
 	if e, ok := core.Get(spec.Experiment); ok {
 		res.Title = e.Title
 	}
@@ -216,6 +222,40 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 	res.Aggregate.WallMS = ms(bs.Wall)
 	res.Aggregate.PointWallMS = Wall{Min: sum.Min, Mean: sum.Mean, Max: sum.Max}
 	return res, nil
+}
+
+// Failure summarizes the failed points, or "" when every point succeeded.
+func (r *Result) Failure() string {
+	if r.Aggregate.Failed == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d/%d points failed", r.Aggregate.Failed, r.Aggregate.Points)
+}
+
+// LedgerRecord builds the sweep's durable ledger record: identity
+// hashes over the spec and every point's document, the exact tier
+// split, and the engine's latency aggregates over window (the metrics
+// accumulated while the sweep ran). Callers stamp what only they know,
+// such as CompletedAt and Peers.
+func (r *Result) LedgerRecord(spec Spec, workers int, window engine.Metrics) ledger.Record {
+	docs := make([]*report.Doc, len(r.Points))
+	for i := range r.Points {
+		docs[i] = r.Points[i].Doc
+	}
+	lr := ledger.Record{
+		Kind:        ledger.KindSweep,
+		Experiment:  r.Experiment,
+		OptionsHash: ledger.HashJSON("sweep", spec),
+		DocHash:     ledger.DocsHash(docs),
+		Error:       r.Failure(),
+		WallMS:      r.Aggregate.WallMS,
+		Shards:      r.Aggregate.ShardRefs,
+		Workers:     workers,
+		SubShards:   r.Aggregate.SubExecuted,
+		Tiers:       r.Tiers,
+	}
+	lr.FillWindow(window)
+	return lr
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -167,6 +168,61 @@ func TestSweepDeduplicatesOverlappingPoints(t *testing.T) {
 	if res.Points[0].Stats.Executed != 2 || res.Points[1].Stats.Executed != 1 ||
 		res.Points[1].Stats.CacheHits != 1 {
 		t.Fatalf("points=%+v %+v", res.Points[0].Stats, res.Points[1].Stats)
+	}
+}
+
+// subRemote is a fabric remote tier that owns only sub-shard keys: it
+// answers them from a warmed peer engine's memory tier and sends every
+// unit-level dispatch back for local execution.
+type subRemote struct {
+	peer     *engine.Engine
+	answered atomic.Int64
+}
+
+func (r *subRemote) Resolve(key string, req engine.RemoteRequest) (any, string, bool, error) {
+	if req.Sub == "" {
+		return nil, "", false, nil
+	}
+	v, ok := r.peer.Cache().Get(key)
+	if ok {
+		r.answered.Add(1)
+	}
+	return v, "http://peer-1", ok, nil
+}
+
+// TestSweepTiersExactWithRemoteSubShards pins the sweep's tier split on
+// a coordinator whose split shards gather locally from remotely
+// answered sub-shards: every shard ref lands in exactly one tier, and
+// the locally gathered units are the misses.
+func TestSweepTiersExactWithRemoteSubShards(t *testing.T) {
+	spec := Spec{
+		Experiment: "fig6",
+		Scales:     []float64{testScale},
+		ModuleSets: [][]string{{"S0"}, {"S0", "S3"}}, // S0 shared
+	}
+	peer := engine.New(2, 0)
+	want, err := Run(peer, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := engine.New(2, 0)
+	remote := &subRemote{peer: peer}
+	coord.AttachRemote(remote)
+	res, err := Run(coord, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.answered.Load() == 0 {
+		t.Fatal("no sub-shard was answered remotely")
+	}
+	a, tc := res.Aggregate, res.Tiers
+	if tc.Total() != a.ShardRefs || tc.Miss != a.Executed || tc.Join != a.Deduplicated || a.Executed == 0 {
+		t.Fatalf("tiers %+v do not match aggregate %+v", tc, a)
+	}
+	for i := range res.Points {
+		if res.Points[i].Report != want.Points[i].Report {
+			t.Fatalf("point %d report differs from the peer's", i)
+		}
 	}
 }
 
