@@ -188,3 +188,30 @@ func BenchmarkEngineWarmCache(b *testing.B) {
 		b.Fatalf("warm iterations re-executed shards: %+v", m)
 	}
 }
+
+// Planning benchmark: core.PlanFor alone — option validation, module and
+// scenario resolution, shard and sub-shard key construction — at the
+// golden-suite options, with no engine involved. This is the first layer
+// of every request, warm or cold; the catalogs it reads are static, so a
+// regression here means per-call table rebuilding crept back in.
+var benchPlanOptions = core.Options{Scale: benchScale, Seed: 1, Modules: []string{"S0", "S3", "M3"}}
+
+func BenchmarkPlanFor(b *testing.B) {
+	plan := func(b *testing.B, ids ...string) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, id := range ids {
+				if _, err := core.PlanFor(id, benchPlanOptions); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	var all []string
+	for _, e := range core.List() {
+		all = append(all, e.ID)
+	}
+	b.Run("fig6", func(b *testing.B) { plan(b, "fig6") })
+	b.Run("scenario-grid", func(b *testing.B) { plan(b, "scenario-grid") })
+	b.Run("all", func(b *testing.B) { plan(b, all...) })
+}

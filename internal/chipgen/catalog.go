@@ -1,6 +1,11 @@
 package chipgen
 
-import "repro/internal/disturb"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/disturb"
+)
 
 // dieAnchor is the compact calibration record for one die revision,
 // transcribed from Table 5 of the paper (50 °C columns; thresholds in the
@@ -79,8 +84,10 @@ func (a dieAnchor) buildParams() disturb.Params {
 	return p
 }
 
-// DieRevisions returns the twelve calibrated die revisions of Table 1.
-func DieRevisions() []DieRevision {
+// dieTable is the twelve calibrated die revisions, built once per
+// process: the anchors are static, so every lookup shares one
+// calibration.
+var dieTable = sync.OnceValue(func() []DieRevision {
 	out := make([]DieRevision, 0, len(dieAnchors))
 	for _, a := range dieAnchors {
 		out = append(out, DieRevision{
@@ -91,12 +98,16 @@ func DieRevisions() []DieRevision {
 		})
 	}
 	return out
-}
+})
+
+// DieRevisions returns the twelve calibrated die revisions of Table 1.
+// The slice is the caller's own copy.
+func DieRevisions() []DieRevision { return slices.Clone(dieTable()) }
 
 // FindDie returns the die revision for (mfr, densityGb, rev); ok reports
 // whether it exists.
 func FindDie(mfr Manufacturer, densityGb int, rev string) (DieRevision, bool) {
-	for _, d := range DieRevisions() {
+	for _, d := range dieTable() {
 		if d.Mfr == mfr && d.DensityGb == densityGb && d.Rev == rev {
 			return d, true
 		}
@@ -136,48 +147,55 @@ var moduleRecords = []moduleRecord{
 	{"M6", "MTA4ATF1G64HZ-3G2F1", "MT40A1G16TB-062E:F", MfrM, 16, "F", "x16", "21-50"},
 }
 
-// Catalog returns the 21 module specs of Table 5, each bound to its die
-// revision's calibrated parameters and a module-unique seed.
-func Catalog() []ModuleSpec {
-	out := make([]ModuleSpec, 0, len(moduleRecords))
+// moduleTable holds the 21 module specs of Table 5 and the
+// representative subset, built once per process from the static records.
+type moduleTable struct {
+	specs          []ModuleSpec
+	representative []ModuleSpec
+}
+
+var modules = sync.OnceValue(func() moduleTable {
+	var t moduleTable
+	seen := make(map[string]bool)
 	for _, r := range moduleRecords {
 		die, ok := FindDie(r.mfr, r.densityGb, r.rev)
 		if !ok {
 			panic("chipgen: module references unknown die " + r.id)
 		}
-		out = append(out, ModuleSpec{
+		s := ModuleSpec{
 			ID:       r.id,
 			DIMMPart: r.dimmPart,
 			DRAMPart: r.dramPart,
 			Die:      die,
 			Org:      r.org,
 			DateCode: r.dateCode,
-		})
+		}
+		t.specs = append(t.specs, s)
+		if key := string(s.Die.Mfr) + s.Die.Name(); !seen[key] {
+			seen[key] = true
+			t.representative = append(t.representative, s)
+		}
 	}
-	return out
-}
+	return t
+})
+
+// Catalog returns the 21 module specs of Table 5, each bound to its die
+// revision's calibrated parameters and a module-unique seed. The slice is
+// the caller's own copy.
+func Catalog() []ModuleSpec { return slices.Clone(modules().specs) }
 
 // ByID returns the module spec with the given Table 5 id.
 func ByID(id string) (ModuleSpec, bool) {
-	for _, s := range Catalog() {
-		if s.ID == id {
-			return s, true
+	specs := modules().specs
+	for i := range specs {
+		if specs[i].ID == id {
+			return specs[i], true
 		}
 	}
 	return ModuleSpec{}, false
 }
 
 // Representative returns one module per die revision (the first in catalog
-// order), the set most figure sweeps iterate over.
-func Representative() []ModuleSpec {
-	seen := make(map[string]bool)
-	var out []ModuleSpec
-	for _, s := range Catalog() {
-		key := string(s.Die.Mfr) + s.Die.Name()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// order), the set most figure sweeps iterate over. The slice is the
+// caller's own copy.
+func Representative() []ModuleSpec { return slices.Clone(modules().representative) }

@@ -2,6 +2,7 @@ package chipgen
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/dram"
@@ -216,5 +217,69 @@ func TestPressSingleActivation(t *testing.T) {
 	}
 	if flips == 0 {
 		t.Error("no rows with ACmin=1 at tAggON=50ms on a vulnerable die")
+	}
+}
+
+// TestTablesAreIsolatedCopies: the die and module tables are built once
+// per process, so every exported slice must be the caller's own copy —
+// a caller mutating one must not leak into later lookups.
+func TestTablesAreIsolatedCopies(t *testing.T) {
+	wantS3, _ := ByID("S3")
+	wantDie, _ := FindDie(MfrS, 8, "D")
+
+	cat := Catalog()
+	cat[3].ID = "mutated"
+	cat[3].Die.Params.HammerLogMedian = -1
+	dies := DieRevisions()
+	for i := range dies {
+		dies[i].Rev = "Z"
+		dies[i].Params.PressLogSigma = -1
+	}
+	rep := Representative()
+	rep[0].ID = "mutated"
+	rep[0].Die.Params.TrueCellFraction = -1
+
+	if got := Catalog(); got[3].ID != "S3" || got[3] != wantS3 {
+		t.Errorf("Catalog()[3] after mutation = %s, want the original S3", got[3].ID)
+	}
+	if got := DieRevisions(); got[2].Rev != "D" || got[2] != wantDie {
+		t.Errorf("DieRevisions()[2] after mutation = %s, want the original 8Gb D-die", got[2].Name())
+	}
+	if got := Representative(); got[0].ID != "S0" || got[0].Die.Params.TrueCellFraction != 1 {
+		t.Errorf("Representative()[0] after mutation = %s (true-cell fraction %v), want the original S0",
+			got[0].ID, got[0].Die.Params.TrueCellFraction)
+	}
+	if got, ok := ByID("S3"); !ok || got != wantS3 {
+		t.Errorf("ByID(S3) after mutation = %+v, %v; want the original spec", got.Die, ok)
+	}
+	if got, ok := FindDie(MfrS, 8, "D"); !ok || got != wantDie {
+		t.Errorf("FindDie(S, 8, D) after mutation = %+v, %v; want the original die", got, ok)
+	}
+	if _, ok := ByID("mutated"); ok {
+		t.Error("ByID found an id written into a returned copy")
+	}
+}
+
+// TestByIDConcurrent: lookups in the shared module table from many
+// goroutines at once agree with the catalog (run under -race).
+func TestByIDConcurrent(t *testing.T) {
+	want := Catalog()
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(want))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, w := range want {
+				if got, ok := ByID(w.ID); !ok || got != w {
+					errs <- w.ID
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for id := range errs {
+		t.Errorf("concurrent ByID(%s) disagreed with Catalog()", id)
 	}
 }

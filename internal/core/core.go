@@ -127,15 +127,24 @@ func (o Options) modules() ([]chipgen.ModuleSpec, error) {
 	if len(o.Modules) == 0 {
 		return chipgen.Representative(), nil
 	}
-	var out []chipgen.ModuleSpec
-	for _, id := range o.Modules {
-		spec, ok := chipgen.ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown module id %q", id)
+	out := make([]chipgen.ModuleSpec, len(o.Modules))
+	for i, id := range o.Modules {
+		spec, err := moduleByID(id)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, spec)
+		out[i] = spec
 	}
 	return out, nil
+}
+
+// moduleByID resolves one Table 5 module id, naming it when unknown.
+func moduleByID(id string) (chipgen.ModuleSpec, error) {
+	spec, ok := chipgen.ByID(id)
+	if !ok {
+		return chipgen.ModuleSpec{}, fmt.Errorf("core: unknown module id %q", id)
+	}
+	return spec, nil
 }
 
 // charConfig derives the characterization config at this scale.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -124,5 +125,51 @@ func TestPlanForNormalizesModules(t *testing.T) {
 	o.Modules = []string{"S0", "S0"}
 	if _, err := PlanFor("fig7", o); err == nil {
 		t.Fatal("duplicate modules must not plan")
+	}
+}
+
+// TestStaticCellUnknownModule: a static key lattice naming a module the
+// catalog lacks must fail its shard, not simulate a zero-value spec.
+func TestStaticCellUnknownModule(t *testing.T) {
+	_, err := workFig19(goldenOptions(), 0, "Z9/50")
+	if err == nil || !strings.Contains(err.Error(), "Z9") {
+		t.Fatalf("fig19 cell with unknown module should be named in error: %v", err)
+	}
+}
+
+// TestPlanForAllocations bounds planning's per-call cost at the golden
+// options at about twice the measured count and bytes (fig6: 99 allocs,
+// 8 KB; scenario-grid: 457 allocs, 26 KB on linux/amd64, Go 1.24). Planning
+// reads static catalogs; rebuilding one per call (fig6: 296 KB, the
+// scenario grid: 3558 allocs, 10.9 MB) fails here rather than only in a
+// benchmark.
+func TestPlanForAllocations(t *testing.T) {
+	for _, c := range []struct {
+		id            string
+		allocs, bytes float64
+	}{
+		{"fig6", 200, 16 << 10},
+		{"scenario-grid", 920, 52 << 10},
+	} {
+		o := goldenOptions()
+		plan := func() {
+			if _, err := PlanFor(c.id, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, plan)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 50
+		for range runs {
+			plan()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("PlanFor(%s): %.0f allocs, %.0f B per call", c.id, allocs, bytes)
+		if allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("PlanFor(%s) = %.0f allocs, %.0f B per call; want ≤ %.0f allocs, ≤ %.0f B",
+				c.id, allocs, bytes, c.allocs, c.bytes)
+		}
 	}
 }

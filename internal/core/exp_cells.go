@@ -163,7 +163,10 @@ func dataPatternReport(spec chipgen.ModuleSpec, o Options, sided characterize.Si
 // H 16Gb A, M 16Gb F.
 func workFig19(o Options, i int, key string) (report.DocSection, error) {
 	id, tempStr, _ := strings.Cut(key, "/")
-	spec, _ := chipgen.ByID(id)
+	spec, err := moduleByID(id)
+	if err != nil {
+		return report.DocSection{}, err
+	}
 	tempC := 50.0
 	if tempStr == "80" {
 		tempC = 80
@@ -172,7 +175,10 @@ func workFig19(o Options, i int, key string) (report.DocSection, error) {
 }
 
 func workFig20(o Options, i int, key string) (report.DocSection, error) {
-	spec, _ := chipgen.ByID("S0")
+	spec, err := moduleByID("S0")
+	if err != nil {
+		return report.DocSection{}, err
+	}
 	tempC := 50.0
 	if key == "80" {
 		tempC = 80
@@ -204,7 +210,10 @@ func onoffReport(spec chipgen.ModuleSpec, o Options, sided characterize.Sidednes
 }
 
 func workFig22(o Options, i int, key string) (report.DocSection, error) {
-	spec, _ := chipgen.ByID("S3") // representative 8Gb D-die
+	spec, err := moduleByID("S3") // representative 8Gb D-die
+	if err != nil {
+		return report.DocSection{}, err
+	}
 	sidedStr, tempStr, _ := strings.Cut(key, "/")
 	sided := characterize.SingleSided
 	if sidedStr == "double" {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/chipgen"
 	"repro/internal/dram"
+	"repro/internal/engine"
 	"repro/internal/report"
 	"repro/internal/scenario"
 )
@@ -21,12 +23,12 @@ import (
 // scenario runs flow through the worker pool, the shard cache, sweep
 // batching, and the HTTP layer exactly like every paper experiment.
 func init() {
-	registerKeyedSplit("scenario-grid",
+	registerPlan("scenario-grid",
 		"Attack-scenario characterization: min exposure to flip per pattern (unmitigated)",
-		scenGridKeys, splitScenGrid, mergeScenGrid)
-	registerKeyedSplit("scenario-mitigation",
+		planScenGrid)
+	registerPlan("scenario-mitigation",
 		"Attack scenarios vs mitigations: bitflips and preventive-refresh overhead",
-		scenMitKeys, splitScenMit, mergeScenMit)
+		planScenMit)
 }
 
 // scenConfig derives the scenario playback methodology at this scale:
@@ -42,83 +44,87 @@ func scenConfig(o Options) scenario.Config {
 	return cfg
 }
 
-func scenGridKeys(o Options) ([]string, error) {
-	specs, err := o.modules()
+// scenLattice is the scenario experiments' plan-time resolution: the
+// selected modules, the scenario catalog, the playback config, and each
+// scenario's victim-site sub-shard keys. It is resolved once per plan and
+// every (module, scenario[, mitigation]) cell indexes into it.
+type scenLattice struct {
+	mods  []chipgen.ModuleSpec
+	cat   []scenario.Spec
+	cfg   scenario.Config
+	sites [][]string // per catalog scenario: "site/0" .. "site/n-1"
+}
+
+func newScenLattice(o Options) (*scenLattice, error) {
+	mods, err := o.modules()
 	if err != nil {
 		return nil, err
 	}
-	var ks []string
-	for _, m := range specs {
-		for _, name := range scenario.Names() {
-			ks = append(ks, "module/"+m.ID+"/scenario/"+name)
+	l := &scenLattice{mods: mods, cat: scenario.Catalog(), cfg: scenConfig(o)}
+	l.sites = make([][]string, len(l.cat))
+	for si, sc := range l.cat {
+		n := scenario.SiteCount(sc, l.cfg)
+		if n == 0 {
+			return nil, fmt.Errorf("scenario: geometry with %d rows/bank cannot host a %d-sided site",
+				l.cfg.Geometry.RowsPerBank, sc.Sides)
+		}
+		l.sites[si] = make([]string, n)
+		for j := range n {
+			l.sites[si][j] = "site/" + strconv.Itoa(j)
 		}
 	}
-	return ks, nil
+	return l, nil
 }
 
-// scenSites declares the per-victim-site split of one (module, scenario,
-// mitigation) cell: sites play on fresh modules with independent
+// cell declares the per-victim-site split of the (module mi, scenario si,
+// mitigation kind) cell: sites play on fresh modules with independent
 // deterministic seeds, so each is its own cache-keyed sub-shard and
 // scenario.FoldSites reassembles the cell Result bit-identically to the
 // serial Characterize/Evaluate loop.
-func scenSites(mod chipgen.ModuleSpec, sc scenario.Spec, kind scenario.MitigationKind,
-	cfg scenario.Config, search bool) split[scenario.Result, scenario.SiteResult] {
-	n := scenario.SiteCount(sc, cfg)
-	if n == 0 {
-		return errScenSplit(fmt.Errorf("scenario: geometry with %d rows/bank cannot host a %d-sided site",
-			cfg.Geometry.RowsPerBank, sc.Sides))
-	}
-	keys := make([]string, n)
-	for j := range keys {
-		keys[j] = fmt.Sprintf("site/%d", j)
-	}
+// The closures share the lattice's entries by pointer, so a cell costs
+// two small closures rather than two copies of the module spec.
+func (l *scenLattice) cell(mi, si int, kind scenario.MitigationKind, search bool) split[scenario.Result, scenario.SiteResult] {
+	mod, sc, cfg := &l.mods[mi], &l.cat[si], &l.cfg
 	return split[scenario.Result, scenario.SiteResult]{
-		keys: keys,
+		keys: l.sites[si],
 		work: func(j int) (scenario.SiteResult, error) {
 			if search {
-				return scenario.CharacterizeSite(mod, sc, kind, cfg, j)
+				return scenario.CharacterizeSite(*mod, *sc, kind, *cfg, j)
 			}
-			return scenario.EvaluateSite(mod, sc, kind, cfg, j)
+			return scenario.EvaluateSite(*mod, *sc, kind, *cfg, j)
 		},
 		gather: func(parts []scenario.SiteResult) (scenario.Result, error) {
-			return scenario.FoldSites(mod, sc, kind, parts, search), nil
+			return scenario.FoldSites(*mod, *sc, kind, parts, search), nil
 		},
 	}
 }
 
-// errScenSplit surfaces a resolution error through a single sub-shard
-// (splitOf itself cannot fail; the key builders resolve the same state
-// first, so this is a defensive path).
-func errScenSplit(err error) split[scenario.Result, scenario.SiteResult] {
-	return split[scenario.Result, scenario.SiteResult]{
-		keys:   []string{"error"},
-		work:   func(int) (scenario.SiteResult, error) { return scenario.SiteResult{}, err },
-		gather: func([]scenario.SiteResult) (scenario.Result, error) { return scenario.Result{}, err },
+// planScenGrid characterizes every (module, scenario) cell unmitigated —
+// the doubling+bisection minimum-exposure search included — each cell
+// split one sub-shard per victim site.
+func planScenGrid(o Options) (engine.Plan, error) {
+	l, err := newScenLattice(o)
+	if err != nil {
+		return engine.Plan{}, err
 	}
+	keys := make([]string, 0, len(l.mods)*len(l.cat))
+	for _, m := range l.mods {
+		for _, sc := range l.cat {
+			keys = append(keys, "module/"+m.ID+"/scenario/"+sc.Name)
+		}
+	}
+	return typedSplitShards(keys,
+		func(i int) split[scenario.Result, scenario.SiteResult] {
+			return l.cell(i/len(l.cat), i%len(l.cat), scenario.MitNone, true)
+		},
+		func(parts []scenario.Result) (*report.Doc, error) { return mergeScenGrid(l, parts), nil },
+	), nil
 }
 
-// splitScenGrid characterizes one (module, scenario) cell unmitigated —
-// the doubling+bisection minimum-exposure search included — split one
-// sub-shard per victim site.
-func splitScenGrid(o Options, i int, key string) split[scenario.Result, scenario.SiteResult] {
-	specs, err := o.modules()
-	if err != nil {
-		return errScenSplit(err)
-	}
-	names := scenario.Names()
-	mod := specs[i/len(names)]
-	sc, _ := scenario.ByName(names[i%len(names)])
-	return scenSites(mod, sc, scenario.MitNone, scenConfig(o), true)
-}
-
-func mergeScenGrid(o Options, parts []scenario.Result) (*report.Doc, error) {
-	specs, err := o.modules()
-	if err != nil {
-		return nil, err
-	}
-	cat := scenario.Catalog()
+func mergeScenGrid(l *scenLattice, parts []scenario.Result) *report.Doc {
+	cat := l.cat
 	doc := report.NewDoc()
-	for mi, mod := range specs {
+	for mi, mod := range l.mods {
 		headers := []string{"scenario", "pattern", "min ACs to flip", "time to flip", "flips@budget", "budget ACs"}
 		var rows [][]string
 		byName := map[string]scenario.Result{}
@@ -138,11 +144,11 @@ func mergeScenGrid(o Options, parts []scenario.Result) (*report.Doc, error) {
 		doc.Add(report.TableSection(
 			fmt.Sprintf("Attack-scenario grid — module %s (%s %s)", mod.ID, mod.Die.Mfr, mod.Die.Name()),
 			headers, rows))
-		if plane, ok := scenPlaneFinding(mod, byName); ok {
+		if plane, ok := scenPlaneFinding(mod, cat, byName); ok {
 			doc.Add(plane)
 		}
 	}
-	return doc, nil
+	return doc
 }
 
 // scenPlaneFinding renders the arXiv:2406.13080 headline per module: the
@@ -150,7 +156,7 @@ func mergeScenGrid(o Options, parts []scenario.Result) (*report.Doc, error) {
 // fewer activations than pure double-sided RowHammer, while pure
 // RowPress patterns need several-fold more attack time — the threat
 // surface is the whole hammer-count × row-open-time plane.
-func scenPlaneFinding(mod chipgen.ModuleSpec, byName map[string]scenario.Result) (report.DocSection, bool) {
+func scenPlaneFinding(mod chipgen.ModuleSpec, cat []scenario.Spec, byName map[string]scenario.Result) (report.DocSection, bool) {
 	hammer, okH := byName["ds-hammer"]
 	if !okH || !hammer.FlipFound {
 		return report.DocSection{}, false
@@ -159,7 +165,7 @@ func scenPlaneFinding(mod chipgen.ModuleSpec, byName map[string]scenario.Result)
 	// not), which the byte-identical-across-workers contract requires.
 	var bestC, bestP scenario.Result
 	var bestCName, bestPName string
-	for _, sc := range scenario.Catalog() {
+	for _, sc := range cat {
 		r, ok := byName[sc.Name]
 		if !ok || !r.FlipFound {
 			continue
@@ -193,59 +199,47 @@ func scenPlaneFinding(mod chipgen.ModuleSpec, byName map[string]scenario.Result)
 		fmt.Sprintf("Combined-plane finding (arXiv:2406.13080) — module %s", mod.ID), lines...), true
 }
 
-func scenMitKeys(o Options) ([]string, error) {
-	specs, err := o.modules()
+// planScenMit evaluates every (module, scenario, mitigation) cell at the
+// full activation budget (no search — the comparison wants flip counts
+// and preventive-refresh overhead at equal exposure), each cell split one
+// sub-shard per victim site.
+func planScenMit(o Options) (engine.Plan, error) {
+	l, err := newScenLattice(o)
 	if err != nil {
-		return nil, err
+		return engine.Plan{}, err
 	}
-	var ks []string
-	for _, m := range specs {
-		for _, name := range scenario.Names() {
-			for _, mk := range scenario.AllMitigations() {
-				ks = append(ks, "module/"+m.ID+"/scenario/"+name+"/mit/"+string(mk))
+	mits := scenario.AllMitigations()
+	keys := make([]string, 0, len(l.mods)*len(l.cat)*len(mits))
+	for _, m := range l.mods {
+		for _, sc := range l.cat {
+			for _, mk := range mits {
+				keys = append(keys, "module/"+m.ID+"/scenario/"+sc.Name+"/mit/"+string(mk))
 			}
 		}
 	}
-	return ks, nil
+	perModule := len(l.cat) * len(mits)
+	return typedSplitShards(keys,
+		func(i int) split[scenario.Result, scenario.SiteResult] {
+			return l.cell(i/perModule, (i%perModule)/len(mits), mits[i%len(mits)], false)
+		},
+		func(parts []scenario.Result) (*report.Doc, error) { return mergeScenMit(l, mits, parts), nil },
+	), nil
 }
 
-// splitScenMit evaluates one (module, scenario, mitigation) cell at the
-// full activation budget (no search — the comparison wants flip counts
-// and preventive-refresh overhead at equal exposure), split one
-// sub-shard per victim site.
-func splitScenMit(o Options, i int, key string) split[scenario.Result, scenario.SiteResult] {
-	specs, err := o.modules()
-	if err != nil {
-		return errScenSplit(err)
-	}
-	names := scenario.Names()
-	mits := scenario.AllMitigations()
-	perModule := len(names) * len(mits)
-	mod := specs[i/perModule]
-	sc, _ := scenario.ByName(names[(i%perModule)/len(mits)])
-	return scenSites(mod, sc, mits[i%len(mits)], scenConfig(o), false)
-}
-
-func mergeScenMit(o Options, parts []scenario.Result) (*report.Doc, error) {
-	specs, err := o.modules()
-	if err != nil {
-		return nil, err
-	}
-	names := scenario.Names()
-	mits := scenario.AllMitigations()
-	perModule := len(names) * len(mits)
+func mergeScenMit(l *scenLattice, mits []scenario.MitigationKind, parts []scenario.Result) *report.Doc {
+	perModule := len(l.cat) * len(mits)
 	doc := report.NewDoc()
-	for mi, mod := range specs {
+	for mi, mod := range l.mods {
 		headers := []string{"scenario"}
 		for _, mk := range mits {
 			headers = append(headers, string(mk))
 		}
-		flipRows := make([][]string, len(names))
-		ovhRows := make([][]string, len(names))
+		flipRows := make([][]string, len(l.cat))
+		ovhRows := make([][]string, len(l.cat))
 		totals := make([]int, len(mits))
-		for si, name := range names {
-			flipRows[si] = []string{name}
-			ovhRows[si] = []string{name}
+		for si, sc := range l.cat {
+			flipRows[si] = []string{sc.Name}
+			ovhRows[si] = []string{sc.Name}
 			for ki := range mits {
 				r := parts[mi*perModule+si*len(mits)+ki]
 				flipRows[si] = append(flipRows[si], fmt.Sprint(r.BitFlips))
@@ -265,5 +259,5 @@ func mergeScenMit(o Options, parts []scenario.Result) (*report.Doc, error) {
 			fmt.Sprintf("Preventive refreshes per 1000 aggressor ACTs — module %s", mod.ID),
 			headers, ovhRows))
 	}
-	return doc, nil
+	return doc
 }

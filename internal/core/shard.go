@@ -181,25 +181,6 @@ func registerKeyed[T any](id, title string,
 	})
 }
 
-// registerKeyedSplit is registerKeyed with a declared per-unit split.
-// splitOf may not fail: the key builder runs first in plan construction
-// and performs the same resolution, so any error surfaces there.
-func registerKeyedSplit[T, S any](id, title string,
-	keys func(o Options) ([]string, error),
-	splitOf func(o Options, i int, key string) split[T, S],
-	merge func(o Options, parts []T) (*report.Doc, error)) {
-	registerPlan(id, title, func(o Options) (engine.Plan, error) {
-		ks, err := keys(o)
-		if err != nil {
-			return engine.Plan{}, err
-		}
-		return typedSplitShards(ks,
-			func(i int) split[T, S] { return splitOf(o, i, ks[i]) },
-			func(parts []T) (*report.Doc, error) { return merge(o, parts) },
-		), nil
-	})
-}
-
 // staticKeys adapts a fixed key lattice to registerKeyed.
 func staticKeys(ks ...string) func(Options) ([]string, error) {
 	return func(Options) ([]string, error) { return ks, nil }

@@ -17,7 +17,9 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/dram"
 )
@@ -166,13 +168,8 @@ func (s Spec) Pattern() string {
 // overlap (see sitePlan).
 const maxDecoyRows = 32
 
-// Catalog returns the standard scenario matrix: the pure patterns at
-// both ends of the hammer-count × row-open-time plane, combined
-// interleavings across it, the ONOFF off-time variant, and the decoy
-// (TRR-bypass) decorations. Every entry is registered as shards of the
-// scenario experiments in internal/core and listed by `rowpress
-// scenarios` and GET /v1/scenarios.
-func Catalog() []Spec {
+// catalog is the standard scenario matrix, built once per process.
+var catalog = sync.OnceValue(func() []Spec {
 	const ns = dram.Nanosecond
 	return []Spec{
 		{Name: "ss-hammer", Kind: Hammer, Sides: 1},
@@ -189,11 +186,19 @@ func Catalog() []Spec {
 		{Name: "combined-b4-7.8us-decoy", Kind: Combined, Sides: 2, TAggON: 7800 * ns, Burst: 4,
 			DecoyRows: 16},
 	}
-}
+})
+
+// Catalog returns the standard scenario matrix: the pure patterns at
+// both ends of the hammer-count × row-open-time plane, combined
+// interleavings across it, the ONOFF off-time variant, and the decoy
+// (TRR-bypass) decorations. Every entry is registered as shards of the
+// scenario experiments in internal/core and listed by `rowpress
+// scenarios` and GET /v1/scenarios. The slice is the caller's own copy.
+func Catalog() []Spec { return slices.Clone(catalog()) }
 
 // ByName returns the catalog scenario with the given name.
 func ByName(name string) (Spec, bool) {
-	for _, s := range Catalog() {
+	for _, s := range catalog() {
 		if s.Name == name {
 			return s, true
 		}
@@ -203,7 +208,7 @@ func ByName(name string) (Spec, bool) {
 
 // Names returns the catalog scenario names in catalog order.
 func Names() []string {
-	cat := Catalog()
+	cat := catalog()
 	out := make([]string, len(cat))
 	for i, s := range cat {
 		out[i] = s.Name

@@ -290,3 +290,29 @@ func BenchmarkScenarioPlayback(b *testing.B) {
 		})
 	}
 }
+
+// TestCatalogIsIsolatedCopy: the catalog is built once per process, so
+// Catalog and Names must hand out the caller's own slices.
+func TestCatalogIsIsolatedCopy(t *testing.T) {
+	want, _ := ByName("ds-hammer")
+	cat := Catalog()
+	for i := range cat {
+		if cat[i].Name == "ds-hammer" {
+			cat[i].Name, cat[i].Sides = "mutated", 7
+		}
+	}
+	Names()[1] = "mutated"
+
+	if got, ok := ByName("ds-hammer"); !ok || got != want {
+		t.Errorf("ByName(ds-hammer) after mutation = %+v, %v; want %+v", got, ok, want)
+	}
+	if _, ok := ByName("mutated"); ok {
+		t.Error("ByName found a name written into a returned copy")
+	}
+	if got := Catalog()[1]; got != want {
+		t.Errorf("Catalog()[1] after mutation = %+v, want %+v", got, want)
+	}
+	if got := Names()[1]; got != "ds-hammer" {
+		t.Errorf("Names()[1] after mutation = %q, want ds-hammer", got)
+	}
+}
