@@ -3,9 +3,8 @@
 // determinism and concurrency contracts that `go vet` cannot know
 // about — unsorted map iteration feeding reports (maprange),
 // wall-clock reads in deterministic compute (wallclock), randomness
-// outside the seeded stats.RNG (rngsource), shard payload types
-// missing gob registration (gobreg), and mixed atomic/plain field
-// access (atomicmix).
+// outside the seeded stats.RNG (rngsource), and mixed atomic/plain
+// field access (atomicmix).
 //
 // Usage:
 //

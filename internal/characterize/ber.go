@@ -192,8 +192,9 @@ var OnFracs = []float64{0, 0.25, 0.5, 0.75, 1.0}
 // fix tA2A = tRC + ΔtA2A, sweep the fraction of ΔtA2A that extends the
 // row-open time (the rest extends the off time), and measure BER with the
 // maximum activation count that fits the budget. Measurements run
-// replay-free on one threaded prober; onoffSweepReplay is the retained
-// per-command reference the differential tests pin this against.
+// replay-free on one threaded prober; the differential tests pin this
+// against a per-command reference that replays every measurement's full
+// command stream.
 func ONOFFSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64) ([]ONOFFPoint, error) {
 	b, err := NewBench(spec, cfg, tempC)
 	if err != nil {
@@ -205,21 +206,9 @@ func ONOFFSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64) ([]ONOFFPoin
 	})
 }
 
-// onoffSweepReplay is ONOFFSweep on the per-command path: every trial
-// executes the full prepare/hammer/check stream. Retained as the
-// reference implementation for the differential tests.
-func onoffSweepReplay(spec chipgen.ModuleSpec, cfg Config, tempC float64) ([]ONOFFPoint, error) {
-	b, err := NewBench(spec, cfg, tempC)
-	if err != nil {
-		return nil, err
-	}
-	return onoffSweep(cfg, b.Mod.Timing.TRAS, func(s site, onTime, extraOff dram.TimePS) (BERResult, error) {
-		return MeasureBER(b, s, onTime, extraOff, cfg)
-	})
-}
-
 // onoffSweep is the shared ONOFF grid walk over a BER measurement
-// function; the prober and replay paths differ only in measure.
+// function; the prober and the tests' replay reference differ only in
+// measure.
 func onoffSweep(cfg Config, tRAS dram.TimePS, measure func(s site, onTime, extraOff dram.TimePS) (BERResult, error)) ([]ONOFFPoint, error) {
 	locs := testedLocations(cfg.Geometry, min(cfg.RowsToTest, 8))
 	var out []ONOFFPoint

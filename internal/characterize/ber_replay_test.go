@@ -5,13 +5,28 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bender"
+	"repro/internal/chipgen"
 	"repro/internal/dram"
 )
 
 // These differential tests pin the replay-free BER/ONOFF/repeatability
-// conversions bit-identical to the retained per-command reference
-// paths, threading state across whole measurement sequences (single
-// probes are pinned by TestProberMatchesCommandPath).
+// conversions bit-identical to the per-command reference paths below,
+// threading state across whole measurement sequences (single probes are
+// pinned by TestProberMatchesCommandPath).
+
+// onoffSweepReplay is ONOFFSweep on the per-command path: every trial
+// executes the full prepare/hammer/check stream. It is the reference
+// implementation for the differential tests.
+func onoffSweepReplay(spec chipgen.ModuleSpec, cfg Config, tempC float64) ([]ONOFFPoint, error) {
+	b, err := NewBench(spec, cfg, tempC)
+	if err != nil {
+		return nil, err
+	}
+	return onoffSweep(cfg, b.Mod.Timing.TRAS, func(s site, onTime, extraOff dram.TimePS) (BERResult, error) {
+		return MeasureBER(b, s, onTime, extraOff, cfg)
+	})
+}
 
 func TestONOFFSweepMatchesReplay(t *testing.T) {
 	for _, tc := range []struct {
@@ -47,6 +62,25 @@ func TestONOFFSweepMatchesReplay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// repeatabilityStudyReplay is RepeatabilityStudy on the per-command
+// path: every trial executes the full prepare/hammer/check stream.
+// It is the reference implementation for the differential tests.
+func repeatabilityStudyReplay(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS) ([]RepeatabilityResult, error) {
+	b, err := NewBench(spec, cfg, tempC)
+	if err != nil {
+		return nil, err
+	}
+	return repeatabilityStudy(b, cfg, tAggONs, func(s site, count int, on dram.TimePS) ([]bender.Flip, error) {
+		if err := s.prepare(b, cfg.Pattern); err != nil {
+			return nil, err
+		}
+		if err := s.hammer(b, count, on, 0); err != nil {
+			return nil, err
+		}
+		return s.check(b, cfg.Pattern)
+	})
 }
 
 func TestRepeatabilityStudyMatchesReplay(t *testing.T) {

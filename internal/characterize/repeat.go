@@ -25,9 +25,9 @@ func (r RepeatabilityResult) Percent(k int) float64 {
 // RepeatabilityStudy hammers each tested location cfg.Trials times at a
 // fixed activation count (the budget-limited maximum, as the bitflip-
 // coverage experiments use) and histograms per-cell occurrence counts
-// (Figs. 42–45). Trials run replay-free on one threaded prober;
-// repeatabilityStudyReplay is the retained per-command reference the
-// differential tests pin this against.
+// (Figs. 42–45). Trials run replay-free on one threaded prober; the
+// differential tests pin this against a per-command reference that
+// replays every trial's full command stream.
 func RepeatabilityStudy(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS) ([]RepeatabilityResult, error) {
 	b, err := NewBench(spec, cfg, tempC)
 	if err != nil {
@@ -39,27 +39,9 @@ func RepeatabilityStudy(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAgg
 	})
 }
 
-// repeatabilityStudyReplay is RepeatabilityStudy on the per-command
-// path: every trial executes the full prepare/hammer/check stream.
-// Retained as the reference implementation for the differential tests.
-func repeatabilityStudyReplay(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS) ([]RepeatabilityResult, error) {
-	b, err := NewBench(spec, cfg, tempC)
-	if err != nil {
-		return nil, err
-	}
-	return repeatabilityStudy(b, cfg, tAggONs, func(s site, count int, on dram.TimePS) ([]bender.Flip, error) {
-		if err := s.prepare(b, cfg.Pattern); err != nil {
-			return nil, err
-		}
-		if err := s.hammer(b, count, on, 0); err != nil {
-			return nil, err
-		}
-		return s.check(b, cfg.Pattern)
-	})
-}
-
 // repeatabilityStudy is the shared trial walk over a probe function; the
-// prober and replay paths differ only in how one trial measures.
+// prober and the tests' replay reference differ only in how one trial
+// measures.
 func repeatabilityStudy(b *bender.Bench, cfg Config, tAggONs []dram.TimePS,
 	probe func(s site, count int, on dram.TimePS) ([]bender.Flip, error)) ([]RepeatabilityResult, error) {
 	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)

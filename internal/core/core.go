@@ -56,7 +56,7 @@ type Options struct {
 func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
 
 func (o Options) validate() error {
-	if o.Scale <= 0 || o.Scale > 1 {
+	if !(o.Scale > 0 && o.Scale <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("core: Scale must be in (0,1], got %v", o.Scale)
 	}
 	return nil
@@ -193,18 +193,13 @@ func registerPlan(id, title string, plan planner) {
 // stamping never mutates a value other runs share through the cache.
 func register(id, title string, run func(Options) (*report.Doc, error)) {
 	registerPlan(id, title, func(o Options) (engine.Plan, error) {
-		key := "all;modules=" + strings.Join(o.Modules, ",")
-		return engine.Plan{
-			Shards: []engine.Shard{{Key: key, Run: func() (any, error) { return run(o) }}},
-			Merge: func(parts []any) (*report.Doc, error) {
-				d, ok := parts[0].(*report.Doc)
-				if !ok {
-					return nil, fmt.Errorf("core: shard %q payload is %T, want *report.Doc", key, parts[0])
-				}
-				cp := *d
+		return typedShards([]string{"all;modules=" + strings.Join(o.Modules, ",")},
+			func(int) (*report.Doc, error) { return run(o) },
+			func(parts []*report.Doc) (*report.Doc, error) {
+				cp := *parts[0]
 				return &cp, nil
 			},
-		}, nil
+		), nil
 	})
 }
 

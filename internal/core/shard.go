@@ -12,14 +12,18 @@ import (
 // through. Shard payloads cross the engine as `any`; the builders here
 // recover the concrete type on the merge side so experiment code stays
 // typed end to end. Payloads are cached and shared across runs — in
-// memory and, when a disk tier is attached, across processes (every
-// payload type is gob-registered in payloads.go) — so work functions
-// must return fresh values and merges must not mutate them.
+// memory and, when a disk tier or fabric peers are attached, across
+// processes — so work functions must return fresh values and merges must
+// not mutate them. The builders gob-register every payload type they
+// carry, so any plan a process builds can persist and ship its payloads:
+// a process only encodes or decodes a payload at the key of a plan it
+// has already built.
 
 // typedShards converts n typed work units into engine shards plus a merge
 // adapter that hands the typed payload slice to render.
 func typedShards[T any](keys []string, work func(i int) (T, error),
 	render func(parts []T) (*report.Doc, error)) engine.Plan {
+	engine.RegisterPayloadType(*new(T))
 	shards := make([]engine.Shard, len(keys))
 	for i, key := range keys {
 		shards[i] = engine.Shard{Key: key, Run: func() (any, error) { return work(i) }}
@@ -47,8 +51,8 @@ func typedMerge[T any](keys []string, render func(parts []T) (*report.Doc, error
 // runs), work computes sub-shard j, and gather folds the sub payloads —
 // always in key order, whatever order they completed in — into the
 // unit's payload. Sub payloads cross the engine as `any` and are cached
-// like unit payloads, so their types must be gob-registered in
-// payloads.go and treated as immutable once returned.
+// like unit payloads, so they must be treated as immutable once
+// returned.
 type split[T, S any] struct {
 	keys   []string
 	work   func(j int) (S, error)
@@ -61,6 +65,8 @@ type split[T, S any] struct {
 // Warm runs hit the cache at the unit level and never touch the subs.
 func typedSplitShards[T, S any](keys []string, splitOf func(i int) split[T, S],
 	render func(parts []T) (*report.Doc, error)) engine.Plan {
+	engine.RegisterPayloadType(*new(T))
+	engine.RegisterPayloadType(*new(S))
 	shards := make([]engine.Shard, len(keys))
 	for i, key := range keys {
 		sp := splitOf(i)

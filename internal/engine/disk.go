@@ -27,9 +27,10 @@ import (
 // never leaves a half-written payload under a live key.
 //
 // Payloads are encoded as gob `any` values, so every concrete payload
-// type must be registered with RegisterPayloadType (core does this for
-// all experiment shard types). A Put whose payload has an unregistered
-// type is skipped — the entry just stays memory-only.
+// type must be registered with RegisterPayloadType (core's shard-plan
+// builders register the types they carry whenever they build a plan).
+// A Put whose payload has an unregistered type is skipped — the entry
+// just stays memory-only.
 type DiskCache struct {
 	dir      string
 	maxBytes int64
@@ -72,7 +73,9 @@ type diskPayload struct {
 }
 
 // RegisterPayloadType registers a shard payload's concrete type with
-// the disk-cache codec. Call once per type at init time.
+// the payload codec. It is idempotent, so plan builders call it each
+// time they build a plan: registration then always precedes the first
+// encode or decode at one of the plan's keys.
 func RegisterPayloadType(v any) { gob.Register(v) }
 
 // EncodePayload writes v in the payload wire format shared by the disk

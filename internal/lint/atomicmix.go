@@ -36,7 +36,7 @@ type fieldAccess struct {
 }
 
 func runAtomicMix(pass *Pass) {
-	pkg := pass.Pkgs[0]
+	pkg := pass.Pkg
 	info := pkg.Info
 
 	atomicSites := map[*types.Var][]fieldAccess{}

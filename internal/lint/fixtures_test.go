@@ -51,23 +51,6 @@ func TestRNGSourceFixture(t *testing.T) {
 	checkFixture(t, lint.FixtureDir("rngsource", "a"), lint.RNGSource)
 }
 
-func TestGobRegFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("gobreg", "bad"), lint.GobReg)
-}
-
-// The remote path: a peer gob-encodes shard payloads onto the wire, so
-// unregistered peer-side producers are findings, while the
-// coordinator-side rewrap returning DecodePayload's `any` stays silent.
-func TestGobRegRemoteFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("gobreg", "remote"), lint.GobReg)
-}
-
-// Without any RegisterPayloadType call in the loaded set the check has
-// no anchor and must stay silent.
-func TestGobRegNoAnchorFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("gobreg", "noanchor"), lint.GobReg)
-}
-
 func TestAtomicMixFixture(t *testing.T) {
 	checkFixture(t, lint.FixtureDir("atomicmix", "a"), lint.AtomicMix)
 }

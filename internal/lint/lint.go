@@ -6,8 +6,7 @@
 // the golden suite, but golden tests only catch hazards on inputs they
 // run; the analyzers here catch whole bug classes (unsorted map
 // iteration feeding reports, wall-clock reads in deterministic compute,
-// unseeded randomness, unregistered gob payloads, mixed atomic/plain
-// field access) at vet time.
+// unseeded randomness, mixed atomic/plain field access) at vet time.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis in
 // miniature — Analyzer, Pass, Diagnostic, a testdata harness driven by
@@ -30,30 +29,22 @@ import (
 	"sort"
 )
 
-// An Analyzer is one named check over loaded packages.
+// An Analyzer is one named check, run once per loaded package.
 type Analyzer struct {
 	// Name is the analyzer's identifier as it appears in diagnostics
 	// and suppression directives (rowpressvet/<Name>).
 	Name string
 	// Doc is a one-line description, shown by rowpressvet -list.
 	Doc string
-	// Module marks a whole-program analyzer: its Run receives every
-	// loaded package in one pass (gobreg correlates registrations and
-	// payload producers across packages). Per-package analyzers run
-	// once per package.
-	Module bool
 	// Run performs the analysis, reporting findings through the pass.
 	Run func(*Pass)
 }
 
-// A Pass carries one analyzer invocation over one package (or, for
-// Module analyzers, over every loaded package).
+// A Pass carries one analyzer invocation over one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Pkgs holds the packages under analysis: exactly one for
-	// per-package analyzers, all loaded packages for Module analyzers.
-	Pkgs []*Package
+	Pkg      *Package
 
 	diags *[]Diagnostic
 }
@@ -95,7 +86,6 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	out := []*Analyzer{
 		AtomicMix,
-		GobReg,
 		MapRange,
 		RNGSource,
 		WallClock,
@@ -123,12 +113,8 @@ func ByName(name string) (*Analyzer, bool) {
 func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.Module {
-			a.Run(&Pass{Analyzer: a, Fset: prog.Fset, Pkgs: prog.Pkgs, diags: &diags})
-			continue
-		}
 		for _, pkg := range prog.Pkgs {
-			a.Run(&Pass{Analyzer: a, Fset: prog.Fset, Pkgs: []*Package{pkg}, diags: &diags})
+			a.Run(&Pass{Analyzer: a, Fset: prog.Fset, Pkg: pkg, diags: &diags})
 		}
 	}
 	diags = applySuppressions(prog, analyzers, diags)

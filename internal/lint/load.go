@@ -165,7 +165,6 @@ func check(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Instances:  map[*ast.Ident]types.Instance{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	conf := types.Config{

@@ -36,7 +36,7 @@ var MapRange = &Analyzer{
 }
 
 func runMapRange(pass *Pass) {
-	pkg := pass.Pkgs[0]
+	pkg := pass.Pkg
 	info := pkg.Info
 	inspectFuncs(pkg, func(decl *ast.FuncDecl) {
 		ast.Inspect(decl.Body, func(n ast.Node) bool {

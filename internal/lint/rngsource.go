@@ -20,7 +20,7 @@ var RNGSource = &Analyzer{
 }
 
 func runRNGSource(pass *Pass) {
-	pkg := pass.Pkgs[0]
+	pkg := pass.Pkg
 	info := pkg.Info
 	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {

@@ -10,26 +10,6 @@ import (
 	"time"
 )
 
-type Shard struct {
-	Key string
-	Run func() (any, error)
-}
-
-func RegisterPayloadType(v any) {}
-
-type Registered struct{ N int }
-
-type Orphan struct{ S string }
-
-func init() { RegisterPayloadType(Registered{}) }
-
-// gobreg: Orphan is produced but never registered.
-func orphanShard() Shard {
-	return Shard{Key: "orphan", Run: func() (any, error) { // want "shard payload type .*Orphan is not registered"
-		return Orphan{}, nil
-	}}
-}
-
 // maprange: keys are collected and returned unsorted.
 func mapOrder(m map[string]int) []string {
 	var keys []string

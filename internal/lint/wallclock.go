@@ -47,7 +47,7 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runWallClock(pass *Pass) {
-	pkg := pass.Pkgs[0]
+	pkg := pass.Pkg
 	for _, el := range strings.Split(pkg.ImportPath, "/") {
 		if wallClockExempt[el] {
 			return

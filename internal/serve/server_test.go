@@ -124,6 +124,9 @@ func TestRunErrors(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/run/fig7?scale=9", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad scale: %d", resp.StatusCode)
 	}
+	if resp := getJSON(t, ts.URL+"/v1/run/fig7?scale=NaN", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("NaN scale: %d", resp.StatusCode)
+	}
 	if resp := getJSON(t, ts.URL+"/v1/run/fig7?scale=bogus", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unparsable scale: %d", resp.StatusCode)
 	}
