@@ -9,6 +9,8 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -189,19 +191,51 @@ func BenchmarkEngineWarmCache(b *testing.B) {
 	}
 }
 
+// benchGoldenOptions are the options the golden reports under
+// internal/core/testdata/golden were generated with.
+var benchGoldenOptions = core.Options{Scale: benchScale, Seed: 1, Modules: []string{"S0", "S3", "M3"}}
+
+// Attack benchmark: the §6.3 adaptive-policy and §7.2 row-buffer
+// decoupling attacks, each regenerated on a fresh engine per iteration so
+// every iteration runs the attack loop cold (the disturbance kernel and
+// the per-tREFI hammer windows), and checked against its golden report.
+var attackBenchIDs = []string{"sec63", "sec72"}
+
+func BenchmarkAttackCold(b *testing.B) {
+	want := make(map[string]string, len(attackBenchIDs))
+	for _, id := range attackBenchIDs {
+		golden, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "golden", id+".golden"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		want[id] = string(golden)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := engine.New(4, 0) // fresh engine: the attack shards run every iteration
+		for _, id := range attackBenchIDs {
+			doc, err := core.RunWith(eng, id, benchGoldenOptions)
+			if err != nil {
+				b.Fatalf("%s: %v", id, err)
+			}
+			if report.Text(doc) != want[id] {
+				b.Fatalf("%s: report differs from its golden file", id)
+			}
+		}
+	}
+}
+
 // Planning benchmark: core.PlanFor alone — option validation, module and
 // scenario resolution, shard and sub-shard key construction — at the
 // golden-suite options, with no engine involved. This is the first layer
 // of every request, warm or cold; the catalogs it reads are static, so a
 // regression here means per-call table rebuilding crept back in.
-var benchPlanOptions = core.Options{Scale: benchScale, Seed: 1, Modules: []string{"S0", "S3", "M3"}}
-
 func BenchmarkPlanFor(b *testing.B) {
 	plan := func(b *testing.B, ids ...string) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, id := range ids {
-				if _, err := core.PlanFor(id, benchPlanOptions); err != nil {
+				if _, err := core.PlanFor(id, benchGoldenOptions); err != nil {
 					b.Fatal(err)
 				}
 			}

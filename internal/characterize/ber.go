@@ -3,7 +3,6 @@ package characterize
 import (
 	"sort"
 
-	"repro/internal/bender"
 	"repro/internal/chipgen"
 	"repro/internal/dram"
 )
@@ -20,77 +19,7 @@ type BERResult struct {
 	AllFlips int
 }
 
-// MeasureBER hammers the site with as many activations as fit in the time
-// budget at the given on/extra-off times and reports the bit error rate
-// over the distance-1 victim rows, repeated over trials (max taken).
-//
-// This is the per-command reference path, retained so the differential
-// tests can pin the replay-free prober conversion (measureBERProbed)
-// bit-identical to executed commands; the experiments themselves run
-// through BERGrid/ONOFFSweep on the prober.
-func MeasureBER(b *bender.Bench, s site, onTime, extraOff dram.TimePS, cfg Config) (BERResult, error) {
-	slot := onTime + b.Mod.Timing.TRP + extraOff
-	count := maxActivations(cfg.TimeBudget, slot, len(s.aggressors))
-	bitsPerRow := float64(b.Mod.Geo.BitsPerRow())
-
-	res := BERResult{
-		TAggON:  onTime,
-		TAggOFF: b.Mod.Timing.TRP + extraOff,
-		Count:   count,
-	}
-	var bers []float64
-	for trial := 1; trial <= cfg.Trials; trial++ {
-		b.SetTrial(uint64(trial))
-		if err := s.prepare(b, cfg.Pattern); err != nil {
-			return BERResult{}, err
-		}
-		if err := s.hammer(b, count, onTime, extraOff); err != nil {
-			return BERResult{}, err
-		}
-		flips, err := s.check(b, cfg.Pattern)
-		if err != nil {
-			return BERResult{}, err
-		}
-		res.AllFlips += len(flips)
-		// Per-victim-row BER; the paper reports the per-row fraction.
-		perRow := make(map[int]int)
-		for _, f := range flips {
-			perRow[f.LogicalRow]++
-		}
-		// Accumulate per-row BERs in row order: MeanBER is a float sum
-		// over bers, and float addition is not associative, so map
-		// iteration order would leak into the reported value.
-		rows := make([]int, 0, len(perRow))
-		for r := range perRow {
-			rows = append(rows, r)
-		}
-		sort.Ints(rows)
-		for _, r := range rows {
-			bers = append(bers, float64(perRow[r])/bitsPerRow)
-		}
-		if len(perRow) == 0 {
-			bers = append(bers, 0)
-		}
-	}
-	b.SetTrial(0)
-	for _, v := range bers {
-		if v > res.MaxBER {
-			res.MaxBER = v
-		}
-		res.MeanBER += v
-	}
-	res.MeanBER /= float64(len(bers))
-	return res, nil
-}
-
-// MeasureBERAt measures BER for the access pattern anchored at one tested
-// location (public wrapper over the site machinery; per-command
-// reference path, like MeasureBER).
-func MeasureBERAt(b *bender.Bench, loc int, onTime, extraOff dram.TimePS, cfg Config) (BERResult, error) {
-	return MeasureBER(b, siteFor(loc, cfg.Sided), onTime, extraOff, cfg)
-}
-
-// measureBERProbed is MeasureBER on the replay-free prober: every trial
+// measureBERProbed measures BER on the replay-free prober: every trial
 // is a closed-form probe instead of an executed prepare/hammer/check
 // stream, so a measurement costs O(site) regardless of the activation
 // count. Threading one prober through a sequence of measurements
@@ -118,8 +47,8 @@ func measureBERProbed(p *prober, s site, onTime, extraOff dram.TimePS) (BERResul
 		for _, f := range flips {
 			perRow[f.LogicalRow]++
 		}
-		// Row-order accumulation, exactly as MeasureBER: MeanBER is a float
-		// sum over bers and float addition is not associative.
+		// Row-order accumulation: MeanBER is a float sum over bers and
+		// float addition is not associative.
 		rows := make([]int, 0, len(perRow))
 		for r := range perRow {
 			rows = append(rows, r)

@@ -3,6 +3,7 @@ package characterize
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/bender"
@@ -14,6 +15,75 @@ import (
 // conversions bit-identical to the per-command reference paths below,
 // threading state across whole measurement sequences (single probes are
 // pinned by TestProberMatchesCommandPath).
+
+// MeasureBER hammers the site with as many activations as fit in the time
+// budget at the given on/extra-off times and reports the bit error rate
+// over the distance-1 victim rows, repeated over trials (max taken).
+//
+// This is the per-command reference path: the differential tests pin the
+// replay-free prober conversion (measureBERProbed) bit-identical to it;
+// the experiments themselves run through BERGrid/ONOFFSweep on the prober.
+func MeasureBER(b *bender.Bench, s site, onTime, extraOff dram.TimePS, cfg Config) (BERResult, error) {
+	slot := onTime + b.Mod.Timing.TRP + extraOff
+	count := maxActivations(cfg.TimeBudget, slot, len(s.aggressors))
+	bitsPerRow := float64(b.Mod.Geo.BitsPerRow())
+
+	res := BERResult{
+		TAggON:  onTime,
+		TAggOFF: b.Mod.Timing.TRP + extraOff,
+		Count:   count,
+	}
+	var bers []float64
+	for trial := 1; trial <= cfg.Trials; trial++ {
+		b.SetTrial(uint64(trial))
+		if err := s.prepare(b, cfg.Pattern); err != nil {
+			return BERResult{}, err
+		}
+		if err := s.hammer(b, count, onTime, extraOff); err != nil {
+			return BERResult{}, err
+		}
+		flips, err := s.check(b, cfg.Pattern)
+		if err != nil {
+			return BERResult{}, err
+		}
+		res.AllFlips += len(flips)
+		// Per-victim-row BER; the paper reports the per-row fraction.
+		perRow := make(map[int]int)
+		for _, f := range flips {
+			perRow[f.LogicalRow]++
+		}
+		// Accumulate per-row BERs in row order: MeanBER is a float sum
+		// over bers, and float addition is not associative, so map
+		// iteration order would leak into the reported value.
+		rows := make([]int, 0, len(perRow))
+		for r := range perRow {
+			rows = append(rows, r)
+		}
+		sort.Ints(rows)
+		for _, r := range rows {
+			bers = append(bers, float64(perRow[r])/bitsPerRow)
+		}
+		if len(perRow) == 0 {
+			bers = append(bers, 0)
+		}
+	}
+	b.SetTrial(0)
+	for _, v := range bers {
+		if v > res.MaxBER {
+			res.MaxBER = v
+		}
+		res.MeanBER += v
+	}
+	res.MeanBER /= float64(len(bers))
+	return res, nil
+}
+
+// MeasureBERAt measures BER for the access pattern anchored at one tested
+// location (public wrapper over the site machinery; per-command
+// reference path, like MeasureBER).
+func MeasureBERAt(b *bender.Bench, loc int, onTime, extraOff dram.TimePS, cfg Config) (BERResult, error) {
+	return MeasureBER(b, siteFor(loc, cfg.Sided), onTime, extraOff, cfg)
+}
 
 // onoffSweepReplay is ONOFFSweep on the per-command path: every trial
 // executes the full prepare/hammer/check stream. It is the reference

@@ -80,7 +80,7 @@ func newScenLattice(o Options) (*scenLattice, error) {
 // mitigation kind) cell: sites play on fresh modules with independent
 // deterministic seeds, so each is its own cache-keyed sub-shard and
 // scenario.FoldSites reassembles the cell Result bit-identically to the
-// serial Characterize/Evaluate loop.
+// serial per-site loop.
 // The closures share the lattice's entries by pointer, so a cell costs
 // two small closures rather than two copies of the module spec.
 func (l *scenLattice) cell(mi, si int, kind scenario.MitigationKind, search bool) split[scenario.Result, scenario.SiteResult] {

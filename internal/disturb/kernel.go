@@ -15,7 +15,7 @@ var (
 
 // hammerKernel returns the per-activation RowHammer damage at distance 1,
 // normalized to 1.0 at reference conditions and 50 °C.
-func (p Params) hammerKernel(onS, offS, tempC float64) float64 {
+func (p *Params) hammerKernel(onS, offS, tempC float64) float64 {
 	// Off-time dependence: injected charge needs off-time to act on the
 	// victim (trap recombination, §5.4 footnote 19). Saturating in offS.
 	off := offS / (offS + p.HammerOffTau)
@@ -51,7 +51,7 @@ func (p Params) hammerKernel(onS, offS, tempC float64) float64 {
 //
 // Sub-linear below the knee θ, asymptotically linear above it: in the
 // linear regime AC × tAggON ≈ const gives the −1 log-log ACmin slope.
-func (p Params) pressKernel(onS float64) float64 {
+func (p *Params) pressKernel(onS float64) float64 {
 	extra := onS - refOnS
 	if extra <= 0 {
 		return 0
@@ -60,32 +60,62 @@ func (p Params) pressKernel(onS float64) float64 {
 }
 
 // pressTempFactor scales press damage with temperature (Obsv. 9/11).
-func (p Params) pressTempFactor(tempC float64) float64 {
+func (p *Params) pressTempFactor(tempC float64) float64 {
 	return math.Pow(p.PressTempFactor30, (tempC-50)/30)
 }
 
-// HammerIncrement implements dram.Disturber.
-func (m *Model) HammerIncrement(onTime, offTime dram.TimePS, tempC float64, distance int) float64 {
-	if distance < 1 || distance > dram.BlastRadius {
-		return 0
-	}
-	return m.p.hammerKernel(dram.Seconds(onTime), dram.Seconds(offTime), tempC) *
-		m.p.HammerDistDecay[distance]
+// incMemoSize is the number of (on, off, temperature) conditions a model
+// remembers. Access loops repeat a handful of conditions — a hammer loop's
+// first and steady-state off times, an attack's few tAggON values. On the
+// golden-option experiment set (2 vCPU) the table answered 99.3% of the
+// calls of cold regeneration and 93.8% of those of cold sweeps, and made
+// both about a fifth faster than evaluating every call. A loop with 16
+// or more recently precharged aggressors has that many distinct first
+// off times and can evict its steady-state entry once per 15 of them.
+const incMemoSize = 16
+
+// incKey is an exact activation condition.
+type incKey struct {
+	on, off dram.TimePS
+	tempC   float64
 }
 
-// PressIncrement implements dram.Disturber. Press damage depends on the
-// row-open time only — a single long activation presses exactly as hard as
-// its on-time dictates, which is how ACmin = 1 arises (Obsv. 2). The
-// off-time argument is accepted for interface symmetry but unused; the
-// double-sided inefficiency is a cross-side interaction applied at flip
-// evaluation.
-func (m *Model) PressIncrement(onTime, _ dram.TimePS, tempC float64, distance int) float64 {
-	if distance < 1 || distance > dram.BlastRadius {
-		return 0
+// incEntry is one memoized kernel evaluation.
+type incEntry struct {
+	key incKey
+	inc dram.Increments
+}
+
+// Increments implements dram.Disturber: the hammer kernel and the press
+// kernel are evaluated once per activation condition and scaled by each
+// distance's decay. Press damage depends on the row-open time only — a
+// single long activation presses exactly as hard as its on-time dictates,
+// which is how ACmin = 1 arises (Obsv. 2); the double-sided inefficiency
+// is a cross-side interaction applied at flip evaluation.
+//
+// The result is pure in (onTime, offTime, tempC) and memoized in a
+// round-robin table keyed by the exact arguments, so a hit returns the
+// bit-identical floats a fresh evaluation would.
+func (m *Model) Increments(onTime, offTime dram.TimePS, tempC float64) dram.Increments {
+	k := incKey{onTime, offTime, tempC}
+	for i := 0; i < m.memoLen; i++ {
+		if m.memo[i].key == k {
+			return m.memo[i].inc
+		}
 	}
-	return m.p.pressKernel(dram.Seconds(onTime)) *
-		m.p.pressTempFactor(tempC) *
-		m.p.PressDistDecay[distance]
+	var inc dram.Increments
+	hk := m.p.hammerKernel(dram.Seconds(onTime), dram.Seconds(offTime), tempC)
+	pk := m.p.pressKernel(dram.Seconds(onTime)) * m.p.pressTempFactor(tempC)
+	for d := 1; d <= dram.BlastRadius; d++ {
+		inc.Hammer[d] = hk * m.p.HammerDistDecay[d]
+		inc.Press[d] = pk * m.p.PressDistDecay[d]
+	}
+	m.memo[m.memoNext] = incEntry{k, inc}
+	m.memoNext = (m.memoNext + 1) % incMemoSize
+	if m.memoLen < incMemoSize {
+		m.memoLen++
+	}
+	return inc
 }
 
 // RetentionAccel implements dram.Disturber: retention leakage roughly

@@ -9,7 +9,8 @@ import (
 // Model implements dram.Disturber for one module. It is deterministic:
 // cell populations derive from (seed, bank, row) hashes, and evaluation is
 // pure given the accumulated exposure. Not safe for concurrent use (each
-// module owns its model).
+// module owns its model): the row-profile cache and the increment memo
+// are unlocked.
 type Model struct {
 	p        Params
 	seed     uint64
@@ -17,7 +18,12 @@ type Model struct {
 	rowBits  int
 	tempC    float64 // evaluation temperature for coupling interpolation
 	trial    uint64  // per-trial jitter salt; 0 = no jitter
+	headroom float64 // jitterHeadroom(p.TrialJitter)
 	cache    map[uint64]*rowProfile
+
+	memo     [incMemoSize]incEntry // Increments results, round-robin
+	memoLen  int                   // filled memo entries
+	memoNext int                   // memo slot the next miss overwrites
 }
 
 var (
@@ -39,6 +45,7 @@ func NewModel(p Params, geo dram.Geometry, seed uint64) *Model {
 		rowBytes: geo.RowBytes,
 		rowBits:  geo.BitsPerRow(),
 		tempC:    50,
+		headroom: jitterHeadroom(p.TrialJitter),
 		cache:    make(map[uint64]*rowProfile),
 	}
 }
@@ -128,7 +135,7 @@ func (m *Model) applyPress(prof *rowProfile, data []byte, nb dram.NeighborData, 
 	cplC := tempInterp(m.p.PressCplCharged50, m.p.PressCplCharged80, m.tempC)
 	cplD := tempInterp(m.p.PressCplDischgd50, m.p.PressCplDischgd80, m.tempC)
 	rho := tempInterp(m.p.PressCrossPenalty50, m.p.PressCrossPenalty80, m.tempC)
-	maxDamage := (pa + pb) * math.Max(cplC, cplD) * jitterHeadroom(m.p.TrialJitter)
+	maxDamage := (pa + pb) * math.Max(cplC, cplD) * m.headroom
 	flips := 0
 	for i := range prof.press {
 		c := &prof.press[i]
@@ -169,7 +176,7 @@ func (m *Model) applyHammer(prof *rowProfile, data []byte, nb dram.NeighborData,
 	// fewer total activations than single-sided.
 	cross := 2 * m.p.HammerCrossBoost * math.Sqrt(ha*hb)
 	cplC, cplD := m.p.HammerCplCharged, m.p.HammerCplDischgd
-	maxDamage := (ha + hb + cross) * math.Max(cplC, cplD) * jitterHeadroom(m.p.TrialJitter)
+	maxDamage := (ha + hb + cross) * math.Max(cplC, cplD) * m.headroom
 	flips := 0
 	for i := range prof.hammer {
 		c := &prof.hammer[i]
@@ -203,7 +210,7 @@ func (m *Model) applyRetention(prof *rowProfile, data []byte, exp dram.Exposure,
 	if exp.Retention <= 0 {
 		return 0
 	}
-	limit := exp.Retention * jitterHeadroom(m.p.TrialJitter)
+	limit := exp.Retention * m.headroom
 	flips := 0
 	for i := range prof.retention {
 		c := &prof.retention[i]

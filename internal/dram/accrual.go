@@ -4,12 +4,16 @@ import "sort"
 
 // Closed-form exposure accrual.
 //
-// HammerIncrement and PressIncrement are pure in (onTime, offTime, tempC,
-// distance), so a periodic loop's disturbance is Count × per-slot
-// increment — there is no need to walk the loop slot by slot. This file
-// is the single source of truth for that closed form: the batched
-// executor (HammerBatch) and the replay-free pure probe (HammerExposures,
-// and internal/characterize's search prober on top of it) both drive
+// Disturber.Increments is pure in (onTime, offTime, tempC) and returns
+// every distance's hammer and press increment in one call, so a periodic
+// loop's disturbance is Count × per-slot increment — there is no need to
+// walk the loop slot by slot, and each activation (or batch of identical
+// activations) evaluates the kernel once. The disturb model memoizes it
+// per model, so the attack and scenario loops that repeat one (on, off,
+// temperature) thousands of times pay for the exp/pow once. This file is
+// the single source of truth for that closed form: the batched executor
+// (HammerBatch) and the replay-free pure probe (HammerExposures, and
+// internal/characterize's search prober on top of it) both drive
 // accrueSpec, so they perform bit-identical floating-point operations in
 // bit-identical order. That shared order is what lets the golden-report
 // tests demand byte equality between the per-command path and the closed
@@ -56,10 +60,11 @@ func (s HammerSpec) SteadyOff(t Timing) TimePS {
 // every accrual path must share for float-exact equivalence.
 func accrueSpec(dist Disturber, rowsPerBank, aggRow int, onTime, offTime TimePS, tempC float64,
 	n int, skip map[int]bool, add func(victim int, above bool, h, p float64)) {
+	inc := dist.Increments(onTime, offTime, tempC)
 	fn := float64(n)
 	for d := 1; d <= BlastRadius; d++ {
-		h := dist.HammerIncrement(onTime, offTime, tempC, d) * fn
-		p := dist.PressIncrement(onTime, offTime, tempC, d) * fn
+		h := inc.Hammer[d] * fn
+		p := inc.Press[d] * fn
 		if h == 0 && p == 0 {
 			continue
 		}

@@ -31,17 +31,25 @@ type NeighborData struct {
 	Below []byte // row index victim-1
 }
 
+// Increments is the per-activation disturbance one aggressor activation
+// delivers to the victims at each distance: Hammer[d] and Press[d] for
+// d = 1..BlastRadius. Index 0 is always zero.
+type Increments struct {
+	Hammer, Press [BlastRadius + 1]float64
+}
+
 // Disturber computes read-disturbance physics for a module. Implementations
 // must be pure with respect to the per-(bank,row) cell populations they
 // sample, so that repeated evaluation is reproducible.
 type Disturber interface {
-	// HammerIncrement is the per-activation RowHammer damage delivered to a
-	// victim `distance` rows away, given the aggressor's row-open time, the
-	// preceding row-off time (both ps), and the chip temperature.
-	HammerIncrement(onTime, offTime TimePS, tempC float64, distance int) float64
-	// PressIncrement is the per-activation RowPress damage under the same
-	// conditions.
-	PressIncrement(onTime, offTime TimePS, tempC float64, distance int) float64
+	// Increments is the per-activation RowHammer and RowPress damage
+	// delivered to the victims at every distance inside the blast radius,
+	// given the aggressor's row-open time, the preceding row-off time
+	// (both ps), and the chip temperature. The accrual paths call it once
+	// per activation, or once per batch of identical activations. It must
+	// be pure in its arguments — equal inputs give bit-equal results — so
+	// an implementation may memoize it; disturb.Model does, per model.
+	Increments(onTime, offTime TimePS, tempC float64) Increments
 	// RetentionAccel scales wall-clock seconds into retention stress at the
 	// given temperature (1.0 at the model's reference temperature).
 	RetentionAccel(tempC float64) float64
@@ -66,11 +74,8 @@ type FlipProber interface {
 // isolation.
 type NopDisturber struct{}
 
-// HammerIncrement always returns 0.
-func (NopDisturber) HammerIncrement(_, _ TimePS, _ float64, _ int) float64 { return 0 }
-
-// PressIncrement always returns 0.
-func (NopDisturber) PressIncrement(_, _ TimePS, _ float64, _ int) float64 { return 0 }
+// Increments always returns zero damage.
+func (NopDisturber) Increments(_, _ TimePS, _ float64) Increments { return Increments{} }
 
 // RetentionAccel always returns 0 (cells never leak).
 func (NopDisturber) RetentionAccel(float64) float64 { return 0 }

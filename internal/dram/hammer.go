@@ -164,7 +164,7 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 		if s == actIdx { // this slot is the aggressor's first activation
 			off = m.prevOff(spec.Bank, actRow, at+TimePS(s)*slot)
 		}
-		tempC := m.TemperatureAt(at)
+		inc := m.dist.Increments(spec.OnTime, off, m.TemperatureAt(at))
 		for j, victim := range spec.Rows {
 			if j == actIdx || sched[j].LastSlot >= s || sched[j].Acts == 0 {
 				continue
@@ -177,14 +177,12 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 				continue
 			}
 			rs := m.row(spec.Bank, victim)
-			h := m.dist.HammerIncrement(spec.OnTime, off, tempC, d)
-			p := m.dist.PressIncrement(spec.OnTime, off, tempC, d)
 			if actRow > victim {
-				rs.exp.HammerAbove += h
-				rs.exp.PressAbove += p
+				rs.exp.HammerAbove += inc.Hammer[d]
+				rs.exp.PressAbove += inc.Press[d]
 			} else {
-				rs.exp.HammerBelow += h
-				rs.exp.PressBelow += p
+				rs.exp.HammerBelow += inc.Hammer[d]
+				rs.exp.PressBelow += inc.Press[d]
 			}
 		}
 	}

@@ -10,12 +10,13 @@ import (
 // every input, so the batch-equivalence test cannot pass by accident.
 type probeDisturber struct{}
 
-func (probeDisturber) HammerIncrement(on, off TimePS, tempC float64, d int) float64 {
-	return (1 + Seconds(off)*1e3) * tempC / float64(d*d) * 1e-6
-}
-
-func (probeDisturber) PressIncrement(on, off TimePS, tempC float64, d int) float64 {
-	return Seconds(on) * tempC / float64(d) * 1e-3
+func (probeDisturber) Increments(on, off TimePS, tempC float64) Increments {
+	var inc Increments
+	for d := 1; d <= BlastRadius; d++ {
+		inc.Hammer[d] = (1 + Seconds(off)*1e3) * tempC / float64(d*d) * 1e-6
+		inc.Press[d] = Seconds(on) * tempC / float64(d) * 1e-3
+	}
+	return inc
 }
 
 func (probeDisturber) RetentionAccel(float64) float64 { return 0 }

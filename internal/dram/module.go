@@ -517,21 +517,6 @@ func (m *Module) FetchRow(at TimePS, bank, row int) ([]byte, TimePS, error) {
 	return out, preAt + m.Timing.TRP, nil
 }
 
-// PeekRow returns the row's raw stored bytes without issuing commands and
-// without materializing pending disturbance. Test-only introspection.
-func (m *Module) PeekRow(bank, row int) []byte {
-	if bank < 0 || bank >= m.Geo.Banks || row < 0 || row >= m.Geo.RowsPerBank {
-		return nil
-	}
-	rs := m.peekRow(bank, row)
-	if rs == nil || rs.data == nil {
-		return nil
-	}
-	out := make([]byte, len(rs.data))
-	copy(out, rs.data)
-	return out
-}
-
 // PendingExposure returns the accumulated exposure of a row (test/analysis
 // introspection; does not modify state).
 func (m *Module) PendingExposure(bank, row int) Exposure {

@@ -9,8 +9,7 @@ import (
 // ApplyFlips counts as flips any row whose retention stress exceeds 1.
 type retentionProbe struct{ flips *int }
 
-func (retentionProbe) HammerIncrement(_, _ TimePS, _ float64, _ int) float64 { return 0 }
-func (retentionProbe) PressIncrement(_, _ TimePS, _ float64, _ int) float64  { return 0 }
+func (retentionProbe) Increments(_, _ TimePS, _ float64) Increments { return Increments{} }
 func (retentionProbe) RetentionAccel(tempC float64) float64 {
 	accel := 1.0
 	for t := 50.0; t < tempC; t += 10 {
@@ -114,6 +113,21 @@ func TestWriteRejectsWrongSize(t *testing.T) {
 	if err := m.Write(m.Timing.TRCD, 0, 0, make([]byte, 10)); err == nil {
 		t.Error("short write must fail")
 	}
+}
+
+// PeekRow returns the row's raw stored bytes without issuing commands and
+// without materializing pending disturbance.
+func (m *Module) PeekRow(bank, row int) []byte {
+	if bank < 0 || bank >= m.Geo.Banks || row < 0 || row >= m.Geo.RowsPerBank {
+		return nil
+	}
+	rs := m.peekRow(bank, row)
+	if rs == nil || rs.data == nil {
+		return nil
+	}
+	out := make([]byte, len(rs.data))
+	copy(out, rs.data)
+	return out
 }
 
 func TestPeekRowSafety(t *testing.T) {

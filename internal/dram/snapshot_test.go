@@ -14,12 +14,13 @@ type thresholdDisturber struct {
 	threshold  float64
 }
 
-func (d thresholdDisturber) HammerIncrement(on, off TimePS, tempC float64, dist int) float64 {
-	return d.hInc / float64(dist)
-}
-
-func (d thresholdDisturber) PressIncrement(on, off TimePS, tempC float64, dist int) float64 {
-	return d.pInc * Seconds(on) / float64(dist)
+func (d thresholdDisturber) Increments(on, off TimePS, tempC float64) Increments {
+	var inc Increments
+	for dist := 1; dist <= BlastRadius; dist++ {
+		inc.Hammer[dist] = d.hInc / float64(dist)
+		inc.Press[dist] = d.pInc * Seconds(on) / float64(dist)
+	}
+	return inc
 }
 
 func (d thresholdDisturber) RetentionAccel(float64) float64 { return 1 }

@@ -455,88 +455,7 @@ type Result struct {
 	FlipFound bool        `json:"flip_found"`
 }
 
-// Characterize measures one (module, scenario, mitigation) cell: a full
-// budget play per site, plus a doubling + bisection search for the
-// minimum exposure to first flip (played fresh each probe — mitigation
-// state, module state, and randomized decisions all restart, so probes
-// are true prefixes of each other).
-func Characterize(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg Config) (Result, error) {
-	return measure(module, spec, kind, cfg, true)
-}
-
-// Evaluate is Characterize without the min-exposure search: one full
-// budget play per site. The mitigation-comparison grid uses it, since
-// flip counts and refresh overhead at a fixed budget are what the
-// comparison needs.
-func Evaluate(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg Config) (Result, error) {
-	return measure(module, spec, kind, cfg, false)
-}
-
-func measure(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg Config, search bool) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := spec.Validate(dram.DDR4()); err != nil {
-		return Result{}, err
-	}
-	sites := cfg.sites(spec.Sides)
-	if len(sites) == 0 {
-		return Result{}, fmt.Errorf("scenario: geometry with %d rows/bank cannot host a %d-sided site",
-			cfg.Geometry.RowsPerBank, spec.Sides)
-	}
-	res := Result{Module: module.ID, Scenario: spec.Name, Mitigation: kind}
-	totalAggActs := 0
-	for si, site := range sites {
-		res.Sites++
-		seed := cfg.siteSeed(spec, si)
-		// Full-budget play on the incremental player; the final victim
-		// check runs through the module's pure probe, which reports the
-		// same flips an executed check stream would.
-		mit, err := cfg.NewMitigation(kind, seed)
-		if err != nil {
-			return Result{}, err
-		}
-		pl, err := cfg.newPlayer(module, spec, site, mit)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := pl.playTo(cfg.MaxActs); err != nil {
-			return Result{}, err
-		}
-		full := pl.outcome()
-		if full.BitFlips, err = pl.flips(); err != nil {
-			return Result{}, err
-		}
-		res.BitFlips += full.BitFlips
-		res.PreventiveRefreshes += full.PreventiveRefreshes
-		res.TimeCapped = res.TimeCapped || full.TimeCapped
-		totalAggActs += full.AggActs
-		if full.AggActs > res.BudgetActs {
-			res.BudgetActs = full.AggActs
-		}
-		if full.BitFlips == 0 {
-			continue
-		}
-		res.SitesWithFlips++
-		if !search {
-			res.FlipFound = true
-			continue
-		}
-		minActs, minTime, err := cfg.searchMinActs(module, spec, site, kind, seed, full)
-		if err != nil {
-			return Result{}, err
-		}
-		if !res.FlipFound || minActs < res.MinActs {
-			res.MinActs, res.MinTime, res.FlipFound = minActs, minTime, true
-		}
-	}
-	if totalAggActs > 0 {
-		res.RefreshOverhead = 1000 * float64(res.PreventiveRefreshes) / float64(totalAggActs)
-	}
-	return res, nil
-}
-
-// SiteCount returns the number of victim sites measure tests for this
+// SiteCount returns the number of victim sites a cell tests for this
 // spec under cfg — the sub-shard count of the split scenario
 // experiments.
 func SiteCount(spec Spec, cfg Config) int { return len(cfg.sites(spec.Sides)) }
@@ -557,8 +476,8 @@ type SiteResult struct {
 // mitigation) cell, minimum-exposure search included. Sites are fully
 // independent — each plays on a fresh module with its own deterministic
 // per-site seed — so the per-site measurements compose through
-// FoldSites into exactly the Result Characterize returns, whatever
-// order they executed in.
+// FoldSites into exactly the Result a serial in-order walk of every site
+// gives, whatever order they executed in.
 func CharacterizeSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg Config, siteIdx int) (SiteResult, error) {
 	return measureSite(module, spec, kind, cfg, siteIdx, true)
 }
@@ -568,8 +487,8 @@ func EvaluateSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg
 	return measureSite(module, spec, kind, cfg, siteIdx, false)
 }
 
-// measureSite is one iteration of measure's site loop, addressable by
-// site index.
+// measureSite measures one site of the cell, addressed by site index: a
+// full-budget play and, with search, the minimum-exposure search.
 func measureSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg Config, siteIdx int, search bool) (SiteResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return SiteResult{}, err
@@ -615,9 +534,9 @@ func measureSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg 
 
 // FoldSites folds per-site results — indexed by site, covering every
 // site of SiteCount in order — into the cell Result, reproducing the
-// aggregation of Characterize (search true) or Evaluate (search false)
-// bit for bit: sums, the max per-site budget, the OR of time caps, and
-// the first-site-wins strict minimum of the exposure search.
+// aggregation of a serial in-order walk of every site bit for bit:
+// sums, the max per-site budget, the OR of time caps, and the
+// first-site-wins strict minimum of the exposure search.
 func FoldSites(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, parts []SiteResult, search bool) Result {
 	res := Result{Module: module.ID, Scenario: spec.Name, Mitigation: kind}
 	totalAggActs := 0
