@@ -5,9 +5,9 @@
 // Runs execute on the sharded experiment engine: -workers picks the
 // concurrency (0 = GOMAXPROCS), and within one invocation completed
 // shards are cached per (experiment, options, shard), so repeated or
-// overlapping runs of the same experiment are served from memory.
-// -serve keeps the process alive after the requested runs and exposes
-// the warmed engine over HTTP (same API as rowpressd).
+// overlapping runs of the same experiment are served from memory. To
+// serve results over HTTP, run with -cache-dir and start rowpressd on
+// the same directory: the daemon warm-starts from the disk tier.
 //
 // Runs produce typed result documents (internal/report): -format picks
 // the rendering (text, the canonical JSON document, or CSV), -cache-dir
@@ -42,8 +42,7 @@
 //	                    [-format text|json|csv] [-workers 8] [-ledger-dir DIR]
 //	rowpress profile <id> [-scale 0.5] [-workers 8] [-top 10] [-format text|json|csv]
 //	                      [-trace FILE]
-//	rowpress all [-scale 0.1] [-workers 8] [-serve :8271] [-ledger-dir DIR]
-//	rowpress serve [-addr :8271] [-workers 8] [-cache-dir DIR] [-ledger-dir DIR]
+//	rowpress all [-scale 0.1] [-workers 8] [-cache-dir DIR] [-ledger-dir DIR]
 //	rowpress history -ledger-dir DIR [-experiment fig6] [-kind run|sweep|loadtest]
 //	                  [-limit 20] [-format text|json|csv]
 //	rowpress compare <a> <b> -ledger-dir DIR [-threshold 0.1] [-gate determinism,regression]
@@ -56,7 +55,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -69,7 +67,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/serve"
 	"repro/internal/sweep"
 )
 
@@ -88,8 +85,6 @@ func main() {
 	moduleSets := fs.String("modulesets", "", `semicolon-separated module sets, e.g. "S0,S3;H0,H4" (sweep command)`)
 	format := fs.String("format", "text", "output rendering: text|json|csv (run/sweep; scenarios supports text|csv)")
 	workers := fs.Int("workers", 0, "concurrent shards per experiment (0 = GOMAXPROCS)")
-	serveAddr := fs.String("serve", "", "after running, serve the warmed engine over HTTP on this address")
-	addr := fs.String("addr", ":8271", "listen address (serve command)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (run/sweep/all)")
 	cacheDir := fs.String("cache-dir", "", "persistent shard-cache directory (warm-starts across invocations and daemons)")
 	stats := fs.Bool("stats", false, "print a cache-tier summary line after the run (run/sweep/all)")
@@ -150,7 +145,7 @@ func main() {
 	}
 	// finish writes the trace, flushes the disk-cache index, and prints
 	// the -stats summary; every run-executing command calls it before
-	// exiting or serving.
+	// exiting.
 	finish := func(e *engine.Engine) {
 		if *tracePath != "" {
 			if err := writeTrace(e.Recorder(), *tracePath); err != nil {
@@ -214,7 +209,6 @@ func main() {
 		runOne(e, led, id, opts(), *format)
 		stop()
 		finish(e)
-		maybeServe(e, led, *serveAddr)
 	case "sweep":
 		rest := os.Args[2:]
 		if len(rest) == 0 {
@@ -244,7 +238,6 @@ func main() {
 		runSweep(e, led, spec, *format)
 		stop()
 		finish(e)
-		maybeServe(e, led, *serveAddr)
 	case "profile":
 		rest := os.Args[2:]
 		if len(rest) == 0 {
@@ -255,10 +248,9 @@ func main() {
 		if err := fs.Parse(rest[1:]); err != nil {
 			os.Exit(2)
 		}
-		// Profiling measures a cold run: a warm-start cache or an
-		// already-serving engine would hide exactly the execution being
-		// measured.
-		rejectFlags(fs, "profile", "scales", "seeds", "modulesets", "cache-dir", "serve", "stats",
+		// Profiling measures a cold run: a warm-start cache would hide
+		// exactly the execution being measured.
+		rejectFlags(fs, "profile", "scales", "seeds", "modulesets", "cache-dir", "stats",
 			"ledger-dir", "experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
 		switch *format {
 		case "text", "json", "csv":
@@ -283,26 +275,12 @@ func main() {
 		}
 		stop()
 		finish(e)
-		maybeServe(e, led, *serveAddr)
-	case "serve":
-		if err := fs.Parse(os.Args[2:]); err != nil {
-			os.Exit(2)
-		}
-		// cpuprofile would never stop; stats and format only apply to
-		// commands that run experiments and print their output.
-		rejectFlags(fs, "serve", "cpuprofile", "stats", "format", "trace", "top",
-			"experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
-		listen := *serveAddr
-		if listen == "" {
-			listen = *addr
-		}
-		maybeServe(eng(), openLedger(false), listen)
 	case "history":
 		if err := fs.Parse(os.Args[2:]); err != nil {
 			os.Exit(2)
 		}
 		rejectFlags(fs, "history", "scale", "seed", "modules", "scales", "seeds", "modulesets",
-			"workers", "serve", "addr", "cpuprofile", "cache-dir", "stats", "trace", "top",
+			"workers", "cpuprofile", "cache-dir", "stats", "trace", "top",
 			"threshold", "gate", "clients", "requests", "mix", "target")
 		led := openLedger(true)
 		recs := led.Records(ledger.Query{Experiment: *histExp, Kind: *histKind, Limit: *limit})
@@ -336,7 +314,7 @@ func main() {
 			os.Exit(2)
 		}
 		rejectFlags(fs, "compare", "scale", "seed", "modules", "scales", "seeds", "modulesets",
-			"workers", "serve", "addr", "cpuprofile", "cache-dir", "stats", "trace", "top",
+			"workers", "cpuprofile", "cache-dir", "stats", "trace", "top",
 			"experiment", "kind", "limit", "clients", "requests", "mix", "target")
 		led := openLedger(true)
 		a, b, err := led.ResolvePair(selA, selB)
@@ -387,7 +365,7 @@ func main() {
 			os.Exit(2)
 		}
 		rejectFlags(fs, "loadtest", "modules", "scales", "seeds", "modulesets",
-			"workers", "serve", "addr", "cpuprofile", "cache-dir", "stats", "trace", "top",
+			"workers", "cpuprofile", "cache-dir", "stats", "trace", "top",
 			"experiment", "kind", "limit", "threshold", "gate")
 		switch *format {
 		case "text", "json", "csv":
@@ -440,8 +418,7 @@ func main() {
 }
 
 // startProfile begins CPU profiling into path (no-op when empty) and
-// returns the stop function. Profiles cover the measured runs only, not
-// any serving phase that follows.
+// returns the stop function. Profiles cover the measured runs only.
 func startProfile(path string) func() {
 	if path == "" {
 		return func() {}
@@ -464,41 +441,22 @@ func startProfile(path string) func() {
 }
 
 // runOne executes one experiment and renders its document. With a
-// ledger attached it also stamps the durable run record: identity
-// hashes, tier-split shard counts, the run's metrics window, and the
-// profile summary when tracing is on. Failed runs are recorded too —
-// a history that omits failures cannot explain a trend break.
+// ledger attached it also stamps the durable run record (failed runs
+// included; see ledger.RunRecord), adding the profile summary when
+// tracing is on.
 func runOne(eng *engine.Engine, led *ledger.Ledger, id string, o core.Options, format string) {
 	start := time.Now()
-	var onShard func(engine.ShardEvent)
-	var tiers func() ledger.TierCounts
 	var before engine.Metrics
 	var spanLo int
 	if led != nil {
 		before = eng.Metrics()
-		onShard, tiers = ledger.ObserveShards()
 		if rec := eng.Recorder(); rec != nil {
 			spanLo = len(rec.Snapshot())
 		}
 	}
-	doc, st, err := core.RunObserved(eng, id, o, onShard)
+	doc, st, err := core.RunObserved(eng, id, o, nil)
 	if led != nil {
-		lr := ledger.Record{
-			Kind:        ledger.KindRun,
-			Experiment:  id,
-			OptionsHash: o.Hash(),
-			WallMS:      float64(time.Since(start)) / float64(time.Millisecond),
-			Shards:      st.Shards,
-			Workers:     eng.Workers(),
-			SubShards:   st.SubExecuted,
-			Tiers:       tiers(),
-		}
-		lr.FillWindow(eng.Metrics().Sub(before))
-		if err != nil {
-			lr.Error = err.Error()
-		} else {
-			lr.DocHash = ledger.DocHash(doc)
-		}
+		lr := ledger.RunRecord(id, o.Hash(), eng.Workers(), st, eng.Metrics().Sub(before), doc, err)
 		if rec := eng.Recorder(); rec != nil {
 			spans := rec.Snapshot()
 			if spanLo > len(spans) {
@@ -704,20 +662,6 @@ func runSweep(eng *engine.Engine, led *ledger.Ledger, spec sweep.Spec, format st
 	}
 }
 
-func maybeServe(eng *engine.Engine, led *ledger.Ledger, addr string) {
-	if addr == "" {
-		return
-	}
-	var sopts []serve.Option
-	if led != nil {
-		sopts = append(sopts, serve.WithLedger(led))
-	}
-	st := eng.Cache().Stats()
-	log.Printf("rowpress serving on %s (%d workers, %d cached shard results)",
-		addr, eng.Workers(), st.Entries)
-	log.Fatal(serve.New(eng, sopts...).ListenAndServe(addr))
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `rowpress — RowPress (ISCA 2023) reproduction harness
 
@@ -728,8 +672,8 @@ commands:
   sweep <id> [flags]   run a batched parameter grid over one experiment
   profile <id> [flags] run one experiment cold and print the critical-path /
                        shard-dominance analysis (-top N rows, -trace FILE)
-  all [flags]          run every experiment
-  serve [flags]        serve the experiment engine over HTTP (see rowpressd)
+  all [flags]          run every experiment (serve the results: -cache-dir DIR,
+                       then rowpressd -cache-dir DIR)
   history [flags]      list the persistent run ledger (-ledger-dir required;
                        -experiment ID, -kind run|sweep|loadtest, -limit N)
   compare <a> <b>      benchstat-style delta between two ledger records;
@@ -739,7 +683,7 @@ commands:
                        client+server latency quantiles into the ledger
                        (-target URL, -clients N, -requests N, -mix id,id,...)
 
-flags: -scale F  -modules S0,S3,...  -seed N  -workers N  -serve ADDR  -addr ADDR  -cpuprofile FILE
+flags: -scale F  -modules S0,S3,...  -seed N  -workers N  -cpuprofile FILE
        -format text|json|csv  -cache-dir DIR (persistent warm-start cache)  -stats (cache-tier summary)
        -trace FILE (Chrome trace-event JSON of the shard lifecycle; chrome://tracing, Perfetto)
        -ledger-dir DIR (append-only run ledger; run/sweep/all stamp records, history/compare/loadtest read)

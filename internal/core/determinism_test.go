@@ -8,50 +8,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestEngineDeterminismAndCache is the engine's core contract: for every
-// registered experiment, the same (experiment, Options) must produce
-// byte-identical reports at -workers=1 and -workers=8, and a repeated run
-// on the same engine must be served entirely from the shard cache.
-func TestEngineDeterminismAndCache(t *testing.T) {
-	o := Options{Scale: 0.05, Seed: 1, Modules: []string{"S0", "S3", "M3"}}
-	serial := engine.New(1, 0)
-	wide := engine.New(8, 0)
-	for _, e := range List() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			p, err := PlanFor(e.ID, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			doc1, stats1, err := serial.Execute(p)
-			if err != nil {
-				t.Fatalf("workers=1: %v", err)
-			}
-			doc8, stats8, err := wide.Execute(p)
-			if err != nil {
-				t.Fatalf("workers=8: %v", err)
-			}
-			got1, got8 := report.Text(doc1), report.Text(doc8)
-			if got1 != got8 {
-				t.Fatalf("workers=1 and workers=8 reports differ:\n--- w1 ---\n%s\n--- w8 ---\n%s", got1, got8)
-			}
-			if stats1.Executed != stats1.Shards || stats8.Executed != stats8.Shards {
-				t.Fatalf("cold runs should execute every shard: w1=%+v w8=%+v", stats1, stats8)
-			}
-			warm, warmStats, err := wide.Execute(p)
-			if err != nil {
-				t.Fatalf("warm: %v", err)
-			}
-			if warmStats.Executed != 0 || warmStats.CacheHits != warmStats.Shards {
-				t.Fatalf("warm run re-executed shards: %+v", warmStats)
-			}
-			if report.Text(warm) != got8 {
-				t.Fatal("cached report differs from computed report")
-			}
-		})
-	}
-}
-
 // TestCharacterizationShardsPerModule pins the decomposition: selecting
 // n modules must plan n shards for per-module experiments.
 func TestCharacterizationShardsPerModule(t *testing.T) {

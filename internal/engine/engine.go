@@ -101,8 +101,8 @@ type ShardEvent struct {
 // the final typed result document. OnShard, when set, is invoked once
 // per shard as it resolves — possibly concurrently from worker
 // goroutines, so observers must synchronize — before Merge runs; the
-// serving layer uses it to stream per-shard completion events, and
-// sweeps share one observer across a batch to count tiers exactly.
+// serving layer uses it to stream per-shard completion events. The
+// tier split needs no observer: RunStats.Tiers counts it.
 type Plan struct {
 	Experiment  string // experiment id, e.g. "fig6"
 	Fingerprint string // canonical encoding of the run options
@@ -118,9 +118,41 @@ type Plan struct {
 	Remote any
 }
 
+// TierCounts splits shard resolutions by answering tier: the
+// in-memory LRU, the persistent disk tier, a fabric peer, a joined
+// concurrent execution (or an earlier plan of the same batch), or a
+// miss (the shard actually executed). Mem+Disk+Remote+Join+Miss equals
+// the shard count; Miss equals Executed and the rest CacheHits. The
+// JSON form is the run ledger's record field.
+type TierCounts struct {
+	Mem    int `json:"mem"`
+	Disk   int `json:"disk"`
+	Remote int `json:"remote,omitempty"`
+	Join   int `json:"join,omitempty"`
+	Miss   int `json:"miss"`
+}
+
+// Total returns the shard count the split accounts for.
+func (t TierCounts) Total() int { return t.Mem + t.Disk + t.Remote + t.Join + t.Miss }
+
+// add counts one cache hit answered by tier.
+func (t *TierCounts) add(tier string) {
+	switch tier {
+	case TierMem:
+		t.Mem++
+	case TierDisk:
+		t.Disk++
+	case TierRemote:
+		t.Remote++
+	default:
+		t.Join++
+	}
+}
+
 // RunStats describes one plan's execution. Shard counts are unit-level: a
 // split shard counts once in Shards/Executed/CacheHits; its declared
 // and actually-run sub-shards are broken out in SubShards/SubExecuted.
+// Tiers splits the same shards by answering tier.
 type RunStats struct {
 	Shards      int           // shards in the plan
 	CacheHits   int           // shards served from the cache or a concurrent in-flight execution
@@ -129,6 +161,7 @@ type RunStats struct {
 	SubExecuted int           // sub-shards this call actually ran
 	QueueWait   time.Duration // summed dispatch→execution wait across executed shards
 	Wall        time.Duration // Execute: wall clock, merge included; ExecuteBatch: attributed compute
+	Tiers       TierCounts
 }
 
 // LatencyStats is an always-on (count, total) latency aggregate — the
@@ -437,6 +470,7 @@ type BatchStats struct {
 	SubExecuted  int // sub-shards this call actually ran, across all split shards
 	QueueWait    time.Duration
 	Wall         time.Duration
+	Tiers        TierCounts // every plan's tier split summed: accounts for ShardRefs
 }
 
 // resolution is the outcome of resolving one shard or sub-shard address
@@ -485,9 +519,11 @@ func (sl *batchShard) event(s *Shard) ShardEvent {
 // records the shard's execution, and every later ref records a cache
 // hit — so summing Executed over stats equals BatchStats.Executed, and
 // each plan's CacheHits+Executed equals its shard count, exactly as if
-// the plans had run sequentially through Execute. Per-plan Wall is the
-// compute attributed to that plan (its owned shard time plus its
-// merge), not batch wall clock.
+// the plans had run sequentially through Execute. Tiers splits the
+// same refs as the events do: an executed owner is a Miss, a cached
+// owner counts under its answering tier, and a later ref is a Join.
+// Per-plan Wall is the compute attributed to that plan (its owned
+// shard time plus its merge), not batch wall clock.
 func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStats, errs []error, bs BatchStats) {
 	start := time.Now()
 	bs.Plans = len(plans)
@@ -578,13 +614,19 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 			owned := sl.owner == pi && sl.index == si
 			if owned && sl.ran {
 				st.Executed++
+				st.Tiers.Miss++
 				st.SubExecuted += sl.subsRun
 				st.QueueWait += sl.queue
 				st.Wall += sl.wall
 				continue
 			}
 			st.CacheHits++
-			if !owned && p.OnShard != nil {
+			if owned {
+				st.Tiers.add(sl.tier)
+				continue
+			}
+			st.Tiers.Join++
+			if p.OnShard != nil {
 				p.OnShard(ShardEvent{Index: si, Key: s.Key, Cached: true, Tier: TierJoin, Worker: -1, Subs: len(s.Subs), Err: sl.err})
 			}
 		}
@@ -592,6 +634,11 @@ func (e *Engine) ExecuteBatch(plans []Plan) (outs []*report.Doc, stats []RunStat
 		bs.Executed += st.Executed
 		bs.SubExecuted += st.SubExecuted
 		bs.QueueWait += st.QueueWait
+		bs.Tiers.Mem += st.Tiers.Mem
+		bs.Tiers.Disk += st.Tiers.Disk
+		bs.Tiers.Remote += st.Tiers.Remote
+		bs.Tiers.Join += st.Tiers.Join
+		bs.Tiers.Miss += st.Tiers.Miss
 		shardTime += st.Wall
 		subShards += st.SubShards
 		if errs[pi] == nil {

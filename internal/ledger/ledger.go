@@ -20,9 +20,11 @@
 //     unparseable line, a record with unknown fields (a newer schema),
 //     or an unknown Version — each skip is counted in Stats.Skipped.
 //   - The store is size-bounded: when an append pushes the file past
-//     its byte bound, the oldest records are pruned and the file is
-//     compacted through a temp-file + rename, so a crash mid-compact
-//     never loses the live ledger.
+//     its byte bound, the oldest records are pruned down to a low-water
+//     mark (¾ of the bound) and the file is compacted through a
+//     temp-file + rename, so a crash mid-compact never loses the live
+//     ledger, and a full ledger rewrites itself once per batch of
+//     appends rather than on every append.
 package ledger
 
 import (
@@ -32,11 +34,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/report"
 )
 
@@ -51,21 +55,6 @@ const (
 	KindSweep    = "sweep"
 	KindLoadTest = "loadtest"
 )
-
-// TierCounts splits a run's shard resolutions by answering tier: the
-// in-memory LRU, the persistent disk tier, a fabric peer, a joined
-// concurrent execution, or a miss (the shard actually executed).
-// Mem+Disk+Remote+Join+Miss equals the plan's shard count.
-type TierCounts struct {
-	Mem    int `json:"mem"`
-	Disk   int `json:"disk"`
-	Remote int `json:"remote,omitempty"`
-	Join   int `json:"join,omitempty"`
-	Miss   int `json:"miss"`
-}
-
-// Total returns the shard count the split accounts for.
-func (t TierCounts) Total() int { return t.Mem + t.Disk + t.Remote + t.Join + t.Miss }
 
 // Latency is a (count, total) latency aggregate in milliseconds — the
 // wire form of engine.LatencyStats.
@@ -157,13 +146,13 @@ type Record struct {
 	// Peers is the configured fabric peer count on the serving daemon
 	// (0 for a single-process run); RemoteLookup is the dispatch
 	// latency window for shards answered by those peers.
-	Peers        int        `json:"peers,omitempty"`
-	Tiers        TierCounts `json:"tiers"`
-	QueueWait    Latency    `json:"queue_wait"`
-	MemLookup    Latency    `json:"mem_lookup"`
-	DiskLookup   Latency    `json:"disk_lookup"`
-	MissLookup   Latency    `json:"miss_lookup"`
-	RemoteLookup Latency    `json:"remote_lookup,omitzero"`
+	Peers        int               `json:"peers,omitempty"`
+	Tiers        engine.TierCounts `json:"tiers"`
+	QueueWait    Latency           `json:"queue_wait"`
+	MemLookup    Latency           `json:"mem_lookup"`
+	DiskLookup   Latency           `json:"disk_lookup"`
+	MissLookup   Latency           `json:"miss_lookup"`
+	RemoteLookup Latency           `json:"remote_lookup,omitzero"`
 
 	Profile *Profile   `json:"profile,omitempty"`
 	Load    *LoadStats `json:"load,omitempty"`
@@ -214,7 +203,8 @@ func Open(dir string, maxBytes int64) (*Ledger, error) {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	l := &Ledger{path: filepath.Join(dir, FileName), maxBytes: maxBytes}
-	if err := l.load(); err != nil {
+	unterminated, err := l.load()
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -225,7 +215,7 @@ func Open(dir string, maxBytes int64) (*Ledger, error) {
 	// A crash can leave the final line without its newline. Terminate it
 	// now, or the next append would glue onto the partial record and be
 	// corrupted with it.
-	if end, err := lastByte(l.path); err == nil && end != 0 && end != '\n' {
+	if unterminated {
 		if _, err := f.Write([]byte{'\n'}); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("ledger: %w", err)
@@ -245,61 +235,65 @@ func Open(dir string, maxBytes int64) (*Ledger, error) {
 // Path returns the ledger file's path.
 func (l *Ledger) Path() string { return l.path }
 
-// lastByte returns the file's final byte, or 0 for an empty or missing
-// file.
-func lastByte(path string) (byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil || fi.Size() == 0 {
-		return 0, err
-	}
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], fi.Size()-1); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
+// maxLine bounds the bytes of one line held in memory on load. A
+// longer line is read through, skipped, and counted like any other
+// unreadable line, so the records after it still load.
+const maxLine = 4 << 20
 
-// load reads every parseable record; anything else is skipped.
-func (l *Ledger) load() error {
+// load reads every parseable record; anything else is skipped. It
+// reports whether the file's final line lacks its newline.
+func (l *Ledger) load() (unterminated bool, err error) {
 	f, err := os.Open(l.path)
 	if os.IsNotExist(err) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("ledger: %w", err)
+		return false, fmt.Errorf("ledger: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		size := int64(len(line)) + 1 // the trailing newline
-		var r Record
-		dec := json.NewDecoder(bytes.NewReader(line))
-		// Unknown fields mean a newer schema wrote this line; Version
-		// catches older readers of renamed-but-compatible shapes. Either
-		// way the record is skipped, never fatal.
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&r); err != nil || r.Version != RecordVersion {
-			l.skipped++
-			l.bytes += size // still on disk until the next compaction
+	br := bufio.NewReaderSize(f, 64<<10)
+	var line []byte
+	var size int64 // the line's bytes on disk, newline included
+	for {
+		chunk, err := br.ReadSlice('\n')
+		size += int64(len(chunk))
+		if len(line) <= maxLine {
+			line = append(line, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
 			continue
 		}
-		l.records = append(l.records, r)
-		l.sizes = append(l.sizes, size)
-		l.bytes += size
+		if size > 0 {
+			l.loadLine(line, size)
+		}
+		if err == io.EOF {
+			return size > 0, nil
+		}
+		if err != nil {
+			// An unreadable remainder degrades like a truncated line.
+			l.skipped++
+			return true, nil
+		}
+		line, size = line[:0], 0
 	}
-	// A truncated final line fails to parse and lands in skipped via the
-	// loop; a scanner error (oversized line) degrades the same way.
-	if err := sc.Err(); err != nil {
+}
+
+// loadLine keeps one line's record or counts the line as skipped. A
+// truncated final line lands here too and is skipped.
+func (l *Ledger) loadLine(line []byte, size int64) {
+	l.bytes += size // a skipped line stays on disk until the next compaction
+	var r Record
+	dec := json.NewDecoder(bytes.NewReader(line))
+	// Unknown fields mean a newer schema wrote this line; Version
+	// catches older readers of renamed-but-compatible shapes. Either
+	// way the record is skipped, never fatal.
+	dec.DisallowUnknownFields()
+	if len(line) > maxLine || dec.Decode(&r) != nil || r.Version != RecordVersion {
 		l.skipped++
+		return
 	}
-	return nil
+	l.records = append(l.records, r)
+	l.sizes = append(l.sizes, size)
 }
 
 // NewID derives a readable, sortable, collision-resistant record id
@@ -348,15 +342,19 @@ func (l *Ledger) Append(r Record) (Record, error) {
 }
 
 // compactLocked drops the oldest records until the live set fits the
-// byte bound, then rewrites the file atomically. Caller holds mu.
+// low-water mark, then rewrites the file atomically. Pruning below the
+// bound, not just to it, leaves room for the next appends: a full
+// ledger would otherwise prune one record and rewrite the whole file
+// on every append, holding mu while it does. Caller holds mu.
 func (l *Ledger) compactLocked() error {
 	var live int64
 	for _, s := range l.sizes {
 		live += s
 	}
+	lowWater := l.maxBytes / 4 * 3
 	drop := 0
 	// Always keep the newest record, even if alone it exceeds the bound.
-	for live > l.maxBytes && drop < len(l.records)-1 {
+	for live > lowWater && drop < len(l.records)-1 {
 		live -= l.sizes[drop]
 		drop++
 	}

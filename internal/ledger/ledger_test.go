@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/report"
 )
 
@@ -34,7 +36,7 @@ func TestAppendStampsAndReloads(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
 	r := appendT(t, l, Record{Kind: KindRun, Experiment: "fig6", OptionsHash: "oh", DocHash: "dh",
-		WallMS: 12.5, Shards: 8, Tiers: TierCounts{Mem: 3, Disk: 1, Miss: 4}})
+		WallMS: 12.5, Shards: 8, Tiers: engine.TierCounts{Mem: 3, Disk: 1, Miss: 4}})
 	if r.ID == "" || r.Version != RecordVersion || r.CompletedAt.IsZero() {
 		t.Fatalf("Append did not stamp identity: %+v", r)
 	}
@@ -196,6 +198,78 @@ func TestSizeBoundKeepsNewest(t *testing.T) {
 	}
 }
 
+// A full ledger compacts in batches: the first compaction prunes down
+// to the low-water mark, so the next append lands on the same file
+// (same inode, nothing pruned) instead of rewriting it, and Pruned
+// later grows by more than one record at a time.
+func TestCompactionLeavesHeadroom(t *testing.T) {
+	dir := t.TempDir()
+	const bound = 4096
+	l := openT(t, dir, bound)
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(l.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	i := 0
+	add := func() Stats {
+		appendT(t, l, Record{Kind: KindRun, Experiment: fmt.Sprintf("exp%04d", i)})
+		i++
+		return l.Stats()
+	}
+	for add().Pruned == 0 {
+		if i > 1000 {
+			t.Fatal("no compaction after 1000 appends")
+		}
+	}
+	first := l.Stats()
+	before := stat()
+	if st := add(); st.Pruned != first.Pruned {
+		t.Fatalf("append right after a compaction pruned %d more records", st.Pruned-first.Pruned)
+	}
+	if !os.SameFile(before, stat()) {
+		t.Fatal("append right after a compaction rewrote the ledger file")
+	}
+	for {
+		st := add()
+		if st.Pruned == first.Pruned {
+			continue
+		}
+		if d := st.Pruned - first.Pruned; d < 2 {
+			t.Fatalf("second compaction pruned %d record(s), want a batch", d)
+		}
+		if st.Bytes > bound {
+			t.Fatalf("ledger holds %d bytes, bound is %d", st.Bytes, bound)
+		}
+		break
+	}
+}
+
+// A record line as an earlier build wrote it (before the tier split
+// moved into the engine) loads without a skip and re-encodes to the
+// same bytes: the record's wire format is unchanged.
+func TestRecordWireFormatStable(t *testing.T) {
+	const line = `{"version":1,"id":"20261017T141949-b1def5","kind":"run","experiment":"fig6","options_hash":"9b74ba9a129d21b25b1410aaea654fdc7f24e9aaaf878bd5a3caad433205cff0","doc_hash":"1d932debd14bfe83f89b6004c113dad73ef55ac389b96bcb09a0cc41ec9dcf1a","completed_at":"2026-10-17T14:19:49.097Z","wall_ms":26.059152,"shards":12,"workers":2,"sub_shards":36,"tiers":{"mem":0,"disk":0,"miss":12},"queue_wait":{"count":36,"total_ms":431.733917},"mem_lookup":{"count":0,"total_ms":0},"disk_lookup":{"count":0,"total_ms":0},"miss_lookup":{"count":48,"total_ms":0.006118}}`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(line+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := openT(t, dir, 0)
+	if st := l.Stats(); st.Records != 1 || st.Skipped != 0 {
+		t.Fatalf("loaded %d records, skipped %d; want 1 and 0", st.Records, st.Skipped)
+	}
+	b, err := json.Marshal(l.Records(Query{})[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != line {
+		t.Fatalf("re-encoded record differs:\n got %s\nwant %s", b, line)
+	}
+}
+
 func TestResolveSelectors(t *testing.T) {
 	l := openT(t, t.TempDir(), 0)
 	r0 := appendT(t, l, Record{Kind: KindRun, Experiment: "fig6", DocHash: "a"})
@@ -279,8 +353,8 @@ func TestCompareRegressionFlags(t *testing.T) {
 }
 
 func TestCompareTierShiftRendered(t *testing.T) {
-	a := Record{ID: "cold", Kind: KindRun, Shards: 8, Tiers: TierCounts{Miss: 8}, WallMS: 10}
-	b := Record{ID: "warm", Kind: KindRun, Shards: 8, Tiers: TierCounts{Mem: 6, Disk: 2}, WallMS: 10}
+	a := Record{ID: "cold", Kind: KindRun, Shards: 8, Tiers: engine.TierCounts{Miss: 8}, WallMS: 10}
+	b := Record{ID: "warm", Kind: KindRun, Shards: 8, Tiers: engine.TierCounts{Mem: 6, Disk: 2}, WallMS: 10}
 	d := Compare(a, b, CompareOptions{})
 	txt := report.Text(d.Doc)
 	if !strings.Contains(txt, "mem 0→6") || !strings.Contains(txt, "miss 8→0") {
@@ -291,7 +365,7 @@ func TestCompareTierShiftRendered(t *testing.T) {
 func TestHistoryDocRendersAllFormats(t *testing.T) {
 	l := openT(t, t.TempDir(), 0)
 	appendT(t, l, Record{Kind: KindRun, Experiment: "fig6", DocHash: "abcdef0123456789",
-		Shards: 4, Tiers: TierCounts{Mem: 3, Miss: 1}})
+		Shards: 4, Tiers: engine.TierCounts{Mem: 3, Miss: 1}})
 	appendT(t, l, Record{Kind: KindSweep, Experiment: "fig6", Error: "1/4 points failed"})
 	doc := HistoryDoc(l.Records(Query{}), l.Stats())
 	txt := report.Text(doc)

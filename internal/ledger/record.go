@@ -1,63 +1,44 @@
 package ledger
 
 // This file bridges the engine's in-process observability into durable
-// Record fields: the per-shard tier split (observed off Plan.OnShard),
-// the always-on engine.Metrics latency aggregates (as a before/after
+// Record fields: a run's stats and tier split (engine.RunStats), the
+// always-on engine.Metrics latency aggregates (as a before/after
 // window), and the obs.Analyze profile summary for traced runs.
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/report"
 )
 
-// ObserveShards returns a shard-event observer that splits resolved
-// shards by answering tier, and a function producing the final split.
-// One observer may be shared by every plan of a batch. The snapshot
-// function must only be called after the engine's Execute or
-// ExecuteBatch returns — events arrive from worker goroutines until
-// then.
-func ObserveShards() (func(engine.ShardEvent), func() TierCounts) {
-	var mu sync.Mutex
-	var tc TierCounts
-	onShard := func(ev engine.ShardEvent) {
-		mu.Lock()
-		switch {
-		case !ev.Cached:
-			tc.Miss++
-		case ev.Tier == engine.TierMem:
-			tc.Mem++
-		case ev.Tier == engine.TierDisk:
-			tc.Disk++
-		case ev.Tier == engine.TierRemote:
-			tc.Remote++
-		default:
-			tc.Join++
-		}
-		mu.Unlock()
+// RunRecord builds one experiment run's durable ledger record: the
+// identity hashes, the run's stats and exact tier split, and the
+// engine's latency aggregates over window (the metrics accumulated
+// while the run executed). A failed run is recorded with its error
+// instead of a document hash — a history that omits failures cannot
+// explain a trend break. It is the run-side twin of
+// sweep.Result.LedgerRecord; callers stamp what only they know, such
+// as CompletedAt, Peers, or Profile.
+func RunRecord(id, optionsHash string, workers int, st engine.RunStats, window engine.Metrics, doc *report.Doc, err error) Record {
+	r := Record{
+		Kind:        KindRun,
+		Experiment:  id,
+		OptionsHash: optionsHash,
+		WallMS:      ms(st.Wall),
+		Shards:      st.Shards,
+		Workers:     workers,
+		SubShards:   st.SubExecuted,
+		Tiers:       st.Tiers,
 	}
-	return onShard, func() TierCounts {
-		mu.Lock()
-		defer mu.Unlock()
-		return tc
+	r.FillWindow(window)
+	if err != nil {
+		r.Error = err.Error()
+	} else {
+		r.DocHash = DocHash(doc)
 	}
-}
-
-// ObservePlan chains ObserveShards onto the plan's OnShard hook
-// (preserving any existing observer) and returns the snapshot
-// function.
-func ObservePlan(p *engine.Plan) func() TierCounts {
-	onShard, snapshot := ObserveShards()
-	prev := p.OnShard
-	p.OnShard = func(ev engine.ShardEvent) {
-		onShard(ev)
-		if prev != nil {
-			prev(ev)
-		}
-	}
-	return snapshot
+	return r
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

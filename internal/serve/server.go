@@ -1,8 +1,8 @@
 // Package serve exposes the experiment engine over HTTP: the serving
-// layer behind cmd/rowpressd and `rowpress -serve`. One engine (and
-// therefore one shard cache) backs every request, so repeated and
-// overlapping runs of the same (experiment, options) are served from
-// memory without re-executing any shard.
+// layer behind cmd/rowpressd, the one daemon. One engine (and therefore
+// one shard cache) backs every request, so repeated and overlapping
+// runs of the same (experiment, options) are served from memory
+// without re-executing any shard.
 //
 // Every endpoint is wrapped in observability middleware: per-route
 // latency histograms, in-flight gauges, and structured request logs
@@ -312,12 +312,6 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// ListenAndServe blocks serving on addr.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	return srv.ListenAndServe()
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -517,14 +511,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// With a ledger attached, count per-shard tier resolutions (chained
-	// under any NDJSON observer) and window the engine's latency
-	// aggregates around this run.
-	var tiers func() ledger.TierCounts
+	// With a ledger attached, window the engine's latency aggregates
+	// around this run.
 	var before engine.Metrics
 	if s.ledger != nil {
 		before = s.eng.Metrics()
-		tiers = ledger.ObservePlan(&p)
 	}
 
 	doc, es, err := s.eng.Execute(p)
@@ -548,24 +539,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		CompletedAt: s.now().UTC(),
 	}
 	if s.ledger != nil {
-		lr := ledger.Record{
-			Kind:        ledger.KindRun,
-			Experiment:  id,
-			OptionsHash: o.Hash(),
-			CompletedAt: rec.CompletedAt,
-			WallMS:      stats.WallMS,
-			Shards:      es.Shards,
-			Workers:     s.eng.Workers(),
-			SubShards:   es.SubExecuted,
-			Peers:       s.peerCount(),
-			Tiers:       tiers(),
-		}
-		lr.FillWindow(s.eng.Metrics().Sub(before))
-		if err != nil {
-			lr.Error = err.Error()
-		} else {
-			lr.DocHash = ledger.DocHash(doc)
-		}
+		lr := ledger.RunRecord(id, o.Hash(), s.eng.Workers(), es, s.eng.Metrics().Sub(before), doc, err)
+		lr.CompletedAt, lr.Peers = rec.CompletedAt, s.peerCount()
 		rec.ID = s.appendLedger(r, lr)
 	}
 	if err != nil {

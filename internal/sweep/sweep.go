@@ -94,15 +94,14 @@ type Wall struct {
 }
 
 // Result is a completed sweep: the expanded points in grid order plus
-// the aggregate view. Tiers is the exact cache-tier split of every shard
-// ref, counted off the batch's shard events; it feeds the ledger record
-// and stays off the wire.
+// the aggregate view. Tiers is the engine's exact cache-tier split of
+// every shard ref; it feeds the ledger record and stays off the wire.
 type Result struct {
 	Experiment string            `json:"experiment"`
 	Title      string            `json:"title,omitempty"`
 	Points     []PointResult     `json:"points"`
 	Aggregate  Aggregate         `json:"aggregate"`
-	Tiers      ledger.TierCounts `json:"-"`
+	Tiers      engine.TierCounts `json:"-"`
 }
 
 // MaxPoints bounds a single sweep's expanded grid. The paper's largest
@@ -172,7 +171,6 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	onShard, tiers := ledger.ObserveShards()
 	plans := make([]engine.Plan, len(points))
 	for i, pt := range points {
 		o := core.DefaultOptions()
@@ -181,13 +179,12 @@ func Run(eng *engine.Engine, spec Spec) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
 		}
-		p.OnShard = onShard
 		plans[i] = p
 	}
 
 	outs, runStats, errs, bs := eng.ExecuteBatch(plans)
 
-	res := &Result{Experiment: spec.Experiment, Points: make([]PointResult, len(points)), Tiers: tiers()}
+	res := &Result{Experiment: spec.Experiment, Points: make([]PointResult, len(points)), Tiers: bs.Tiers}
 	if e, ok := core.Get(spec.Experiment); ok {
 		res.Title = e.Title
 	}
