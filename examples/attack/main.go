@@ -16,10 +16,7 @@ import (
 
 func main() {
 	geo := dram.Geometry{Banks: 4, RowsPerBank: 4096, RowBytes: 8192}
-	sys, err := sysarch.NewDemoSystem(geo, 0xA77AC4)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sys := sysarch.NewDemoSystem(geo, 0xA77AC4)
 
 	// Step 1 (§6.3): verify the memory controller keeps rows open while a
 	// program reads consecutive cache blocks.

@@ -72,86 +72,3 @@ func TestPhysicalNeighbors(t *testing.T) {
 		t.Fatalf("scrambled neighbors wrong: phys %d and %d", mx.Physical(b), mx.Physical(a))
 	}
 }
-
-func TestReverseEngineerIdentifiesScheme(t *testing.T) {
-	const rows = 1024
-	for _, truth := range []RowMapKind{RowDirect, RowXOR3, RowTwist} {
-		m, _ := NewRowMap(truth, rows)
-		probe := func(agg int) ([]int, error) {
-			// Ground-truth probe: hammering logical agg flips bits in the
-			// physically adjacent rows.
-			p := m.Physical(agg)
-			var victims []int
-			for _, pv := range []int{p - 1, p + 1} {
-				if pv >= 0 && pv < rows {
-					victims = append(victims, m.Logical(pv))
-				}
-			}
-			return victims, nil
-		}
-		// Sample rows chosen to disambiguate the schemes (they differ on
-		// rows with interesting low bits).
-		sample := []int{3, 8, 9, 12, 15, 17, 100, 513}
-		got, err := ReverseEngineer(rows, probe, sample, 2)
-		if err != nil {
-			t.Fatalf("truth %d: %v", truth, err)
-		}
-		if got != truth {
-			t.Fatalf("truth %d: reverse-engineered %d", truth, got)
-		}
-	}
-}
-
-func TestReverseEngineerNoFlips(t *testing.T) {
-	probe := func(int) ([]int, error) { return nil, nil }
-	if _, err := ReverseEngineer(64, probe, []int{1, 2}, 2); err == nil {
-		t.Fatal("no observations should be an error")
-	}
-}
-
-func TestSysMapRoundTrip(t *testing.T) {
-	m, err := NewCometLakeMap(16, 4096, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(raw uint64) bool {
-		paddr := raw % m.Span() &^ 0x3F // block aligned
-		c := m.Decode(paddr)
-		return m.Encode(c) == paddr
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSysMapCoordsInRange(t *testing.T) {
-	m, _ := NewCometLakeMap(16, 4096, 128)
-	f := func(raw uint64) bool {
-		c := m.Decode(raw % m.Span())
-		return c.Bank >= 0 && c.Bank < 16 && c.Row >= 0 && c.Row < 4096 && c.Col >= 0 && c.Col < 128
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSysMapBankHashing(t *testing.T) {
-	m, _ := NewCometLakeMap(16, 4096, 128)
-	// Same bank field, adjacent rows: the decoded bank must differ when the
-	// XORed row bit differs — that's what makes row-adjacent same-bank
-	// placement nontrivial for the attacker.
-	a := m.Encode(SysCoords{Bank: 3, Row: 100, Col: 0})
-	b := m.Encode(SysCoords{Bank: 3, Row: 101, Col: 0})
-	if m.Decode(a).Bank != 3 || m.Decode(b).Bank != 3 {
-		t.Fatal("encode/decode bank mismatch")
-	}
-	if a == b {
-		t.Fatal("distinct rows encoded identically")
-	}
-}
-
-func TestSysMapRejectsNonPow2(t *testing.T) {
-	if _, err := NewCometLakeMap(3, 4096, 128); err == nil {
-		t.Fatal("non-power-of-two banks should fail")
-	}
-}

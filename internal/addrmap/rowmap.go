@@ -1,13 +1,9 @@
-// Package addrmap models the two address-translation layers the paper must
-// see through before it can pick physically adjacent rows:
-//
-//  1. In-DRAM row scrambling: the row address the memory controller sends
-//     is remapped inside the chip, so logically consecutive rows need not
-//     be physically adjacent (§3.2). The paper reverse-engineers this with
-//     disturbance experiments; ReverseEngineer reproduces that procedure.
-//  2. System physical-address → DRAM (bank, row, column) mapping in the
-//     processor's memory controller, reverse-engineered with DRAMA-style
-//     timing attacks in the paper's real-system demonstration (§6.1).
+// Package addrmap models in-DRAM row scrambling: the row address the
+// memory controller sends is remapped inside the chip, so logically
+// consecutive rows need not be physically adjacent (§3.2). The paper
+// reverse-engineers each module's scheme with disturbance experiments
+// before it picks physically adjacent aggressor and victim rows; the test
+// bench takes the scheme as a known property of the module.
 package addrmap
 
 import "fmt"

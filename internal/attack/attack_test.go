@@ -10,11 +10,7 @@ import (
 func demoSystem(t *testing.T) *sysarch.System {
 	t.Helper()
 	geo := dram.Geometry{Banks: 4, RowsPerBank: 4096, RowBytes: 8192}
-	sys, err := sysarch.NewDemoSystem(geo, 0xC0FFEE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	return sysarch.NewDemoSystem(geo, 0xC0FFEE)
 }
 
 func run(t *testing.T, sys *sysarch.System, acts, reads, victims int) Result {

@@ -193,50 +193,3 @@ func (b *Bench) CheckRow(logicalRow int, expected byte) ([]Flip, error) {
 	}
 	return flips, nil
 }
-
-// DiscoverRowMap reverse-engineers the module's in-DRAM row scrambling by
-// hammering sample rows and observing which rows flip, as prior works do
-// on real chips (§3.2). It returns the inferred mapping, which tests
-// verify equals the hardware's.
-func (b *Bench) DiscoverRowMap(sampleRows []int) (addrmap.RowMap, error) {
-	rows := b.Mod.Geo.RowsPerBank
-	probe := func(agg int) ([]int, error) {
-		// Candidate victims: logical rows within the scrambling group span.
-		var candidates []int
-		for d := -8; d <= 8; d++ {
-			v := agg + d
-			if v >= 0 && v < rows && v != agg {
-				candidates = append(candidates, v)
-			}
-		}
-		for _, v := range candidates {
-			if err := b.WriteRow(v, 0x00); err != nil {
-				return nil, err
-			}
-		}
-		if err := b.WriteRow(agg, 0x00); err != nil {
-			return nil, err
-		}
-		// A full refresh-window's worth of conventional hammering flips the
-		// physically adjacent rows on any of the catalogued dies.
-		if err := b.Hammer([]int{agg}, 1_000_000, b.Mod.Timing.TRAS, 0); err != nil {
-			return nil, err
-		}
-		var victims []int
-		for _, v := range candidates {
-			flips, err := b.CheckRow(v, 0x00)
-			if err != nil {
-				return nil, err
-			}
-			if len(flips) > 0 {
-				victims = append(victims, v)
-			}
-		}
-		return victims, nil
-	}
-	kind, err := addrmap.ReverseEngineer(rows, probe, sampleRows, 2)
-	if err != nil {
-		return addrmap.RowMap{}, err
-	}
-	return addrmap.NewRowMap(kind, rows)
-}

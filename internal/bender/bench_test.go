@@ -139,21 +139,6 @@ func TestBenchSetTemperatureAdvancesClockAndModule(t *testing.T) {
 	}
 }
 
-func TestBenchDiscoverRowMapMatchesHardware(t *testing.T) {
-	// The disturb-based reverse engineering must recover the module's true
-	// scrambling scheme. Use module specs landing on different map kinds.
-	for _, id := range []string{"S0", "S3", "H0", "M3"} {
-		b := newTestBench(t, id)
-		discovered, err := b.DiscoverRowMap([]int{40, 41, 44, 47, 72, 200})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if discovered.Kind != b.RowMap.Kind {
-			t.Errorf("%s: discovered kind %d, hardware %d", id, discovered.Kind, b.RowMap.Kind)
-		}
-	}
-}
-
 func TestBenchRejectsBadBank(t *testing.T) {
 	spec, _ := chipgen.ByID("S0")
 	_, err := New(spec, WithBank(99))

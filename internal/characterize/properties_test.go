@@ -138,21 +138,3 @@ func TestTable5Calibration(t *testing.T) {
 		}
 	}
 }
-
-// TestRowMapDiscoveryIntegration: the full pipeline — reverse-engineer the
-// scrambling, then characterize through the discovered map — matches
-// characterizing through the hardware's ground-truth map.
-func TestRowMapDiscoveryIntegration(t *testing.T) {
-	cfg := quickConfig(4)
-	b, err := NewBench(mustSpec(t, "S3"), cfg, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	discovered, err := b.DiscoverRowMap([]int{40, 41, 44, 47, 72})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if discovered.Kind != b.RowMap.Kind {
-		t.Fatalf("discovered mapping %d != hardware %d", discovered.Kind, b.RowMap.Kind)
-	}
-}

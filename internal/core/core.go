@@ -167,9 +167,6 @@ type Experiment struct {
 	plan  planner
 }
 
-// Run executes the experiment on the default engine.
-func (e Experiment) Run(o Options) (*report.Doc, error) { return RunWith(defaultEngine, e.ID, o) }
-
 // ErrUnknownExperiment reports an id not present in the registry;
 // callers (the HTTP layer) match it with errors.Is.
 var ErrUnknownExperiment = errors.New("unknown experiment")

@@ -22,10 +22,7 @@ func runSec63(o Options) (*report.Doc, error) {
 	headers := []string{"MC policy", "NUM_READS", "effective tAggON", "bitflips", "rows w/ flips"}
 	var rows [][]string
 	for _, hold := range []int{0, 250, 500} {
-		sys, err := demoSystem(o)
-		if err != nil {
-			return nil, err
-		}
+		sys := demoSystem(o)
 		cfg := attackConfig(o)
 		cfg.NumAggrActs = 4
 		cfg.NumReads = 8 // half the non-adaptive peak's reads

@@ -25,10 +25,7 @@ func runSec72(o Options) (*report.Doc, error) {
 	// Part 1: attack with and without decoupling at the peak configuration.
 	var rows [][]string
 	for _, decoupled := range []bool{false, true} {
-		sys, err := demoSystem(o)
-		if err != nil {
-			return nil, err
-		}
+		sys := demoSystem(o)
 		cfg := attackConfig(o)
 		cfg.NumAggrActs = 4
 		cfg.NumReads = 16

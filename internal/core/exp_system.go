@@ -16,7 +16,7 @@ func init() {
 	register("fig49", "Algorithm 2 variant vs Algorithm 1 (Appendix G)", runFig49)
 }
 
-func demoSystem(o Options) (*sysarch.System, error) {
+func demoSystem(o Options) *sysarch.System {
 	geo := dram.Geometry{Banks: 4, RowsPerBank: 4096, RowBytes: 8192}
 	return sysarch.NewDemoSystem(geo, 0xDE40^o.Seed)
 }
@@ -51,10 +51,7 @@ func gridSection(title string, grid attack.GridResult) report.DocSection {
 }
 
 func runFig23(o Options) (*report.Doc, error) {
-	sys, err := demoSystem(o)
-	if err != nil {
-		return nil, err
-	}
+	sys := demoSystem(o)
 	grid, err := attack.RunGrid(sys, attackConfig(o))
 	if err != nil {
 		return nil, err
@@ -65,10 +62,7 @@ func runFig23(o Options) (*report.Doc, error) {
 }
 
 func runFig24(o Options) (*report.Doc, error) {
-	sys, err := demoSystem(o)
-	if err != nil {
-		return nil, err
-	}
+	sys := demoSystem(o)
 	samples := o.scaled(2000, 50)
 	firstHist := stats.NewHistogram(180, 260, 16)
 	restHist := stats.NewHistogram(180, 260, 16)
@@ -101,10 +95,7 @@ func runFig24(o Options) (*report.Doc, error) {
 func runFig49(o Options) (*report.Doc, error) {
 	doc := report.NewDoc()
 	for _, variant := range []attack.Variant{attack.Algorithm1, attack.Algorithm2} {
-		sys, err := demoSystem(o)
-		if err != nil {
-			return nil, err
-		}
+		sys := demoSystem(o)
 		cfg := attackConfig(o)
 		cfg.Variant = variant
 		grid, err := attack.RunGrid(sys, cfg)

@@ -56,36 +56,13 @@ func (s HammerSpec) Validate(m *Module) error {
 	return nil
 }
 
-// Hammer executes the access pattern starting at time at, issuing every
-// ACT/PRE through the command path, and returns the completion time. This
-// is the reference implementation; use HammerBatch for large counts.
-func (m *Module) Hammer(at TimePS, spec HammerSpec) (TimePS, error) {
-	if err := spec.Validate(m); err != nil {
-		return at, err
-	}
-	if m.banks[spec.Bank].open {
-		return at, timingErr("ACT", spec.Bank, "bank must be precharged before hammering")
-	}
-	now := at
-	for i := 0; i < spec.Count; i++ {
-		row := spec.Rows[i%len(spec.Rows)]
-		if err := m.Activate(now, spec.Bank, row); err != nil {
-			return now, err
-		}
-		if err := m.Precharge(now+spec.OnTime, spec.Bank); err != nil {
-			return now, err
-		}
-		now += spec.SlotTime(m.Timing)
-	}
-	return now, nil
-}
-
-// HammerBatch applies the same access pattern as Hammer in O(aggressors ×
-// blast radius) instead of O(count), exploiting that every iteration after
-// the first delivers an identical disturbance increment (the closed form
-// in accrual.go). The observable effect on every row's exposure is
-// equivalent to Hammer (up to float summation order); a property test
-// enforces this.
+// HammerBatch executes the access pattern starting at time at and returns
+// the completion time, in O(aggressors × blast radius) instead of
+// O(count): every iteration after the first delivers an identical
+// disturbance increment (the closed form in accrual.go). The observable
+// effect on every row's exposure is equivalent to issuing every ACT/PRE
+// through the command path (up to float summation order); property tests
+// hold it against that per-command reference.
 func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 	if err := spec.Validate(m); err != nil {
 		return at, err

@@ -6,6 +6,30 @@ import (
 	"testing/quick"
 )
 
+// Hammer executes the access pattern starting at time at, issuing every
+// ACT/PRE through the command path, and returns the completion time. It is
+// the per-command reference HammerBatch is held against.
+func (m *Module) Hammer(at TimePS, spec HammerSpec) (TimePS, error) {
+	if err := spec.Validate(m); err != nil {
+		return at, err
+	}
+	if m.banks[spec.Bank].open {
+		return at, timingErr("ACT", spec.Bank, "bank must be precharged before hammering")
+	}
+	now := at
+	for i := 0; i < spec.Count; i++ {
+		row := spec.Rows[i%len(spec.Rows)]
+		if err := m.Activate(now, spec.Bank, row); err != nil {
+			return now, err
+		}
+		if err := m.Precharge(now+spec.OnTime, spec.Bank); err != nil {
+			return now, err
+		}
+		now += spec.SlotTime(m.Timing)
+	}
+	return now, nil
+}
+
 // probeDisturber is a deterministic toy model whose increments depend on
 // every input, so the batch-equivalence test cannot pass by accident.
 type probeDisturber struct{}

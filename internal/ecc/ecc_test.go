@@ -83,29 +83,6 @@ func TestSECDEDFailsOnHeavyWords(t *testing.T) {
 	}
 }
 
-func TestHamming74RoundTrip(t *testing.T) {
-	var h Hamming74
-	for n := byte(0); n < 16; n++ {
-		got, status := h.Decode(h.Encode(n))
-		if got != n || status != NoError {
-			t.Fatalf("nibble %d: got %d status %v", n, got, status)
-		}
-	}
-}
-
-func TestHamming74CorrectsSingleBit(t *testing.T) {
-	var h Hamming74
-	for n := byte(0); n < 16; n++ {
-		for bit := uint(0); bit < 7; bit++ {
-			cw := h.Encode(n) ^ (1 << bit)
-			got, status := h.Decode(cw)
-			if got != n || status != Corrected {
-				t.Fatalf("nibble %d bit %d: got %d status %v", n, bit, got, status)
-			}
-		}
-	}
-}
-
 func TestChipkillClassification(t *testing.T) {
 	ck := Chipkill{SymbolBits: 8} // x8 chips
 	cases := []struct {

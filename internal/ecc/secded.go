@@ -1,7 +1,6 @@
 // Package ecc implements the error-correcting codes the paper analyzes as
 // RowPress mitigations (§7.1): the (72,64) SEC-DED code ubiquitous in
-// server memory, the (7,4) Hamming code used as the paper's high-overhead
-// strawman, and a Chipkill-style symbol code — plus the per-64-bit-word
+// server memory and a Chipkill-style symbol code — plus the per-64-bit-word
 // bitflip-multiplicity analysis behind Figs. 25 and 26.
 package ecc
 

@@ -380,9 +380,6 @@ func (e *Engine) Disk() *DiskCache { return e.disk }
 // engine does not synchronize the swap against in-flight Executes.
 func (e *Engine) AttachRemote(r RemoteTier) { e.remote = r }
 
-// Remote returns the attached remote tier, or nil.
-func (e *Engine) Remote() RemoteTier { return e.remote }
-
 // SetRecorder attaches a span recorder: every subsequent shard
 // lifecycle (queue wait, cache lookup, execute, merge, barrier) is
 // recorded into it. nil detaches — the engine then pays only a

@@ -143,7 +143,6 @@ type Client struct {
 	peers []*peer
 	http  *http.Client
 	sem   chan struct{}
-	rec   *obs.Recorder
 }
 
 // New builds a client over the configured peer set. At least one peer
@@ -179,10 +178,6 @@ func New(cfg Config) (*Client, error) {
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 	}, nil
 }
-
-// SetRecorder attaches a span recorder: hedge round trips are recorded
-// as remote_hedge spans. nil detaches.
-func (c *Client) SetRecorder(r *obs.Recorder) { c.rec = r }
 
 // Peers returns the normalized peer URLs in configuration order.
 func (c *Client) Peers() []string {
@@ -252,13 +247,9 @@ func (c *Client) Resolve(key string, req engine.RemoteRequest) (v any, peerURL s
 		pr.mu.Lock()
 		pr.hedges++
 		pr.mu.Unlock()
-		t0 := time.Now()
 		go func() {
 			r := c.attempt(alt, body)
 			r.hedge = true
-			if c.rec != nil {
-				c.rec.Record(obs.RemoteHedge, -1, -1, req.Experiment, req.Shard, t0, time.Since(t0), 0)
-			}
 			results <- r
 		}()
 		return true

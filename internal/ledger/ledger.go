@@ -63,14 +63,6 @@ type Latency struct {
 	TotalMS float64 `json:"total_ms"`
 }
 
-// AvgMS returns TotalMS/Count, or 0 before any observation.
-func (l Latency) AvgMS() float64 {
-	if l.Count == 0 {
-		return 0
-	}
-	return l.TotalMS / float64(l.Count)
-}
-
 // Profile is the worker-utilization / critical-path / Amdahl summary
 // from obs.Analyze, present only when the run was traced.
 type Profile struct {

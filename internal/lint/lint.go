@@ -94,16 +94,6 @@ func Analyzers() []*Analyzer {
 	return out
 }
 
-// ByName resolves one analyzer from the suite.
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // Run executes the analyzers over the loaded program, applies
 // suppression directives, and returns every diagnostic — suppressed
 // ones included — sorted by position then analyzer. Directive misuse

@@ -1,24 +1,9 @@
 package mitigate
 
-// Checkpointer is implemented by mitigations whose internal state can be
-// captured and restored. Replay-free searches (the scenario min-exposure
-// bisection) checkpoint the mitigation together with the DRAM module so a
-// probe can roll the whole play back to the bracket's lower bound instead
-// of replaying the pattern from scratch; a mechanism without the
-// interface forces the caller back onto the replay path.
-//
-// CheckpointState must return a self-contained snapshot: mutating the
-// mitigation afterwards must not change the snapshot, and RestoreState
-// must accept any value the same instance previously returned.
-type Checkpointer interface {
-	CheckpointState() any
-	RestoreState(st any)
-}
-
-// CheckpointState implements Checkpointer. None carries no state.
+// CheckpointState implements Mitigation. None carries no state.
 func (None) CheckpointState() any { return nil }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Mitigation.
 func (None) RestoreState(any) {}
 
 type paraState struct {
@@ -26,13 +11,13 @@ type paraState struct {
 	refreshes uint64
 }
 
-// CheckpointState implements Checkpointer: PARA's only state is its RNG
+// CheckpointState implements Mitigation: PARA's only state is its RNG
 // position (and the refresh counter).
 func (pa *PARA) CheckpointState() any {
 	return paraState{rng: pa.rng.State(), refreshes: pa.refreshes}
 }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Mitigation.
 func (pa *PARA) RestoreState(st any) {
 	s := st.(paraState)
 	pa.rng.SetState(s.rng)
@@ -66,22 +51,22 @@ func (s tableState) restore(counts map[int]int) (map[int]int, int, uint64) {
 	return counts, s.spillover, s.refreshes
 }
 
-// CheckpointState implements Checkpointer.
+// CheckpointState implements Mitigation.
 func (g *Graphene) CheckpointState() any {
 	return snapshotTable(g.counts, g.spillover, g.refreshes)
 }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Mitigation.
 func (g *Graphene) RestoreState(st any) {
 	g.counts, g.spillover, g.refreshes = st.(tableState).restore(g.counts)
 }
 
-// CheckpointState implements Checkpointer.
+// CheckpointState implements Mitigation.
 func (im *ImPress) CheckpointState() any {
 	return snapshotTable(im.counts, im.spillover, im.refreshes)
 }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Mitigation.
 func (im *ImPress) RestoreState(st any) {
 	im.counts, im.spillover, im.refreshes = st.(tableState).restore(im.counts)
 }
@@ -90,12 +75,12 @@ type trrState struct {
 	recent []int
 }
 
-// CheckpointState implements Checkpointer.
+// CheckpointState implements Mitigation.
 func (t *TRR) CheckpointState() any {
 	return trrState{recent: append([]int(nil), t.recent...)}
 }
 
-// RestoreState implements Checkpointer.
+// RestoreState implements Mitigation.
 func (t *TRR) RestoreState(st any) {
 	t.recent = append(t.recent[:0], st.(trrState).recent...)
 }

@@ -4,7 +4,9 @@
 // mitigations, the paper's adaptation methodology that re-configures
 // them (tighter threshold + capped row-open time) to also stop RowPress,
 // and an ImPress-style implicit RowPress mitigation (arXiv:2407.16006)
-// that charges long row-open times as extra tracked activations.
+// that charges long row-open times as extra tracked activations. Every
+// mechanism snapshots and restores its own state (checkpoint.go), so a
+// replay-free search can roll a play back together with the module.
 package mitigate
 
 import "repro/internal/dram"
@@ -21,6 +23,16 @@ type Mitigation interface {
 	// OnRefreshWindow notifies that a refresh window (tREFW) completed;
 	// counter-based mechanisms reset here.
 	OnRefreshWindow()
+	// CheckpointState returns a self-contained snapshot of the
+	// mechanism's state: mutating the mitigation afterwards must not
+	// change it. Replay-free searches (the scenario min-exposure
+	// bisection) checkpoint the mitigation together with the DRAM module
+	// so a probe rolls the whole play back to the bracket's lower bound
+	// instead of replaying the pattern from scratch.
+	CheckpointState() any
+	// RestoreState returns the mechanism to a snapshot; it must accept
+	// any value the same instance's CheckpointState returned.
+	RestoreState(st any)
 }
 
 // TimedMitigation is implemented by mechanisms whose bookkeeping depends

@@ -48,16 +48,13 @@ const (
 	// RemoteDispatch is a shard answered by a fabric peer: the full
 	// wire round trip, retries included, as seen by the coordinator.
 	RemoteDispatch
-	// RemoteHedge is a speculative second dispatch raced against a
-	// slow primary peer; its interval is the hedge's own round trip.
-	RemoteHedge
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"queue_wait", "cache_mem", "cache_disk", "cache_miss",
 	"execute", "merge", "plan_build", "barrier",
-	"remote_dispatch", "remote_hedge",
+	"remote_dispatch",
 }
 
 // String names the kind as it appears in trace categories and tables.

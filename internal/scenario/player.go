@@ -9,24 +9,23 @@ import (
 	"repro/internal/mitigate"
 )
 
-// This file is the replay-free playback engine. playSite (play.go)
-// remains the reference implementation — one shot, replayed from scratch
-// per probe; the player below produces the identical trajectory but can
-// pause at any aggressor-activation count, answer "would stopping here
-// flip a bit?" through the module's pure probe, and checkpoint/roll back
-// so the min-exposure bisection walks forward from the bracket's lower
-// bound instead of replaying millions of slots per probe. Prefix
-// determinism (playSite(n) is exactly the first n aggressor slots of
-// playSite(m), n ≤ m) is what makes pausing equivalent to replaying; the
-// scenario test suite holds the two engines against each other.
+// This file is the replay-free playback engine. A player plays one
+// (spec, site) shot on a fresh module, but can pause at any
+// aggressor-activation count, answer "would stopping here flip a bit?"
+// through the module's pure probe, and checkpoint/roll back the whole
+// play — module, mitigation and schedule — so the min-exposure bisection
+// walks forward from the bracket's lower bound instead of replaying
+// millions of slots per probe. Prefix determinism (a play paused at n
+// aggressor slots has played exactly the first n slots of any longer
+// play) is what makes pausing equivalent to replaying; the scenario test
+// suite holds the player against a replay-from-scratch reference.
 
 // slotGen generates the deterministic slot schedule of one (spec, site)
 // play: aggressor slots round-robin the ring; decoy bursts run either
 // after every DecoyEvery aggressor slots or timed against the next tREFI
 // boundary (the U-TRR-style sampler bypass). Generation is a pure
 // function of the emitted history, held in plain fields so a checkpoint
-// is a struct copy. The logic is a field-for-field port of playSite's
-// generator closure.
+// is a struct copy.
 type slotGen struct {
 	spec     Spec
 	site     sitePlan
@@ -67,7 +66,11 @@ func (g *slotGen) next() dram.Slot {
 		default:
 			// REF-synchronized: start the burst when one more aggressor
 			// slot would no longer fit before the boundary, and pad its
-			// last slot so the burst ends exactly on it (see playSite).
+			// last slot so the burst ends exactly on it — the REF then
+			// samples a table holding only decoys. At least one aggressor
+			// slot must run between bursts so dwell slots longer than the
+			// remaining window make progress (their REF is postponed past
+			// the dwell, where the sampler legitimately catches them).
 			if g.sinceBurst > 0 && g.genNow+next+g.burstDur >= g.burstBoundary {
 				g.burstLeft = spec.DecoyRows
 				g.burstPad = g.burstBoundary - (g.genNow + g.burstDur)
@@ -146,8 +149,10 @@ type playerCheckpoint struct {
 }
 
 // newPlayer builds a fresh play: module instantiated, site rows
-// initialized with the data pattern, schedule generator at slot zero —
-// exactly the state playSite starts from.
+// initialized with the data pattern (outside the measured command
+// stream, like the real infrastructure's bulk writes; decoy rows carry no
+// data, so their neighborhoods cannot flip), schedule generator at slot
+// zero.
 func (c Config) newPlayer(module chipgen.ModuleSpec, spec Spec, site sitePlan, mit mitigate.Mitigation) (*player, error) {
 	mod, _ := module.NewModule(c.Geometry, c.TempC)
 	t := mod.Timing
@@ -217,9 +222,15 @@ func (p *player) playTo(targetAgg int) error {
 		if err := p.refreshRows(mitigate.Observe(p.mit, s.Row, s.OnTime), now); err != nil {
 			return err
 		}
-		// Mitigation clock: REF fires every tREFI and the tracking window
-		// resets every tREFW; REFs due in this slot's off phase execute
-		// now (see playSite for the full methodology note).
+		// Mitigation clock: REF fires every tREFI (the sampler's refresh
+		// hook) and the tracking window resets every tREFW. REFs due in
+		// this slot's off phase execute now — after this activation's
+		// disturbance accrued, before the next ACT enters the sampler's
+		// table — matching a controller that schedules REF while the
+		// bank is precharged; REFs falling inside a long dwell are
+		// postponed to the dwell's own off phase, as DDR4 allows.
+		// Periodic victim refresh itself stays disabled per the §4.1
+		// methodology.
 		p.lastOff = t.TRP + s.ExtraOff
 		for p.nextRef <= now+p.lastOff {
 			if p.hasREF {
@@ -300,13 +311,6 @@ func (p *player) outcome() Outcome {
 	return o
 }
 
-// checkpointable reports whether the play's mitigation supports state
-// snapshots; without it a search must fall back to replaying.
-func (p *player) checkpointable() bool {
-	_, ok := p.mit.(mitigate.Checkpointer)
-	return ok
-}
-
 // checkpoint arms a snapshot of the whole play (module, mitigation,
 // generator, budget accounting).
 func (p *player) checkpoint() {
@@ -315,7 +319,7 @@ func (p *player) checkpoint() {
 		armed: true, gen: p.gen, out: p.out,
 		nextRef: p.nextRef, nextWin: p.nextWin, lastOff: p.lastOff,
 		resumeAt: p.resumeAt, stopAt: p.stopAt, victimFlips: p.victimFlips,
-		mitState: p.mit.(mitigate.Checkpointer).CheckpointState(),
+		mitState: p.mit.CheckpointState(),
 	}
 }
 
@@ -326,7 +330,7 @@ func (p *player) rollback() {
 	p.gen, p.out = cp.gen, cp.out
 	p.nextRef, p.nextWin, p.lastOff = cp.nextRef, cp.nextWin, cp.lastOff
 	p.resumeAt, p.stopAt, p.victimFlips = cp.resumeAt, cp.stopAt, cp.victimFlips
-	p.mit.(mitigate.Checkpointer).RestoreState(cp.mitState)
+	p.mit.RestoreState(cp.mitState)
 }
 
 // advanceCheckpoint re-arms the checkpoint at the current position (the

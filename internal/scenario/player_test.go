@@ -88,8 +88,7 @@ func TestPlayerPauseResumeMatchesReplay(t *testing.T) {
 
 // TestCheckpointSearchMatchesReplaySearch holds the checkpoint-based
 // min-exposure search against the replay-from-scratch reference: same
-// minimum activation count, same time-to-flip, for every checkpointable
-// mitigation.
+// minimum activation count, same time-to-flip, for every mitigation.
 func TestCheckpointSearchMatchesReplaySearch(t *testing.T) {
 	mod := testModuleSpec(t)
 	cfg := playerTestConfig()

@@ -1,16 +1,13 @@
 // Package sysarch models the real DDR4-based system of the paper's §6
 // demonstration: an Intel Comet-Lake-like processor (4 GHz, open-row
-// FR-FCFS memory controller, DRAMA-recoverable address mapping) attached
-// to a TRR-protected DDR4 DIMM. The attack in internal/attack drives this
-// model; the latency-probe path reproduces the §6.3 tAggON verification
-// (Fig. 24).
+// FR-FCFS memory controller) attached to a TRR-protected DDR4 DIMM. The
+// attack in internal/attack drives this model; the latency-probe path
+// reproduces the §6.3 tAggON verification (Fig. 24).
 package sysarch
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/addrmap"
 	"repro/internal/disturb"
 	"repro/internal/dram"
 	"repro/internal/stats"
@@ -55,7 +52,6 @@ func DemoDIMMParams() disturb.Params {
 type System struct {
 	Mod   *dram.Module
 	Model *disturb.Model
-	Map   addrmap.SysMap
 
 	TRREntries int // in-DRAM sampler size
 
@@ -66,11 +62,7 @@ type System struct {
 
 // NewDemoSystem builds the §6.1 system over the given geometry. seed
 // drives the DIMM's chip-to-chip variation.
-func NewDemoSystem(geo dram.Geometry, seed uint64) (*System, error) {
-	sysMap, err := addrmap.NewCometLakeMap(geo.Banks, geo.RowsPerBank, geo.BlocksPerRow())
-	if err != nil {
-		return nil, fmt.Errorf("sysarch: %w", err)
-	}
+func NewDemoSystem(geo dram.Geometry, seed uint64) *System {
 	model := disturb.NewModel(DemoDIMMParams(), geo, seed)
 	// Systems run warmer than the 50 °C characterization baseline.
 	const tempC = 60
@@ -83,11 +75,10 @@ func NewDemoSystem(geo dram.Geometry, seed uint64) (*System, error) {
 	return &System{
 		Mod:        mod,
 		Model:      model,
-		Map:        sysMap,
 		TRREntries: 4,
 		openRow:    open,
 		noiseRNG:   stats.NewRNG(seed ^ 0x5A5A),
-	}, nil
+	}
 }
 
 // Now returns the system clock (simulated picoseconds).

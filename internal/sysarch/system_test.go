@@ -9,18 +9,7 @@ import (
 func newSys(t *testing.T) *System {
 	t.Helper()
 	geo := dram.Geometry{Banks: 4, RowsPerBank: 4096, RowBytes: 8192}
-	sys, err := NewDemoSystem(geo, 0xFACE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-func TestNewDemoSystemRejectsNonPow2(t *testing.T) {
-	geo := dram.Geometry{Banks: 3, RowsPerBank: 4096, RowBytes: 8192}
-	if _, err := NewDemoSystem(geo, 1); err == nil {
-		t.Fatal("non-power-of-two banks should fail (address mapping)")
-	}
+	return NewDemoSystem(geo, 0xFACE)
 }
 
 func TestAccessBlockRowHitVsMiss(t *testing.T) {
