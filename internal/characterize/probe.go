@@ -1,6 +1,8 @@
 package characterize
 
 import (
+	"encoding/binary"
+
 	"repro/internal/bender"
 	"repro/internal/dram"
 )
@@ -12,17 +14,18 @@ import (
 // The old probe cost was dominated not by the hammer loop (already
 // batched) but by re-initializing every site row (8 KiB fills) and
 // fetching every victim (8 KiB copies plus exposure bookkeeping) for each
-// of the O(log N) bisection probes. The prober keeps the handful of site
-// rows as scratch buffers and tracks the only cross-probe state the
-// command path threads between probes — the bench clock, each row's last
-// precharge instant (the off time preceding its next first activation),
-// and each row's last charge restore (its retention window). Victim
-// exposure comes from the closed form (dram.HammerExposures) plus the
-// check stream's own self-disturbance, and flips materialize through the
-// very same Disturber evaluation the module would run — so a probe's
-// outcome is bit-identical to executing the commands, at O(site) cost
-// independent of the activation count. The golden-report suite and
-// TestProberMatchesCommandPath enforce that equivalence.
+// of the O(log N) bisection probes. The prober keeps one state record per
+// touched row — its current contents as a scratch buffer, and the only
+// cross-probe state the command path threads between probes: the row's
+// last precharge instant (the off time preceding its next first
+// activation) and its last charge restore (its retention window), next to
+// the bench clock. Victim exposure comes from the closed form
+// (dram.HammerExposures) plus the check stream's own self-disturbance, and
+// flips materialize through the very same Disturber evaluation the module
+// would run — so a probe's outcome is bit-identical to executing the
+// commands, at O(site) cost independent of the activation count. The
+// golden-report suite and TestProberMatchesCommandPath enforce that
+// equivalence.
 //
 // A prober owns its site rows' virtual state for the lifetime of a sweep:
 // interleaving command-path operations on the same rows of the same bench
@@ -33,62 +36,82 @@ type prober struct {
 	b   *bender.Bench
 	cfg Config
 
-	lastPre     map[int]dram.TimePS    // row → last PRE instant
-	lastRestore map[int]dram.TimePS    // row → last charge restore
-	scratch     map[int][]byte         // row → current contents
-	fill        map[int]int            // row → fill byte in scratch, -1 once flipped
-	exp         map[int]*dram.Exposure // row → pending exposure within the current probe
+	rows  map[int]*rowState
+	epoch uint64 // current probe; bumped by prepare
+}
+
+// rowState is the prober's view of one row. Its zero value is the state of
+// a row the prober has never touched: never precharged (fully recovered),
+// never restored (retention window from time 0), no contents (nil
+// neighbour data), and no pending exposure.
+type rowState struct {
+	hasPre      bool
+	lastPre     dram.TimePS // last PRE instant, if hasPre
+	lastRestore dram.TimePS // last charge restore
+	data        []byte      // current contents
+	fill        int         // fill byte in data, -1 once flipped
+
+	exp      dram.Exposure // pending exposure within probe expEpoch
+	expEpoch uint64
 }
 
 func newProber(b *bender.Bench, cfg Config) *prober {
-	return &prober{
-		b:           b,
-		cfg:         cfg,
-		lastPre:     make(map[int]dram.TimePS),
-		lastRestore: make(map[int]dram.TimePS),
-		scratch:     make(map[int][]byte),
-		fill:        make(map[int]int),
+	return &prober{b: b, cfg: cfg, rows: make(map[int]*rowState)}
+}
+
+// row returns the row's state record, creating it at the zero state.
+func (p *prober) row(r int) *rowState {
+	rs := p.rows[r]
+	if rs == nil {
+		rs = &rowState{}
+		p.rows[r] = rs
 	}
+	return rs
+}
+
+// pending returns the row's exposure slot for the current probe; a slot
+// left over from an earlier probe reads as zero.
+func (p *prober) pending(rs *rowState) *dram.Exposure {
+	if rs.expEpoch != p.epoch {
+		rs.exp = dram.Exposure{}
+		rs.expEpoch = p.epoch
+	}
+	return &rs.exp
 }
 
 // prevOff mirrors the module's per-row off-time rule on the virtual PRE
 // history: time since the row's last precharge, capped at the fully
 // recovered bound; a row never precharged starts fully recovered.
 func (p *prober) prevOff(row int, actAt dram.TimePS) dram.TimePS {
-	pre, ok := p.lastPre[row]
-	if !ok {
+	rs := p.rows[row]
+	if rs == nil || !rs.hasPre {
 		return dram.RecoveredOff
 	}
-	off := actAt - pre
-	if off > dram.RecoveredOff {
-		off = dram.RecoveredOff
-	}
-	return off
+	return min(actAt-rs.lastPre, dram.RecoveredOff)
 }
 
-// initRow is the virtual InitRow: contents reset to the fill byte, pending
-// exposure cleared, retention window restarted. The buffer is refilled
-// only when its current contents differ — the common no-flip probe leaves
-// it untouched, which is where the prepare phase's 8 KiB-per-row cost
-// goes away.
+// initRow is the virtual InitRow: contents reset to the fill byte and
+// retention window restarted (prepare's epoch bump has already cleared the
+// pending exposure). The buffer is refilled only when its current contents
+// differ — the common no-flip probe leaves it untouched, which is where
+// the prepare phase's 8 KiB-per-row cost goes away.
 func (p *prober) initRow(row int, fillByte byte) {
-	buf := p.scratch[row]
-	if buf == nil {
-		buf = make([]byte, p.b.Mod.Geo.RowBytes)
-		p.scratch[row] = buf
+	rs := p.row(row)
+	if rs.data == nil {
+		rs.data = make([]byte, p.b.Mod.Geo.RowBytes)
 	}
-	if p.fill[row] != int(fillByte) {
-		dram.Fill(buf, fillByte)
-		p.fill[row] = int(fillByte)
+	if rs.fill != int(fillByte) {
+		dram.Fill(rs.data, fillByte)
+		rs.fill = int(fillByte)
 	}
-	p.lastRestore[row] = p.b.Now()
+	rs.lastRestore = p.b.Now()
 	p.b.Advance(dram.Microsecond) // WriteRow's per-row setup time
 }
 
 // prepare resets the site's rows to the data pattern, victims first, like
-// site.prepare.
+// site.prepare, and starts a new probe: every pending exposure is stale.
 func (p *prober) prepare(s site) {
-	p.exp = make(map[int]*dram.Exposure, len(s.victims)+len(s.aggressors))
+	p.epoch++
 	for _, v := range s.victims {
 		p.initRow(v, p.cfg.Pattern.VictimByte())
 	}
@@ -97,37 +120,23 @@ func (p *prober) prepare(s site) {
 	}
 }
 
-// expOf returns the row's pending-exposure slot, creating it at zero.
-func (p *prober) expOf(row int) *dram.Exposure {
-	e := p.exp[row]
-	if e == nil {
-		e = &dram.Exposure{}
-		p.exp[row] = e
-	}
-	return e
-}
-
 // restore is the virtual charge restore (the module's restoreRow): pending
 // exposure plus the retention accumulated since the last restore
 // materializes into the scratch contents through the model's own flip
 // evaluation, then resets.
 func (p *prober) restore(row int, at dram.TimePS) {
-	e := dram.Exposure{}
-	if pe := p.exp[row]; pe != nil {
-		e = *pe
-	}
-	e.Retention = p.b.Mod.RetentionStress(p.lastRestore[row], at)
-	buf := p.scratch[row]
-	if buf != nil && (!e.IsZero() || e.Retention > 0) {
-		nb := dram.NeighborData{Above: p.scratch[row+1], Below: p.scratch[row-1]}
-		if p.b.Model.ApplyFlips(p.b.Bank(), row, buf, nb, e) > 0 {
-			p.fill[row] = -1
+	rs := p.row(row)
+	pe := p.pending(rs)
+	e := *pe
+	e.Retention = p.b.Mod.RetentionStress(rs.lastRestore, at)
+	if rs.data != nil && (!e.IsZero() || e.Retention > 0) {
+		nb := dram.NeighborData{Above: p.row(row + 1).data, Below: p.row(row - 1).data}
+		if p.b.Model.ApplyFlips(p.b.Bank(), row, rs.data, nb, e) > 0 {
+			rs.fill = -1
 		}
 	}
-	if pe := p.exp[row]; pe != nil {
-		*pe = dram.Exposure{}
-	}
-	p.lastRestore[row] = at
+	*pe = dram.Exposure{}
+	rs.lastRestore = at
 }
 
 // hammer applies the loop's effect in closed form: aggressor first-ACT
@@ -155,19 +164,17 @@ func (p *prober) hammer(s site, count int, onTime, extraOff dram.TimePS) error {
 		// Victim exposure is zero after prepare, so the closed-form delta —
 		// accumulated inside HammerExposures in executor order — is the
 		// row's exposure, bit for bit.
-		cp := ve.Exp
-		p.exp[ve.Row] = &cp
+		*p.pending(p.row(ve.Row)) = ve.Exp
 	}
 	for _, ag := range sched {
 		if ag.Acts == 0 {
 			continue
 		}
 		lastAct := at + dram.TimePS(ag.LastSlot)*slot
-		if pe := p.exp[ag.Row]; pe != nil {
-			*pe = dram.Exposure{}
-		}
-		p.lastRestore[ag.Row] = lastAct
-		p.lastPre[ag.Row] = lastAct + onTime
+		rs := p.row(ag.Row)
+		*p.pending(rs) = dram.Exposure{}
+		rs.lastRestore = lastAct
+		rs.hasPre, rs.lastPre = true, lastAct+onTime
 	}
 	p.b.Advance(dram.TimePS(count) * slot)
 	return nil
@@ -185,25 +192,11 @@ func (p *prober) check(s site) []bender.Flip {
 	for _, v := range s.victims {
 		now := p.b.Now()
 		p.restore(v, now)
+		rs := p.row(v)
 		// A row still holding its expected fill byte cannot diff; only rows
 		// whose scratch was dirtied by materialized flips need the scan.
-		if p.fill[v] != int(expect) {
-			for i, got := range p.scratch[v] {
-				diff := got ^ expect
-				if diff == 0 {
-					continue
-				}
-				for bit := uint8(0); bit < 8; bit++ {
-					if diff&(1<<bit) != 0 {
-						all = append(all, bender.Flip{
-							LogicalRow: v, // physical coordinates, as site.check reports
-							Byte:       i,
-							Bit:        bit,
-							From:       expect&(1<<bit) != 0,
-						})
-					}
-				}
-			}
+		if rs.fill != int(expect) {
+			all = appendDiff(all, v, rs.data, expect)
 		}
 		// The fetch's PRE delivers one tRAS activation's disturbance,
 		// through the shared accrual walk (dram/accrual.go).
@@ -211,7 +204,7 @@ func (p *prober) check(s site) []bender.Flip {
 		off := p.prevOff(v, now)
 		p.b.Mod.AccrueOne(v, t.TRAS, off, p.b.Mod.TemperatureAt(preAt),
 			func(victim int, above bool, h, pr float64) {
-				e := p.expOf(victim)
+				e := p.pending(p.row(victim))
 				if above {
 					e.HammerAbove += h
 					e.PressAbove += pr
@@ -220,8 +213,45 @@ func (p *prober) check(s site) []bender.Flip {
 					e.PressBelow += pr
 				}
 			})
-		p.lastPre[v] = preAt
+		rs.hasPre, rs.lastPre = true, preAt
 		p.b.Advance(t.TRAS + t.TRP)
+	}
+	return all
+}
+
+// appendDiff appends a flip for every bit of row's contents that differs
+// from the expected fill byte, in (byte, bit) order. It compares eight
+// bytes at a time and scans bytes only inside a mismatching word.
+func appendDiff(all []bender.Flip, row int, data []byte, expect byte) []bender.Flip {
+	word := uint64(expect) * 0x0101010101010101
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		if binary.LittleEndian.Uint64(data[i:]) == word {
+			continue
+		}
+		for j := i; j < i+8; j++ {
+			all = appendByteDiff(all, row, j, data[j], expect)
+		}
+	}
+	for ; i < len(data); i++ {
+		all = appendByteDiff(all, row, i, data[i], expect)
+	}
+	return all
+}
+
+// appendByteDiff appends a flip for every bit in which got differs from
+// expect, lowest bit first.
+func appendByteDiff(all []bender.Flip, row, i int, got, expect byte) []bender.Flip {
+	diff := got ^ expect
+	for bit := uint8(0); diff != 0 && bit < 8; bit++ {
+		if diff&(1<<bit) != 0 {
+			all = append(all, bender.Flip{
+				LogicalRow: row, // physical coordinates, as site.check reports
+				Byte:       i,
+				Bit:        bit,
+				From:       expect&(1<<bit) != 0,
+			})
+		}
 	}
 	return all
 }

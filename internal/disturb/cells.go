@@ -1,8 +1,9 @@
 package disturb
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -94,7 +95,7 @@ func (m *Model) samplePopulation(bank, row int, stream uint64, lambda, logMedian
 			hash:      h,
 		})
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].threshold < cells[j].threshold })
+	slices.SortFunc(cells, func(a, b vulnCell) int { return cmp.Compare(a.threshold, b.threshold) })
 	return cells
 }
 

@@ -168,3 +168,35 @@ func TestNoDuplicateCells(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilePopulationsSorted pins the invariant the early-exit break in
+// applyPress, applyHammer and applyRetention leans on: every population
+// of a row profile is sorted ascending by threshold.
+func TestProfilePopulationsSorted(t *testing.T) {
+	geo := dram.Geometry{Banks: 2, RowsPerBank: 64, RowBytes: 8192}
+	longest := 0
+	for _, seed := range []uint64{1, 7, 42} {
+		m := NewModel(DefaultParams(), geo, seed)
+		for bank := 0; bank < geo.Banks; bank++ {
+			for row := 0; row < geo.RowsPerBank; row++ {
+				prof := m.profile(bank, row)
+				for _, pop := range []struct {
+					name  string
+					cells []vulnCell
+				}{{"press", prof.press}, {"hammer", prof.hammer}, {"retention", prof.retention}} {
+					name, cells := pop.name, pop.cells
+					longest = max(longest, len(cells))
+					for i := 1; i < len(cells); i++ {
+						if cells[i].threshold < cells[i-1].threshold {
+							t.Fatalf("seed %d bank %d row %d: %s cell %d threshold %g below cell %d's %g",
+								seed, bank, row, name, i, cells[i].threshold, i-1, cells[i-1].threshold)
+						}
+					}
+				}
+			}
+		}
+	}
+	if longest < 2 {
+		t.Fatalf("longest population has %d cells; nothing was ordered", longest)
+	}
+}

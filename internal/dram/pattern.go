@@ -81,10 +81,16 @@ func (p DataPattern) VictimByte() byte {
 	}
 }
 
-// Fill writes b into every byte of buf and returns buf.
+// Fill writes b into every byte of buf and returns buf. It sets the first
+// byte and doubles the filled prefix with copy, so an 8 KiB row takes 13
+// memmoves instead of 8192 byte stores.
 func Fill(buf []byte, b byte) []byte {
-	for i := range buf {
-		buf[i] = b
+	if len(buf) == 0 {
+		return buf
+	}
+	buf[0] = b
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
 	}
 	return buf
 }

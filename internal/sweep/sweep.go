@@ -127,7 +127,7 @@ func (s Spec) Points() ([]Point, error) {
 		scales = []float64{core.DefaultOptions().Scale}
 	}
 	for _, sc := range scales {
-		if sc <= 0 || sc > 1 {
+		if !(sc > 0 && sc <= 1) { // NaN fails both comparisons
 			return nil, fmt.Errorf("sweep: scale must be in (0,1], got %v", sc)
 		}
 	}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,7 @@ func TestSpecValidation(t *testing.T) {
 		"unknown experiment": {Experiment: "fig999"},
 		"zero scale":         {Experiment: "fig7", Scales: []float64{0}},
 		"scale above one":    {Experiment: "fig7", Scales: []float64{2}},
+		"NaN scale":          {Experiment: "fig7", Scales: []float64{math.NaN()}},
 		"duplicate modules":  {Experiment: "fig7", ModuleSets: [][]string{{"S0", "S0"}}},
 	} {
 		if _, err := spec.Points(); err == nil {
