@@ -201,9 +201,21 @@ var benchGoldenOptions = core.Options{Scale: benchScale, Seed: 1, Modules: []str
 // the per-tREFI hammer windows), and checked against its golden report.
 var attackBenchIDs = []string{"sec63", "sec72"}
 
-func BenchmarkAttackCold(b *testing.B) {
-	want := make(map[string]string, len(attackBenchIDs))
-	for _, id := range attackBenchIDs {
+func BenchmarkAttackCold(b *testing.B) { benchColdGolden(b, attackBenchIDs...) }
+
+// Scenario benchmark: scenario-grid — every catalog scenario against every
+// module, each site a full-budget play with its minimum-exposure search
+// folded in — regenerated on a fresh engine per iteration, so every
+// iteration pays the per-slot command path, and checked against its
+// golden report.
+func BenchmarkScenarioGridCold(b *testing.B) { benchColdGolden(b, "scenario-grid") }
+
+// benchColdGolden regenerates ids at the golden options on a fresh engine
+// per iteration, so no shard is ever a cache hit, and fails on any report
+// that differs from its golden file.
+func benchColdGolden(b *testing.B, ids ...string) {
+	want := make(map[string]string, len(ids))
+	for _, id := range ids {
 		golden, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "golden", id+".golden"))
 		if err != nil {
 			b.Fatal(err)
@@ -212,8 +224,8 @@ func BenchmarkAttackCold(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng := engine.New(4, 0) // fresh engine: the attack shards run every iteration
-		for _, id := range attackBenchIDs {
+		eng := engine.New(4, 0) // fresh engine: every shard runs every iteration
+		for _, id := range ids {
 			doc, err := core.RunWith(eng, id, benchGoldenOptions)
 			if err != nil {
 				b.Fatalf("%s: %v", id, err)

@@ -15,9 +15,10 @@ import "sort"
 // (HammerBatch) and the replay-free pure probe (HammerExposures, and
 // internal/characterize's search prober on top of it) both drive
 // accrueSpec, so they perform bit-identical floating-point operations in
-// bit-identical order. That shared order is what lets the golden-report
-// tests demand byte equality between the per-command path and the closed
-// form.
+// bit-identical order. The per-command PRE path (Module.accrue) is the
+// n = 1, no-skip case of the same walk, unrolled so it pays no closure call
+// per victim. That shared order is what lets the golden-report tests
+// demand byte equality between the per-command path and the closed form.
 
 // AggSchedule describes one aggressor row's share of a HammerSpec loop:
 // Count activations split round-robin across spec.Rows.
@@ -68,10 +69,11 @@ func accrueSpec(dist Disturber, rowsPerBank, aggRow int, onTime, offTime TimePS,
 		if h == 0 && p == 0 {
 			continue
 		}
-		if v := aggRow - d; v >= 0 && !skip[v] {
+		// A nil skip set would still cost a runtime map probe per victim.
+		if v := aggRow - d; v >= 0 && (skip == nil || !skip[v]) {
 			add(v, true, h, p)
 		}
-		if v := aggRow + d; v < rowsPerBank && !skip[v] {
+		if v := aggRow + d; v < rowsPerBank && (skip == nil || !skip[v]) {
 			add(v, false, h, p)
 		}
 	}

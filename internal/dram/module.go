@@ -41,9 +41,13 @@ type rowState struct {
 	epoch       uint32 // checkpoint journal stamp (see snapshot.go)
 }
 
+// tempPoint is one step of the temperature schedule. accel caches
+// RetentionAccel(tempC), which is pure, so the retention integral on every
+// ACT multiplies by it instead of re-evaluating the model.
 type tempPoint struct {
 	at    TimePS
 	tempC float64
+	accel float64
 }
 
 // Module is a simulated DDR4 DRAM module. All commands carry explicit
@@ -99,7 +103,7 @@ func NewModule(geo Geometry, timing Timing, tempC float64, dist Disturber) *Modu
 		dist:   dist,
 		banks:  make([]bankState, geo.Banks),
 		rows:   make([][]rowState, geo.Banks),
-		temps:  []tempPoint{{at: 0, tempC: tempC}},
+		temps:  []tempPoint{{at: 0, tempC: tempC, accel: dist.RetentionAccel(tempC)}},
 	}
 }
 
@@ -118,7 +122,7 @@ func (m *Module) SetTemperature(at TimePS, tempC float64) {
 	if last.tempC == tempC {
 		return
 	}
-	m.temps = append(m.temps, tempPoint{at: at, tempC: tempC})
+	m.temps = append(m.temps, tempPoint{at: at, tempC: tempC, accel: m.dist.RetentionAccel(tempC)})
 }
 
 // tempSegment returns the index of the temperature segment covering time
@@ -159,18 +163,19 @@ func (m *Module) retentionStress(from, to TimePS) float64 {
 	}
 	var stress float64
 	cur := from
-	curTemp := m.TemperatureAt(from)
+	seg := m.tempSegment(from)
+	accel := m.temps[seg].accel
 	// Segments ending at or before cur contribute nothing; binary-search
 	// the first boundary past cur instead of scanning the whole schedule.
-	for i := m.tempSegment(from) + 1; i < len(m.temps); i++ {
+	for i := seg + 1; i < len(m.temps); i++ {
 		p := m.temps[i]
 		if p.at >= to {
 			break
 		}
-		stress += Seconds(p.at-cur) * m.dist.RetentionAccel(curTemp)
-		cur, curTemp = p.at, p.tempC
+		stress += Seconds(p.at-cur) * accel
+		cur, accel = p.at, p.accel
 	}
-	stress += Seconds(to-cur) * m.dist.RetentionAccel(curTemp)
+	stress += Seconds(to-cur) * accel
 	return stress
 }
 
@@ -212,7 +217,13 @@ func (m *Module) bankRows(bank int) []rowState {
 // and journaling its prior state when a checkpoint is active. Every
 // mutation of row state must go through here so Rollback can restore it.
 func (m *Module) row(bank, row int) *rowState {
-	rs := &m.bankRows(bank)[row]
+	return m.touch(bank, row, &m.bankRows(bank)[row])
+}
+
+// touch is row for a caller already holding the bank's dense window: it
+// journals rs (the state of (bank, row)) on its first mutation since the
+// checkpoint was armed and marks it present.
+func (m *Module) touch(bank, row int, rs *rowState) *rowState {
 	if m.journal.active && rs.epoch != m.journal.epoch {
 		m.journal.saveRow(bank, row, rs)
 	}
@@ -307,20 +318,29 @@ func (m *Module) prevOff(bank, row int, actAt TimePS) TimePS {
 }
 
 // accrue adds one activation's worth of disturbance from aggressor (bank,
-// aggRow) to every row within the blast radius, through the shared
-// accrual walk (accrual.go).
+// aggRow) to every row within the blast radius. It is accrueSpec with
+// n = 1 and no skip set, unrolled for the PRE path: same increments, same
+// victim order (distance ascending, lower victim first), so the floats are
+// bit-identical to the shared walk's.
 func (m *Module) accrue(bank, aggRow int, onTime, offTime TimePS, tempC float64) {
-	accrueSpec(m.dist, m.Geo.RowsPerBank, aggRow, onTime, offTime, tempC, 1, nil,
-		func(victim int, above bool, h, p float64) {
-			rs := m.row(bank, victim)
-			if above { // aggressor sits above (higher index)
-				rs.exp.HammerAbove += h
-				rs.exp.PressAbove += p
-			} else {
-				rs.exp.HammerBelow += h
-				rs.exp.PressBelow += p
-			}
-		})
+	inc := m.dist.Increments(onTime, offTime, tempC)
+	rows := m.bankRows(bank)
+	for d := 1; d <= BlastRadius; d++ {
+		h, p := inc.Hammer[d], inc.Press[d]
+		if h == 0 && p == 0 {
+			continue
+		}
+		if v := aggRow - d; v >= 0 { // aggressor sits above the victim
+			rs := m.touch(bank, v, &rows[v])
+			rs.exp.HammerAbove += h
+			rs.exp.PressAbove += p
+		}
+		if v := aggRow + d; v < len(rows) {
+			rs := m.touch(bank, v, &rows[v])
+			rs.exp.HammerBelow += h
+			rs.exp.PressBelow += p
+		}
+	}
 }
 
 // restoreRow materializes accumulated disturbance as bitflips and resets

@@ -133,8 +133,12 @@ type sitePlan struct {
 }
 
 // decoyBase is where the decoy pool starts; sites are placed beyond the
-// pool so decoy disturbance can never reach a victim.
-const decoyBase = 16
+// pool so decoy disturbance can never reach a victim. Decoys sit
+// decoyStride rows apart, outside each other's blast radius.
+const (
+	decoyBase   = 16
+	decoyStride = 8
+)
 
 // siteFor lays out the aggressor ring around loc: single-sided hammers
 // loc itself, double-sided loc±1, many-sided alternates outward
@@ -175,7 +179,7 @@ func siteFor(loc, sides int) sitePlan {
 // decoy pool and the array edges, spaced so neighboring sites' blast
 // radii never interact.
 func (c Config) sites(sides int) []sitePlan {
-	margin := decoyBase + 8*maxDecoyRows + 32
+	margin := decoyBase + decoyStride*maxDecoyRows + 32
 	usable := c.Geometry.RowsPerBank - margin - 16
 	n := c.Sites
 	if n > usable/64 {
@@ -204,9 +208,16 @@ func (c Config) sites(sides int) []sitePlan {
 func decoyPool(n int) []int {
 	out := make([]int, n)
 	for i := range out {
-		out[i] = decoyBase + 8*i
+		out[i] = decoyBase + decoyStride*i
 	}
 	return out
+}
+
+// isDecoy reports whether row is one of decoyPool(n) — by the pool's
+// layout, so the per-slot test is arithmetic rather than a map probe.
+func isDecoy(row, n int) bool {
+	i := row - decoyBase
+	return i >= 0 && i%decoyStride == 0 && i/decoyStride < n
 }
 
 // Outcome is one playback measurement.
@@ -299,6 +310,18 @@ func EvaluateSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg
 
 // measureSite measures one site of the cell, addressed by site index: a
 // full-budget play and, with search, the minimum-exposure search.
+//
+// The search rides the full-budget play, so the site plays forward once.
+// The play pauses at each doubling probe (256, 512, … below MaxActs) for
+// the pure flip predicate, re-arming a checkpoint at every miss; after
+// the first hit it stops probing and plays on to the budget, where the
+// final check counts flips. If anything flipped, the play rolls back to
+// the last miss and bisects the bracket from there. A probe is taken
+// only where an uninterrupted play passes it: a play the time budget
+// stops at or before a probe is not probed there. Every probe therefore
+// sees what a replay of that prefix would (prefix determinism), and the
+// search returns the same bracket as one replaying every probe from
+// scratch.
 func measureSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg Config, siteIdx int, search bool) (SiteResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return SiteResult{}, err
@@ -311,14 +334,36 @@ func measureSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg 
 		return SiteResult{}, fmt.Errorf("scenario: site %d outside the %d tested sites", siteIdx, len(sites))
 	}
 	site := sites[siteIdx]
-	seed := cfg.siteSeed(spec, siteIdx)
-	mit, err := cfg.NewMitigation(kind, seed)
+	mit, err := cfg.NewMitigation(kind, cfg.siteSeed(spec, siteIdx))
 	if err != nil {
 		return SiteResult{}, err
 	}
 	pl, err := cfg.newPlayer(module, spec, site, mit)
 	if err != nil {
 		return SiteResult{}, err
+	}
+	lo, hit := 0, false // last probe that missed; whether a probe hit
+	var hiActs int
+	var hiTime dram.TimePS
+	if search {
+		pl.checkpoint()
+		for probe := 256; probe < cfg.MaxActs; probe *= 2 {
+			if err := pl.playTo(probe); err != nil {
+				return SiteResult{}, err
+			}
+			if pl.out.TimeCapped {
+				break
+			}
+			if hit, err = pl.wouldFlip(); err != nil {
+				return SiteResult{}, err
+			}
+			if hit {
+				hiActs, hiTime = pl.out.AggActs, pl.stopAt
+				break
+			}
+			lo = pl.out.AggActs
+			pl.advanceCheckpoint()
+		}
 	}
 	if err := pl.playTo(cfg.MaxActs); err != nil {
 		return SiteResult{}, err
@@ -336,7 +381,11 @@ func measureSite(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg 
 	if full.BitFlips == 0 || !search {
 		return sr, nil
 	}
-	if sr.MinActs, sr.MinTime, err = cfg.searchMinActs(module, spec, site, kind, seed, full); err != nil {
+	if !hit {
+		hiActs, hiTime = full.AggActs, full.Elapsed
+	}
+	pl.rollback()
+	if sr.MinActs, sr.MinTime, err = pl.bisect(lo, hiActs, hiTime); err != nil {
 		return SiteResult{}, err
 	}
 	return sr, nil
@@ -375,66 +424,4 @@ func FoldSites(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, parts 
 		res.RefreshOverhead = 1000 * float64(res.PreventiveRefreshes) / float64(totalAggActs)
 	}
 	return res
-}
-
-// searchMinActs finds the smallest aggressor-activation count at which
-// the play produces a bitflip, knowing the full-budget play (full) does.
-// Doubling bounds the bracket from below, bisection narrows it to the
-// accuracy fraction — probing replay-free: one player walks forward,
-// pauses at each probe point for a pure flip check, and checkpoints at
-// the bracket's lower bound so a failed probe rolls back instead of
-// replaying the prefix. Probe outcomes are identical to the replayed
-// reference (prefix determinism), so the search returns the same bracket.
-func (c Config) searchMinActs(module chipgen.ModuleSpec, spec Spec, site sitePlan,
-	kind MitigationKind, seed uint64, full Outcome) (int, dram.TimePS, error) {
-	hi, hiElapsed := full.AggActs, full.Elapsed
-	mit, err := c.NewMitigation(kind, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	p, err := c.newPlayer(module, spec, site, mit)
-	if err != nil {
-		return 0, 0, err
-	}
-	lo := 0
-	bestActs, bestTime := hi, hiElapsed
-	p.checkpoint()
-	// The search only branches on "did anything flip?", so probes go
-	// through the early-exit WouldFlip predicate — no row copies.
-	probeHit := func(target int) (bool, error) {
-		if err := p.playTo(target); err != nil {
-			return false, err
-		}
-		return p.wouldFlip()
-	}
-	for probe := 256; probe < hi; probe *= 2 {
-		hit, err := probeHit(probe)
-		if err != nil {
-			return 0, 0, err
-		}
-		if hit {
-			bestActs, bestTime = p.out.AggActs, p.stopAt
-			hi = p.out.AggActs
-			p.rollback()
-			break
-		}
-		lo = p.out.AggActs
-		p.advanceCheckpoint()
-	}
-	for hi-lo > 1 && float64(hi-lo) > c.Accuracy*float64(hi) {
-		mid := lo + (hi-lo)/2
-		hit, err := probeHit(mid)
-		if err != nil {
-			return 0, 0, err
-		}
-		if hit {
-			hi, bestActs, bestTime = p.out.AggActs, p.out.AggActs, p.stopAt
-			p.rollback()
-		} else {
-			lo = p.out.AggActs
-			p.advanceCheckpoint()
-		}
-	}
-	p.release()
-	return bestActs, bestTime, nil
 }

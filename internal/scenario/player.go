@@ -13,12 +13,14 @@ import (
 // (spec, site) shot on a fresh module, but can pause at any
 // aggressor-activation count, answer "would stopping here flip a bit?"
 // through the module's pure probe, and checkpoint/roll back the whole
-// play — module, mitigation and schedule — so the min-exposure bisection
-// walks forward from the bracket's lower bound instead of replaying
-// millions of slots per probe. Prefix determinism (a play paused at n
-// aggressor slots has played exactly the first n slots of any longer
-// play) is what makes pausing equivalent to replaying; the scenario test
-// suite holds the player against a replay-from-scratch reference.
+// play — module, mitigation and schedule. One player serves a whole site
+// (see measureSite): the doubling probes are pauses of the full-budget
+// play itself, and the bisection walks forward from the bracket's lower
+// bound instead of replaying millions of slots per probe. Prefix
+// determinism (a play paused at n aggressor slots has played exactly the
+// first n slots of any longer play) is what makes pausing equivalent to
+// replaying; the scenario test suite holds the player against a
+// replay-from-scratch reference.
 
 // slotGen generates the deterministic slot schedule of one (spec, site)
 // play: aggressor slots round-robin the ring; decoy bursts run either
@@ -125,7 +127,6 @@ type player struct {
 	resumeAt    dram.TimePS // where the next slot starts
 	stopAt      dram.TimePS // pattern time if the play stopped here (Outcome.Elapsed)
 	victimFlips int         // bitflips preventive refreshes materialized into victims mid-play
-	isDecoy     map[int]bool
 	isVictim    map[int]bool
 	rf          refresher
 	hasREF      bool
@@ -136,7 +137,6 @@ type player struct {
 // playerCheckpoint captures the player's scalar state alongside the
 // module's journal and the mitigation's snapshot.
 type playerCheckpoint struct {
-	armed       bool
 	gen         slotGen
 	out         Outcome
 	nextRef     dram.TimePS
@@ -175,10 +175,6 @@ func (c Config) newPlayer(module chipgen.ModuleSpec, spec Spec, site sitePlan, m
 		gen:     newSlotGen(spec, site, t),
 		nextRef: t.TREFI,
 		nextWin: t.TREFW,
-		isDecoy: make(map[int]bool, spec.DecoyRows),
-	}
-	for _, d := range decoyPool(spec.DecoyRows) {
-		p.isDecoy[d] = true
 	}
 	p.isVictim = make(map[int]bool, len(site.victims))
 	for _, v := range site.victims {
@@ -206,9 +202,13 @@ func (p *player) refreshRows(rows []int, now dram.TimePS) error {
 }
 
 // playTo advances the play until targetAgg aggressor activations have
-// retired (or the simulated-time budget caps it). Pausing and resuming is
+// retired (or the budget stops it first). Pausing and resuming is
 // trajectory-identical to an uninterrupted play: the generator, the
 // mitigation clock, and the module all continue from where they stopped.
+// That holds at the budget edge too: the activation budget (MaxActs)
+// outranks the time budget, as in an uninterrupted play, but a pause
+// below it yields to the time budget, so a play never pauses on a slot
+// where the uninterrupted play stops.
 func (p *player) playTo(targetAgg int) error {
 	if p.out.TimeCapped || p.out.AggActs >= targetAgg {
 		return nil
@@ -216,7 +216,7 @@ func (p *player) playTo(targetAgg int) error {
 	t := p.mod.Timing
 	observe := func(i int, s dram.Slot, now dram.TimePS) error {
 		p.out.TotalActs++
-		if !p.isDecoy[s.Row] {
+		if !isDecoy(s.Row, p.spec.DecoyRows) {
 			p.out.AggActs++
 		}
 		if err := p.refreshRows(mitigate.Observe(p.mit, s.Row, s.OnTime), now); err != nil {
@@ -244,12 +244,15 @@ func (p *player) playTo(targetAgg int) error {
 			}
 			p.nextRef += t.TREFI
 		}
-		if p.out.AggActs >= targetAgg {
+		if p.out.AggActs >= p.cfg.MaxActs {
 			return errActBudget
 		}
 		if now >= p.cfg.MaxTime {
 			p.out.TimeCapped = true
 			return errTimeBudget
+		}
+		if p.out.AggActs >= targetAgg {
+			return errActBudget
 		}
 		return nil
 	}
@@ -316,7 +319,7 @@ func (p *player) outcome() Outcome {
 func (p *player) checkpoint() {
 	p.mod.Checkpoint()
 	p.cp = playerCheckpoint{
-		armed: true, gen: p.gen, out: p.out,
+		gen: p.gen, out: p.out,
 		nextRef: p.nextRef, nextWin: p.nextWin, lastOff: p.lastOff,
 		resumeAt: p.resumeAt, stopAt: p.stopAt, victimFlips: p.victimFlips,
 		mitState: p.mit.CheckpointState(),
@@ -340,8 +343,28 @@ func (p *player) advanceCheckpoint() {
 	p.checkpoint()
 }
 
-// release discards the checkpoint, keeping the current position.
-func (p *player) release() {
-	p.mod.ReleaseCheckpoint()
-	p.cp = playerCheckpoint{}
+// bisect narrows the minimum-exposure bracket (lo, hi] to the accuracy
+// fraction and returns the smallest aggressor-activation count found to
+// flip, with the pattern time that exposure takes. The play must sit at
+// an armed checkpoint at lo activations, a count known not to flip; hi is
+// known to flip, reached at hiTime. Each probe walks forward from the
+// checkpoint: a hit rolls back to it, a miss re-arms it at the probe.
+func (p *player) bisect(lo, hi int, hiTime dram.TimePS) (int, dram.TimePS, error) {
+	for hi-lo > 1 && float64(hi-lo) > p.cfg.Accuracy*float64(hi) {
+		if err := p.playTo(lo + (hi-lo)/2); err != nil {
+			return 0, 0, err
+		}
+		hit, err := p.wouldFlip()
+		if err != nil {
+			return 0, 0, err
+		}
+		if hit {
+			hi, hiTime = p.out.AggActs, p.stopAt
+			p.rollback()
+		} else {
+			lo = p.out.AggActs
+			p.advanceCheckpoint()
+		}
+	}
+	return hi, hiTime, nil
 }

@@ -86,9 +86,11 @@ func TestPlayerPauseResumeMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestCheckpointSearchMatchesReplaySearch holds the checkpoint-based
-// min-exposure search against the replay-from-scratch reference: same
-// minimum activation count, same time-to-flip, for every mitigation.
+// TestCheckpointSearchMatchesReplaySearch holds the production site
+// measurement — one play whose doubling probes are pauses of the
+// full-budget play, then a checkpointed bisection — against the
+// replay-from-scratch references: the budget outcome must equal playSite's
+// and the minimum exposure searchMinActsReplay's, for every mitigation.
 func TestCheckpointSearchMatchesReplaySearch(t *testing.T) {
 	mod := testModuleSpec(t)
 	cfg := playerTestConfig()
@@ -98,34 +100,86 @@ func TestCheckpointSearchMatchesReplaySearch(t *testing.T) {
 			t.Fatalf("unknown scenario %s", name)
 		}
 		for _, kind := range AllMitigations() {
-			for si, site := range cfg.sites(sc.Sides) {
-				seed := cfg.siteSeed(sc, si)
-
-				// Full-budget play to establish the search precondition.
-				mit, err := cfg.NewMitigation(kind, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				full, err := cfg.playSite(mod, sc, site, mit, cfg.MaxActs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if full.BitFlips == 0 {
-					continue
-				}
-				gotActs, gotTime, err := cfg.searchMinActs(mod, sc, site, kind, seed, full)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantActs, wantTime, err := cfg.searchMinActsReplay(mod, sc, site, kind, seed, full.AggActs, full.Elapsed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotActs != wantActs || gotTime != wantTime {
-					t.Fatalf("%s/%s site %d: checkpoint search (%d, %s) != replay search (%d, %s)",
-						name, kind, si, gotActs, dram.FormatTime(gotTime), wantActs, dram.FormatTime(wantTime))
-				}
+			for si := range cfg.sites(sc.Sides) {
+				checkSiteMatchesReplay(t, mod, sc, kind, cfg, si)
 			}
 		}
 	}
+}
+
+// TestCheckpointSearchTimeCapAtProbe pins the budget edge of the folded
+// search: when the slot that reaches a doubling probe is also the one
+// whose PRE instant hits MaxTime, an uninterrupted play stops there on the
+// time budget, so the reference never probes it. The folded play must stop
+// there too, time-capped, without probing — at probe 256, which misses,
+// and at 1024, the first probe that flips, so the capped play's flips
+// drive the search.
+func TestCheckpointSearchTimeCapAtProbe(t *testing.T) {
+	mod := testModuleSpec(t)
+	sc, ok := ByName("ss-press-70us")
+	if !ok {
+		t.Fatal("unknown scenario ss-press-70us")
+	}
+	for _, tc := range []struct {
+		probe int
+		flips bool
+	}{{256, false}, {1024, true}} {
+		cfg := playerTestConfig()
+		cfg.MaxTime = 256 * dram.Millisecond
+		mit, err := cfg.NewMitigation(MitNone, cfg.siteSeed(sc, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := cfg.newPlayer(mod, sc, cfg.sites(sc.Sides)[0], mit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.playTo(tc.probe); err != nil {
+			t.Fatal(err)
+		}
+		if pl.out.TimeCapped || pl.out.AggActs != tc.probe {
+			t.Fatalf("setup play stopped at %d acts (time-capped %v), want %d", pl.out.AggActs, pl.out.TimeCapped, tc.probe)
+		}
+		cfg.MaxTime = pl.stopAt - pl.lastOff // PRE instant of the slot reaching the probe
+		got := checkSiteMatchesReplay(t, mod, sc, MitNone, cfg, 0)
+		if !got.TimeCapped || got.AggActs != tc.probe || (got.BitFlips > 0) != tc.flips {
+			t.Fatalf("probe %d: want a time-capped play of %d acts with flips=%v, got %+v", tc.probe, tc.probe, tc.flips, got)
+		}
+	}
+}
+
+// checkSiteMatchesReplay compares CharacterizeSite for one site with the
+// replay references and returns the measured result.
+func checkSiteMatchesReplay(t *testing.T, mod chipgen.ModuleSpec, sc Spec, kind MitigationKind, cfg Config, si int) SiteResult {
+	t.Helper()
+	got, err := CharacterizeSite(mod, sc, kind, cfg, si)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := cfg.siteSeed(sc, si)
+	site := cfg.sites(sc.Sides)[si]
+	mit, err := cfg.NewMitigation(kind, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := cfg.playSite(mod, sc, site, mit, cfg.MaxActs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SiteResult{
+		AggActs:             full.AggActs,
+		BitFlips:            full.BitFlips,
+		PreventiveRefreshes: full.PreventiveRefreshes,
+		TimeCapped:          full.TimeCapped,
+	}
+	if full.BitFlips > 0 {
+		if want.MinActs, want.MinTime, err = cfg.searchMinActsReplay(mod, sc, site, kind, seed, full.AggActs, full.Elapsed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got != want {
+		t.Fatalf("%s/%s site %d: folded search %+v (min time %s) != replay %+v (min time %s)",
+			sc.Name, kind, si, got, dram.FormatTime(got.MinTime), want, dram.FormatTime(want.MinTime))
+	}
+	return got
 }

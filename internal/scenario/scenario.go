@@ -101,6 +101,12 @@ func (s Spec) Validate(t dram.Timing) error {
 		return fmt.Errorf("scenario %s: Sides must be in [1,8], got %d", s.Name, s.Sides)
 	case s.ExtraOff < 0:
 		return fmt.Errorf("scenario %s: negative ExtraOff", s.Name)
+	case s.ExtraOff > t.TREFW:
+		// The player walks every tREFI of a slot's dwell and off phase,
+		// so an unbounded slot is an unbounded loop (and overflows the
+		// clock near MaxInt64).
+		return fmt.Errorf("scenario %s: ExtraOff %s above tREFW %s",
+			s.Name, dram.FormatTime(s.ExtraOff), dram.FormatTime(t.TREFW))
 	case s.DecoyRows < 0 || s.DecoyEvery < 0:
 		return fmt.Errorf("scenario %s: negative decoy parameters", s.Name)
 	case s.DecoyEvery > 0 && s.DecoyRows == 0:
@@ -115,9 +121,9 @@ func (s Spec) Validate(t dram.Timing) error {
 			return fmt.Errorf("scenario %s: hammer scenarios pin tAggON to tRAS", s.Name)
 		}
 	case Press, Combined:
-		if s.TAggON < t.TRAS {
-			return fmt.Errorf("scenario %s: TAggON %s below tRAS %s",
-				s.Name, dram.FormatTime(s.TAggON), dram.FormatTime(t.TRAS))
+		if s.TAggON < t.TRAS || s.TAggON > t.TREFW {
+			return fmt.Errorf("scenario %s: TAggON %s outside [tRAS %s, tREFW %s]",
+				s.Name, dram.FormatTime(s.TAggON), dram.FormatTime(t.TRAS), dram.FormatTime(t.TREFW))
 		}
 		if s.Kind == Combined && s.Burst < 1 {
 			return fmt.Errorf("scenario %s: combined scenarios need Burst ≥ 1", s.Name)

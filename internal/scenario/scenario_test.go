@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/csv"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,6 +65,19 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "x", Sides: 1, DecoyEvery: 8},                                // DecoyEvery without DecoyRows
 		{Name: "x", Sides: 1, DecoyRows: 200},                               // decoy pool overflow
 		{Name: "x", Sides: 1, Kind: Hammer, TAggON: 7800 * dram.Nanosecond}, // hammer with dwell
+		{Name: "x", Sides: 1, Kind: Press, TAggON: timing.TREFW + 1},        // dwell beyond tREFW
+		{Name: "x", Sides: 1, Kind: Press, TAggON: 1 << 62},                 // dwell near the clock's range
+		{Name: "x", Sides: 1, ExtraOff: timing.TREFW + 1},                   // off time beyond tREFW
+		{Name: "x", Sides: 1, ExtraOff: math.MaxInt64},                      // off time overflowing the clock
+	}
+	good := []Spec{
+		{Name: "x", Sides: 1, Kind: Press, TAggON: timing.TREFW},
+		{Name: "x", Sides: 1, ExtraOff: timing.TREFW},
+	}
+	for i, s := range good {
+		if err := s.Validate(timing); err != nil {
+			t.Errorf("good spec %d rejected: %v", i, err)
+		}
 	}
 	for i, s := range bad {
 		if err := s.Validate(timing); err == nil {

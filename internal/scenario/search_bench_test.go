@@ -6,9 +6,12 @@ import (
 	"repro/internal/chipgen"
 )
 
-// Min-exposure search benchmarks: the checkpoint-based search against the
-// replay-from-scratch reference, on a scenario whose bracket sits deep
-// enough that replays dominate the reference's cost.
+// Min-exposure search benchmarks on a scenario whose bracket sits deep
+// enough that replays dominate the reference's cost. The checkpoint
+// benchmark measures one whole site as production runs it — the
+// full-budget play with the doubling probes folded into it, then the
+// checkpointed bisection; the replay benchmark measures the reference
+// search alone, given the full play's outcome.
 
 func benchSearchSetup(b *testing.B) (chipgen.ModuleSpec, Spec, sitePlan, uint64, Outcome, Config) {
 	b.Helper()
@@ -40,11 +43,11 @@ func benchSearchSetup(b *testing.B) (chipgen.ModuleSpec, Spec, sitePlan, uint64,
 }
 
 func BenchmarkScenarioSearchCheckpoint(b *testing.B) {
-	spec, sc, site, seed, full, cfg := benchSearchSetup(b)
+	spec, sc, _, _, _, cfg := benchSearchSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := cfg.searchMinActs(spec, sc, site, MitNone, seed, full); err != nil {
+		if _, err := CharacterizeSite(spec, sc, MitNone, cfg, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

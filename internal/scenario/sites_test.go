@@ -81,7 +81,7 @@ func measure(module chipgen.ModuleSpec, spec Spec, kind MitigationKind, cfg Conf
 			res.FlipFound = true
 			continue
 		}
-		minActs, minTime, err := cfg.searchMinActs(module, spec, site, kind, seed, full)
+		minActs, minTime, err := cfg.searchMinActsReplay(module, spec, site, kind, seed, full.AggActs, full.Elapsed)
 		if err != nil {
 			return Result{}, err
 		}
