@@ -1,0 +1,30 @@
+package disturb_test
+
+import (
+	"testing"
+
+	"repro/internal/chipgen"
+	"repro/internal/disturb"
+)
+
+// TestLazyMatchesEagerCatalog runs the lazy-versus-eager differential
+// check on every calibrated die revision, including the mixed and
+// anti-cell-dominant layouts, at three module seeds.
+func TestLazyMatchesEagerCatalog(t *testing.T) {
+	dies := chipgen.DieRevisions()
+	mixed := false
+	flips, gated := 0, 0
+	for _, die := range dies {
+		mixed = mixed || (die.Params.TrueCellFraction != 0 && die.Params.TrueCellFraction != 1)
+		for _, seed := range []uint64{1, 7, 42} {
+			f, g := disturb.CheckLazyMatchesEager(t, die.Params, seed)
+			flips, gated = flips+f, gated+g
+		}
+	}
+	if !mixed {
+		t.Fatal("no die with a mixed true/anti-cell layout; the orientation hash path is untested")
+	}
+	if flips == 0 || gated == 0 {
+		t.Fatalf("%d flips, %d gated populations across %d dies; the check is vacuous", flips, gated, len(dies))
+	}
+}

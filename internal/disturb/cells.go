@@ -1,7 +1,6 @@
 package disturb
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -20,47 +19,84 @@ const (
 	streamCount
 )
 
-// vulnCell is one vulnerable cell of a row for one failure mechanism.
+// vulnCell is one vulnerable cell of a row for one failure mechanism. The
+// field order packs it into 24 bytes.
 type vulnCell struct {
-	col       int     // byte offset in the row
-	bit       uint8   // bit index within the byte
 	threshold float64 // damage threshold in mechanism units
-	trueCell  bool    // charged state encodes logical 1
 	hash      uint64  // identity hash (trial jitter derivation)
+	col       int32   // byte offset in the row
+	bit       uint8   // bit index within the byte
+	trueCell  bool    // charged state encodes logical 1
 }
 
-// rowProfile caches one row's vulnerable cells, each slice sorted by
-// ascending threshold so that evaluation can stop early.
+// population is one mechanism's vulnerable cells of a row. It is sampled
+// the first time an evaluation of that mechanism reaches the row, and
+// sorted by ascending threshold the first time an exposure reaches its
+// weakest cell; until then the cells stay in sampling order.
+type population struct {
+	cells   []vulnCell
+	weakest float64 // minimum threshold; +Inf when empty
+	sampled bool
+	sorted  bool
+}
+
+// rowProfile caches one row's three vulnerable-cell populations, indexed
+// by stream - streamPress.
 type rowProfile struct {
-	press     []vulnCell
-	hammer    []vulnCell
-	retention []vulnCell
+	bank, row int
+	pops      [streamRetention]population
 }
 
-// sampleRow deterministically generates the vulnerable-cell populations of
-// (bank, row) from the model seed. The same (seed, bank, row) always yields
-// the same cells.
-func (m *Model) sampleRow(bank, row int) *rowProfile {
-	prof := &rowProfile{}
+// cells returns the stream's population of the profiled row, sorted
+// ascending by threshold, or nil when its weakest cell lies above limit.
+// A threshold-ordered scan that stops at the first cell above limit sees
+// no cell in that case, so the population need not be sorted for it.
+func (m *Model) cells(prof *rowProfile, stream uint64, limit float64) []vulnCell {
+	pop := &prof.pops[stream-streamPress]
+	if !pop.sampled {
+		m.samplePopulation(pop, prof.bank, prof.row, stream)
+	}
+	if pop.weakest > limit {
+		return nil
+	}
+	if !pop.sorted {
+		slices.SortFunc(pop.cells, func(a, b vulnCell) int {
+			switch {
+			case a.threshold < b.threshold:
+				return -1
+			case a.threshold > b.threshold:
+				return 1
+			}
+			return 0
+		})
+		pop.sorted = true
+	}
+	return pop.cells
+}
+
+// samplePopulation deterministically generates the stream's vulnerable
+// cells of (bank, row) from the model seed, in sampling order. The same
+// (seed, stream, bank, row) always yields the same cells.
+func (m *Model) samplePopulation(pop *population, bank, row int, stream uint64) {
 	scale := float64(m.rowBits) / ReferenceRowBits
-	prof.press = m.samplePopulation(bank, row, streamPress,
-		m.p.PressCellsPerRow*scale, m.p.PressLogMedian, m.p.PressLogSigma)
-	prof.hammer = m.samplePopulation(bank, row, streamHammer,
-		m.p.HammerCellsPerRow*scale, m.p.HammerLogMedian, m.p.HammerLogSigma)
-	prof.retention = m.samplePopulation(bank, row, streamRetention,
-		m.p.RetCellsPerRow*scale, m.p.RetLogMedian, m.p.RetLogSigma)
-	return prof
-}
-
-func (m *Model) samplePopulation(bank, row int, stream uint64, lambda, logMedian, logSigma float64) []vulnCell {
+	var lambda, logMedian, logSigma float64
+	switch stream {
+	case streamPress:
+		lambda, logMedian, logSigma = m.p.PressCellsPerRow*scale, m.p.PressLogMedian, m.p.PressLogSigma
+	case streamHammer:
+		lambda, logMedian, logSigma = m.p.HammerCellsPerRow*scale, m.p.HammerLogMedian, m.p.HammerLogSigma
+	default:
+		lambda, logMedian, logSigma = m.p.RetCellsPerRow*scale, m.p.RetLogMedian, m.p.RetLogSigma
+	}
+	pop.sampled = true
+	pop.weakest = math.Inf(1)
 	base := stats.Combine(m.seed, stream, uint64(bank), uint64(row))
 	rng := stats.NewRNG(base)
 	n := rng.Poisson(lambda)
 	if n == 0 {
-		return nil
+		return
 	}
 	cells := make([]vulnCell, 0, n)
-	seen := make(map[uint32]bool, n)
 	prevWord := -1
 	prevLogThreshold := 0.0
 	for i := 0; i < n; i++ {
@@ -82,38 +118,53 @@ func (m *Model) samplePopulation(bank, row int, stream uint64, lambda, logMedian
 		prevWord = col &^ 7
 		prevLogThreshold = logThreshold
 		bit := uint8(stats.Mix64(h^0xBEEF) % 8)
-		key := uint32(col)<<3 | uint32(bit)
-		if seen[key] {
+		key := uint(col)<<3 | uint(bit)
+		if m.seen[key/64]&(1<<(key%64)) != 0 {
 			continue // same physical cell: don't double-count
 		}
-		seen[key] = true
-		cells = append(cells, vulnCell{
-			col:       col,
-			bit:       bit,
+		m.seen[key/64] |= 1 << (key % 64)
+		c := vulnCell{
 			threshold: expNat(logThreshold),
-			trueCell:  m.cellIsTrue(bank, row, col, bit),
 			hash:      h,
-		})
+			col:       int32(col),
+			bit:       bit,
+			trueCell:  m.cellIsTrue(bank, row, col, bit),
+		}
+		pop.weakest = min(pop.weakest, c.threshold)
+		cells = append(cells, c)
 	}
-	slices.SortFunc(cells, func(a, b vulnCell) int { return cmp.Compare(a.threshold, b.threshold) })
-	return cells
+	// Clear exactly the bits this population set: the bitset is shared by
+	// every population the model samples.
+	for _, c := range cells {
+		key := uint(c.col)<<3 | uint(c.bit)
+		m.seen[key/64] &^= 1 << (key % 64)
+	}
+	pop.cells = cells
 }
 
 // cellIsTrue samples the true/anti-cell orientation of a cell. The layout
 // is a property of the die's circuit design, independent of which failure
-// population a cell belongs to.
+// population a cell belongs to. UnitFromHash lies in (0,1), so a fraction
+// of 0 or 1 decides every cell without hashing.
 func (m *Model) cellIsTrue(bank, row, col int, bit uint8) bool {
+	switch m.p.TrueCellFraction {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
 	h := stats.Combine(m.seed, streamOrientation, uint64(bank), uint64(row), uint64(col), uint64(bit))
 	return stats.UnitFromHash(h) < m.p.TrueCellFraction
 }
 
-// profile returns the cached (or freshly sampled) profile of a row.
+// profile returns the cached (or freshly created) profile of a row. Its
+// populations are sampled on first use by cells.
 func (m *Model) profile(bank, row int) *rowProfile {
 	key := uint64(bank)<<40 | uint64(uint32(row))
 	if prof, ok := m.cache[key]; ok {
 		return prof
 	}
-	prof := m.sampleRow(bank, row)
+	prof := &rowProfile{bank: bank, row: row}
 	m.cache[key] = prof
 	return prof
 }

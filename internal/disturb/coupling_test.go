@@ -51,12 +51,12 @@ func TestProfileCacheStable(t *testing.T) {
 		t.Fatal("profile not cached")
 	}
 	m2 := testModel()
-	c := m2.profile(0, 7)
-	if len(a.press) != len(c.press) || len(a.hammer) != len(c.hammer) {
+	aPress, cPress := sortedCells(m, 0, 7, streamPress), sortedCells(m2, 0, 7, streamPress)
+	if len(aPress) != len(cPress) || len(sortedCells(m, 0, 7, streamHammer)) != len(sortedCells(m2, 0, 7, streamHammer)) {
 		t.Fatal("profiles differ across identical models")
 	}
-	for i := range a.press {
-		if a.press[i] != c.press[i] {
+	for i := range aPress {
+		if aPress[i] != cPress[i] {
 			t.Fatal("press cells differ across identical models")
 		}
 	}
@@ -69,14 +69,14 @@ func TestDifferentSeedsDifferentCells(t *testing.T) {
 	same := 0
 	total := 0
 	for row := 0; row < 20; row++ {
-		pa, pb := a.profile(0, row), b.profile(0, row)
-		total += len(pa.press)
+		pa, pb := sortedCells(a, 0, row, streamPress), sortedCells(b, 0, row, streamPress)
+		total += len(pa)
 		set := map[[2]int]bool{}
-		for _, c := range pb.press {
-			set[[2]int{c.col, int(c.bit)}] = true
+		for _, c := range pb {
+			set[[2]int{int(c.col), int(c.bit)}] = true
 		}
-		for _, c := range pa.press {
-			if set[[2]int{c.col, int(c.bit)}] {
+		for _, c := range pa {
+			if set[[2]int{int(c.col), int(c.bit)}] {
 				same++
 			}
 		}
@@ -96,7 +96,7 @@ func TestAntiCellOrientationFraction(t *testing.T) {
 	m := NewModel(p, geo, 9)
 	trueCells, total := 0, 0
 	for row := 0; row < 50; row++ {
-		for _, c := range m.profile(0, row).press {
+		for _, c := range sortedCells(m, 0, row, streamPress) {
 			total++
 			if c.trueCell {
 				trueCells++
@@ -133,8 +133,8 @@ func TestCellClustering(t *testing.T) {
 	multi := 0
 	for row := 0; row < 100; row++ {
 		words := map[int]int{}
-		for _, c := range m.profile(0, row).press {
-			words[c.col/8]++
+		for _, c := range sortedCells(m, 0, row, streamPress) {
+			words[int(c.col)/8]++
 		}
 		for _, n := range words {
 			if n >= 3 {
@@ -159,8 +159,8 @@ func TestNoDuplicateCells(t *testing.T) {
 	m := testModel()
 	for row := 0; row < 50; row++ {
 		seen := map[[2]int]bool{}
-		for _, c := range m.profile(0, row).press {
-			k := [2]int{c.col, int(c.bit)}
+		for _, c := range sortedCells(m, 0, row, streamPress) {
+			k := [2]int{int(c.col), int(c.bit)}
 			if seen[k] {
 				t.Fatalf("row %d: duplicate cell %v", row, k)
 			}
@@ -171,7 +171,8 @@ func TestNoDuplicateCells(t *testing.T) {
 
 // TestProfilePopulationsSorted pins the invariant the early-exit break in
 // applyPress, applyHammer and applyRetention leans on: every population
-// of a row profile is sorted ascending by threshold.
+// of a row profile, as the evaluators read it through Model.cells, is
+// sorted ascending by threshold.
 func TestProfilePopulationsSorted(t *testing.T) {
 	geo := dram.Geometry{Banks: 2, RowsPerBank: 64, RowBytes: 8192}
 	longest := 0
@@ -179,12 +180,8 @@ func TestProfilePopulationsSorted(t *testing.T) {
 		m := NewModel(DefaultParams(), geo, seed)
 		for bank := 0; bank < geo.Banks; bank++ {
 			for row := 0; row < geo.RowsPerBank; row++ {
-				prof := m.profile(bank, row)
-				for _, pop := range []struct {
-					name  string
-					cells []vulnCell
-				}{{"press", prof.press}, {"hammer", prof.hammer}, {"retention", prof.retention}} {
-					name, cells := pop.name, pop.cells
+				for _, stream := range []uint64{streamPress, streamHammer, streamRetention} {
+					name, cells := streamNames[stream], sortedCells(m, bank, row, stream)
 					longest = max(longest, len(cells))
 					for i := 1; i < len(cells); i++ {
 						if cells[i].threshold < cells[i-1].threshold {

@@ -7,10 +7,14 @@ import (
 )
 
 // Model implements dram.Disturber for one module. It is deterministic:
-// cell populations derive from (seed, bank, row) hashes, and evaluation is
-// pure given the accumulated exposure. Not safe for concurrent use (each
-// module owns its model): the row-profile cache and the increment memo
-// are unlocked.
+// cell populations derive from (seed, stream, bank, row) hashes, and
+// evaluation is pure given the accumulated exposure. A row's press, hammer
+// and retention populations are each sampled the first time an evaluation
+// with a nonzero exposure of that mechanism reaches the row, and sorted
+// the first time such an exposure reaches the population's weakest cell;
+// most restores stay below it and never pay for the sort. Not safe for
+// concurrent use (each module owns its model): the row-profile cache, the
+// sampling bitset and the increment memo are unlocked.
 type Model struct {
 	p        Params
 	seed     uint64
@@ -20,6 +24,7 @@ type Model struct {
 	trial    uint64  // per-trial jitter salt; 0 = no jitter
 	headroom float64 // jitterHeadroom(p.TrialJitter)
 	cache    map[uint64]*rowProfile
+	seen     []uint64 // one bit per row cell: sampling dedup, all clear between samplings
 
 	memo     [incMemoSize]incEntry // Increments results, round-robin
 	memoLen  int                   // filled memo entries
@@ -47,6 +52,7 @@ func NewModel(p Params, geo dram.Geometry, seed uint64) *Model {
 		tempC:    50,
 		headroom: jitterHeadroom(p.TrialJitter),
 		cache:    make(map[uint64]*rowProfile),
+		seen:     make([]uint64, (geo.BitsPerRow()+63)/64),
 	}
 }
 
@@ -69,11 +75,11 @@ func (m *Model) SetEvalTemperature(tempC float64) { m.tempC = tempC }
 // charged; anti cell ⇒ 0 is charged).
 func charged(bitSet, trueCell bool) bool { return bitSet == trueCell }
 
-func bitOf(data []byte, col int, bit uint8) bool {
+func bitOf(data []byte, col int32, bit uint8) bool {
 	return data[col]&(1<<bit) != 0
 }
 
-func setBit(data []byte, col int, bit uint8, v bool) {
+func setBit(data []byte, col int32, bit uint8, v bool) {
 	if v {
 		data[col] |= 1 << bit
 	} else {
@@ -83,16 +89,15 @@ func setBit(data []byte, col int, bit uint8, v bool) {
 
 // neighborBit reads the same-column bit of a neighbor row; ok is false when
 // the neighbor's contents are unknown.
-func neighborBit(nb []byte, col int, bit uint8) (val, ok bool) {
-	if nb == nil || col >= len(nb) {
+func neighborBit(nb []byte, col int32, bit uint8) (val, ok bool) {
+	if nb == nil || int(col) >= len(nb) {
 		return false, false
 	}
 	return bitOf(nb, col, bit), true
 }
 
 // ApplyFlips implements dram.Disturber. It evaluates the three mechanisms
-// against the row's cached vulnerable-cell populations and mutates data in
-// place.
+// against the row's vulnerable-cell populations and mutates data in place.
 func (m *Model) ApplyFlips(bank, row int, data []byte, nb dram.NeighborData, exp dram.Exposure) int {
 	if data == nil {
 		return 0
@@ -136,9 +141,10 @@ func (m *Model) applyPress(prof *rowProfile, data []byte, nb dram.NeighborData, 
 	cplD := tempInterp(m.p.PressCplDischgd50, m.p.PressCplDischgd80, m.tempC)
 	rho := tempInterp(m.p.PressCrossPenalty50, m.p.PressCrossPenalty80, m.tempC)
 	maxDamage := (pa + pb) * math.Max(cplC, cplD) * m.headroom
+	cells := m.cells(prof, streamPress, maxDamage)
 	flips := 0
-	for i := range prof.press {
-		c := &prof.press[i]
+	for i := range cells {
+		c := &cells[i]
 		if c.threshold > maxDamage {
 			break // sorted ascending: nothing further can flip
 		}
@@ -177,9 +183,10 @@ func (m *Model) applyHammer(prof *rowProfile, data []byte, nb dram.NeighborData,
 	cross := 2 * m.p.HammerCrossBoost * math.Sqrt(ha*hb)
 	cplC, cplD := m.p.HammerCplCharged, m.p.HammerCplDischgd
 	maxDamage := (ha + hb + cross) * math.Max(cplC, cplD) * m.headroom
+	cells := m.cells(prof, streamHammer, maxDamage)
 	flips := 0
-	for i := range prof.hammer {
-		c := &prof.hammer[i]
+	for i := range cells {
+		c := &cells[i]
 		if c.threshold > maxDamage {
 			break
 		}
@@ -211,9 +218,10 @@ func (m *Model) applyRetention(prof *rowProfile, data []byte, exp dram.Exposure,
 		return 0
 	}
 	limit := exp.Retention * m.headroom
+	cells := m.cells(prof, streamRetention, limit)
 	flips := 0
-	for i := range prof.retention {
-		c := &prof.retention[i]
+	for i := range cells {
+		c := &cells[i]
 		if c.threshold > limit {
 			break
 		}

@@ -135,13 +135,12 @@ func TestPopulationIndependence(t *testing.T) {
 	pressSet := make(map[[2]int]bool)
 	overlap, total := 0, 0
 	for row := 0; row < 200; row++ {
-		prof := m.profile(0, row)
-		for _, c := range prof.press {
-			pressSet[[2]int{c.col, int(c.bit)}] = true
+		for _, c := range sortedCells(m, 0, row, streamPress) {
+			pressSet[[2]int{int(c.col), int(c.bit)}] = true
 		}
-		for _, c := range prof.hammer {
+		for _, c := range sortedCells(m, 0, row, streamHammer) {
 			total++
-			if pressSet[[2]int{c.col, int(c.bit)}] {
+			if pressSet[[2]int{int(c.col), int(c.bit)}] {
 				overlap++
 			}
 		}

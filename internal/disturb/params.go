@@ -15,6 +15,14 @@
 // reproducing the paper's Obsv. 7 (< 0.013 % overlap with RowHammer,
 // < 0.34 % with retention failures).
 //
+// A Model samples a row's press, hammer or retention population the first
+// time an evaluation with a nonzero exposure of that mechanism reaches the
+// row, and sorts it by threshold the first time such an exposure reaches
+// its weakest cell. Sampling is pure in (seed, mechanism, bank, row), so
+// when a population is built never changes its cells or their order.
+// Laziness skips the sampling for mechanisms a row is never exposed to
+// and the sort for populations no exposure reaches.
+//
 // The press kernel is ≈ linear in tAggON beyond an onset knee, which yields
 // the paper's signature ACmin × tAggON ≈ const trend (log-log slope ≈ −1,
 // Obsv. 3) and ACmin = 1 at tAggON ≈ tens of ms (Obsv. 2). The hammer

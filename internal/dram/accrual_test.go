@@ -122,15 +122,22 @@ func TestHammerPathsFlipEquivalence(t *testing.T) {
 
 // probingThreshold extends thresholdDisturber with the FlipProber
 // predicate, implemented independently of ApplyFlips so the equivalence
-// check is meaningful.
+// check is meaningful. It allocates nothing, so allocation tests can
+// count what the module itself copies.
 type probingThreshold struct{ thresholdDisturber }
 
 func (d probingThreshold) WouldFlip(bank, row int, data []byte, nb NeighborData, exp Exposure) bool {
-	if data == nil {
-		return false
+	sum := exp.HammerAbove + exp.HammerBelow + exp.PressAbove + exp.PressBelow
+	for i := range data {
+		w := 1.0
+		if i < len(nb.Above) && nb.Above[i]&1 != 0 {
+			w = 1.5
+		}
+		if sum*w+exp.Retention*1e-9 >= d.threshold*float64(i+1) {
+			return true
+		}
 	}
-	probe := append([]byte(nil), data...)
-	return d.ApplyFlips(bank, row, probe, nb, exp) > 0
+	return false
 }
 
 // TestProbeFetchRandomTraces drives randomized variable-dwell traces

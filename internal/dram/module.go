@@ -38,6 +38,7 @@ type rowState struct {
 	lastPreAt   TimePS // when this row was last closed (for off-time tracking)
 	lastPreSet  bool
 	present     bool   // the command path has state for this row
+	shared      bool   // data is shared with a journal entry (see snapshot.go)
 	epoch       uint32 // checkpoint journal stamp (see snapshot.go)
 }
 
@@ -352,7 +353,11 @@ func (m *Module) restoreRow(bank, row int, at TimePS) int {
 	exp.Retention = m.retentionStress(rs.lastRestore, at)
 	flips := 0
 	if rs.data != nil && (!exp.IsZero() || exp.Retention > 0) {
-		flips = m.dist.ApplyFlips(bank, row, rs.data, m.neighborData(bank, row), exp)
+		nb := m.neighborData(bank, row)
+		if !rs.shared || m.sharedRowFlips(bank, row, rs.data, nb, exp) {
+			rs.ownData()
+			flips = m.dist.ApplyFlips(bank, row, rs.data, nb, exp)
+		}
 	}
 	rs.exp = Exposure{}
 	rs.lastRestore = at
@@ -449,6 +454,7 @@ func (m *Module) Write(at TimePS, bank, block int, data []byte) error {
 	if rs.data == nil {
 		rs.data = make([]byte, m.Geo.RowBytes)
 	}
+	rs.ownData()
 	copy(rs.data[block*BlockBytes:], data)
 	m.writes++
 	m.advance(at)
@@ -507,8 +513,10 @@ func (m *Module) InitRow(at TimePS, bank, row int, fill byte) error {
 		return err
 	}
 	rs := m.row(bank, row)
-	if rs.data == nil {
+	if rs.data == nil || rs.shared {
+		// Fill overwrites every byte: a shared buffer needs no copy.
 		rs.data = make([]byte, m.Geo.RowBytes)
+		rs.shared = false
 	}
 	Fill(rs.data, fill)
 	rs.exp = Exposure{}

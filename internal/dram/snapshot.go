@@ -10,11 +10,16 @@ package dram
 // re-arm at the probe point (it did not). The journal is copy-on-write at
 // row granularity — a hammer run touches only the rows inside its blast
 // radius, so a checkpoint costs a handful of row snapshots regardless of
-// how many million activations the play spans.
+// how many million activations the play spans. Row contents are
+// copy-on-write too: a journaled row shares its data buffer with its
+// entry until the row's first in-place mutation (a materializing flip, a
+// WR or an InitRow) copies it, so a row that only accrues exposure is
+// journaled without copying its bytes.
 
 // journalEntry preserves one row's state as it was when the active
-// checkpoint was armed. prev.data is a deep copy taken before any
-// post-checkpoint mutation could reach the live buffer.
+// checkpoint was armed. prev.data is the buffer the row held then; the
+// live row shares it (rowState.shared) until ownData copies it before a
+// mutation.
 type journalEntry struct {
 	bank, row int
 	prev      rowState
@@ -35,14 +40,30 @@ type journal struct {
 }
 
 // saveRow records a row's pre-mutation state. Called from Module.row on
-// the first touch of each row after the checkpoint was armed.
+// the first touch of each row after the checkpoint was armed. The entry
+// and the live row share the data buffer.
 func (j *journal) saveRow(bank, row int, rs *rowState) {
-	prev := *rs
-	if rs.data != nil {
-		prev.data = append([]byte(nil), rs.data...)
-	}
-	j.rows = append(j.rows, journalEntry{bank: bank, row: row, prev: prev})
+	j.rows = append(j.rows, journalEntry{bank: bank, row: row, prev: *rs})
 	rs.epoch = j.epoch
+	rs.shared = rs.data != nil
+}
+
+// ownData gives the row a data buffer of its own before an in-place
+// mutation, copying the one it shares with the checkpoint journal.
+func (rs *rowState) ownData() {
+	if rs.shared {
+		rs.data = append([]byte(nil), rs.data...)
+		rs.shared = false
+	}
+}
+
+// sharedRowFlips reports whether a restore with exposure exp flips a bit
+// of a row whose buffer is shared with the journal, so the buffer is
+// copied only when a flip will land in it. WouldFlip agrees exactly with
+// ApplyFlips > 0; a disturber without it is assumed to flip.
+func (m *Module) sharedRowFlips(bank, row int, data []byte, nb NeighborData, exp Exposure) bool {
+	fp, ok := m.dist.(FlipProber)
+	return !ok || fp.WouldFlip(bank, row, data, nb, exp)
 }
 
 // Checkpoint arms copy-on-write journaling of all module state. Only one
@@ -77,8 +98,9 @@ func (m *Module) Rollback() {
 	j := &m.journal
 	for i := range j.rows {
 		e := &j.rows[i]
-		// The saved copy becomes the live buffer; the mutated one is
-		// dropped. Restoring clears the epoch stamp implicitly via prev.
+		// The saved buffer becomes the live one; a mutated copy is
+		// dropped. Restoring clears the epoch stamp and the shared flag
+		// implicitly via prev.
 		m.rows[e.bank][e.row] = e.prev
 	}
 	copy(m.banks, j.banks)
@@ -96,6 +118,11 @@ func (m *Module) Rollback() {
 // state. A search advances its bracket by releasing and re-arming at the
 // new lower bound. Releasing with no active checkpoint is a no-op.
 func (m *Module) ReleaseCheckpoint() {
+	// The entries die here, so rows still sharing a buffer with one own
+	// it again.
+	for _, e := range m.journal.rows {
+		m.rows[e.bank][e.row].shared = false
+	}
 	m.journal.active = false
 	m.journal.rows = m.journal.rows[:0]
 }

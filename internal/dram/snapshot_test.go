@@ -203,3 +203,92 @@ func TestProbeFetchMatchesFetchRow(t *testing.T) {
 		t.Fatal("setup produced no flips; probe equivalence test is vacuous")
 	}
 }
+
+// TestCheckpointSharedRowMutationsRollBack: a journaled row shares its
+// data buffer with the journal until its first mutation. A materialized
+// flip, a WR and an InitRow on shared rows must each copy before writing,
+// so rollback brings back the pre-checkpoint bytes.
+func TestCheckpointSharedRowMutationsRollBack(t *testing.T) {
+	for _, dist := range []Disturber{
+		thresholdDisturber{hInc: 1, pInc: 100, threshold: 50},
+		probingThreshold{thresholdDisturber{hInc: 1, pInc: 100, threshold: 50}},
+	} {
+		m := testModule(dist)
+		for row := 28; row <= 36; row++ {
+			if err := m.InitRow(0, 0, row, byte(0x11*row)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		end, err := m.HammerBatch(Microsecond, HammerSpec{Bank: 0, Rows: []int{30, 32}, Count: 400, OnTime: 36 * Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := captureState(m)
+
+		m.Checkpoint()
+		at := end + m.Timing.TRP
+		flips, err := m.RestoreRowCounted(at, 0, 31) // journals row 31, then flips it
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flips == 0 {
+			t.Fatal("restore of the hammered victim flipped nothing; the test is vacuous")
+		}
+		// Row 36 lies outside the aggressors' blast radius: its ACT flips
+		// nothing, so the WR is the first mutation of its shared buffer.
+		if err := m.Activate(at, 0, 36); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write(at+m.Timing.TRCD, 0, 1, bytes.Repeat([]byte{0xEE}, BlockBytes)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Precharge(at+m.Timing.TRAS, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RestoreRowCounted(at+2*m.Timing.TRAS, 0, 33); err != nil { // journal 33 first
+			t.Fatal(err)
+		}
+		if err := m.InitRow(at+2*m.Timing.TRAS, 0, 33, 0x5A); err != nil {
+			t.Fatal(err)
+		}
+		if statesEqual(before, captureState(m)) {
+			t.Fatal("mutations had no observable effect; the test is vacuous")
+		}
+		m.Rollback()
+		if !statesEqual(before, captureState(m)) {
+			t.Fatalf("%T: rollback did not restore the pre-checkpoint bytes of shared rows", dist)
+		}
+	}
+}
+
+// TestCheckpointUnflippedRowCopiesNoData: journaling a row whose restore
+// flips nothing shares its buffer instead of copying 8 KiB-class row
+// data; only a restore that flips pays for the copy.
+func TestCheckpointUnflippedRowCopiesNoData(t *testing.T) {
+	for _, tc := range []struct {
+		threshold float64
+		want      float64
+	}{{threshold: 1e9, want: 0}, {threshold: 50, want: 1}} {
+		m := testModule(probingThreshold{thresholdDisturber{hInc: 1, pInc: 100, threshold: tc.threshold}})
+		for row := 29; row <= 31; row++ {
+			if err := m.InitRow(0, 0, row, 0xAA); err != nil {
+				t.Fatal(err)
+			}
+		}
+		end, err := m.HammerBatch(Microsecond, HammerSpec{Bank: 0, Rows: []int{30}, Count: 400, OnTime: 36 * Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Checkpoint()
+		at := end + m.Timing.TRP
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := m.RestoreRowCounted(at, 0, 31); err != nil {
+				t.Fatal(err)
+			}
+			m.Rollback()
+		})
+		if allocs != tc.want {
+			t.Errorf("threshold %g: %v allocations per journaled restore, want %v", tc.threshold, allocs, tc.want)
+		}
+	}
+}
