@@ -174,7 +174,7 @@ func main() {
 		if err := fs.Parse(os.Args[2:]); err != nil {
 			os.Exit(2)
 		}
-		rejectFlags(fs, "scenarios", "scale", "seed", "modules", "scales", "seeds", "modulesets", "cpuprofile", "cache-dir", "stats", "trace", "top",
+		rejectFlags(fs, "scenarios", "scale", "seed", "modules", "scales", "seeds", "modulesets", "workers", "cpuprofile", "cache-dir", "stats", "trace", "top",
 			"ledger-dir", "experiment", "kind", "limit", "threshold", "gate", "clients", "requests", "mix", "target")
 		switch *format {
 		case "text":

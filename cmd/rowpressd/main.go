@@ -30,21 +30,18 @@
 // /v1/shard, with that peer's mem/disk tiers acting as a shared remote
 // cache. Peers are plain rowpressd daemons — they need no flags of
 // their own, and a symmetric fleet lists every other member in each
-// daemon's -peers. Failure semantics: bounded retries with backoff
-// (-fabric-retries, -fabric-backoff), hedged requests against the next
-// ring member when the owner is slower than its own observed latency
-// quantile (-hedge-quantile, -hedge-min), a per-peer circuit breaker,
-// and graceful local-execute fallback — a degraded fleet is slower,
-// never wrong.
+// daemon's -peers. Failure semantics: one retry with backoff, hedged
+// requests against the next ring member when the owner is slower than
+// its own observed p95 latency, a per-peer circuit breaker, and
+// graceful local-execute fallback — a degraded fleet is slower, never
+// wrong.
 //
 // Usage:
 //
 //	rowpressd [-addr :8271] [-workers N] [-cache ENTRIES] [-warm 0.05]
 //	          [-cache-dir DIR] [-cache-disk-bytes N] [-drain-timeout 10s]
 //	          [-ledger-dir DIR] [-ledger-bytes N]
-//	          [-peers URL,URL] [-fabric-retries N] [-fabric-backoff 25ms]
-//	          [-hedge-quantile 0.95] [-hedge-min 20ms]
-//	          [-log-level info] [-pprof]
+//	          [-peers URL,URL] [-log-level info] [-pprof]
 //
 // Endpoints: /healthz, /v1/healthz, /metrics, /v1/experiments,
 // /v1/scenarios, /v1/run/{exp}, /v1/sweep, /v1/shard, /v1/results,
@@ -90,10 +87,6 @@ func main() {
 	ledgerBytes := flag.Int64("ledger-bytes", 0, "run-ledger size bound in bytes (0 = default)")
 	warm := flag.Float64("warm", 0, "if > 0, pre-warm the cache by running every experiment at this scale before serving")
 	peers := flag.String("peers", "", "comma-separated peer URLs; enables fabric coordinator mode (consistent-hash shard dispatch)")
-	fabricRetries := flag.Int("fabric-retries", 1, "extra attempts per peer dispatch before falling back")
-	fabricBackoff := flag.Duration("fabric-backoff", 25*time.Millisecond, "base retry backoff (doubles per attempt)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "peer-latency quantile that arms a hedged request to the next ring member")
-	hedgeMin := flag.Duration("hedge-min", 20*time.Millisecond, "floor for the hedge delay")
 	logLevel := flag.String("log-level", "info", "structured request-log floor: debug|info|warn|error|off")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.Parse()
@@ -136,21 +129,14 @@ func main() {
 				urls = append(urls, p)
 			}
 		}
-		fc, err := fabric.New(fabric.Config{
-			Peers:         urls,
-			Retries:       *fabricRetries,
-			RetryBackoff:  *fabricBackoff,
-			HedgeQuantile: *hedgeQuantile,
-			HedgeMin:      *hedgeMin,
-		})
+		fc, err := fabric.New(fabric.Config{Peers: urls})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rowpressd: -peers: %v\n", err)
 			os.Exit(1)
 		}
 		eng.AttachRemote(fc)
 		sopts = append(sopts, serve.WithFabric(fc))
-		log.Printf("fabric coordinator: %d peers, retries %d, hedge q%.2f (floor %s)",
-			len(fc.Peers()), *fabricRetries, *hedgeQuantile, *hedgeMin)
+		log.Printf("fabric coordinator: %d peers", len(fc.Peers()))
 	}
 	var led *ledger.Ledger
 	if *ledgerDir != "" {

@@ -77,16 +77,6 @@ func maxActivations(budget dram.TimePS, slot dram.TimePS, aggressors int) int {
 	return n
 }
 
-// SearchACmin finds the minimum total aggressor activation count that
-// induces at least one bitflip at the site, with the paper's modified
-// bisection (§4.1): terminate when the bracket is within Accuracy of the
-// current estimate; report not-found when even the budget-limited maximum
-// produces no flips. One trial, on a fresh probe harness; sweeps thread
-// one prober through all their searches instead.
-func SearchACmin(b *bender.Bench, s site, onTime dram.TimePS, cfg Config) (RowResult, error) {
-	return newProber(b, cfg).searchACmin(s, onTime)
-}
-
 // searchACmin runs the doubling-free probe(hi) + bisection of §4.1 on the
 // replay-free prober: every probe is a closed-form exposure evaluation
 // plus a pure flip check, so the search costs O(site × log N) cell
@@ -151,47 +141,37 @@ func NewBench(spec chipgen.ModuleSpec, cfg Config, tempC float64) (*bender.Bench
 
 // ACminSweep measures the ACmin distribution of one module over the given
 // tAggON values at temperature tempC — the core experiment behind
-// Figs. 1, 6, 7, 13, 17, and 18.
+// Figs. 1, 6, 7, 13, 17, and 18. It is ACminColumns over every tested
+// location on one bench, stitched into points by AssembleACminSweep.
 func ACminSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS) ([]SweepPoint, error) {
-	b, err := NewBench(spec, cfg, tempC)
+	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
+	cols, err := ACminColumns(spec, cfg, tempC, tAggONs, locs, len(locs) > 1)
 	if err != nil {
 		return nil, err
 	}
-	p := newProber(b, cfg)
-	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
-	points := make([]SweepPoint, 0, len(tAggONs))
-	for _, on := range tAggONs {
-		pt := SweepPoint{TAggON: on}
-		for _, loc := range locs {
-			r, err := searchACminTrials(p, siteFor(loc, cfg.Sided), on)
-			if err != nil {
-				return nil, err
-			}
-			pt.Results = append(pt.Results, r)
-		}
-		points = append(points, pt)
-	}
-	return points, nil
+	return AssembleACminSweep(tAggONs, cols), nil
 }
 
-// ACminColumns runs the slice of an ACminSweep covering only the given
-// tested locations: per location, the full tAggON lattice of searches,
-// on a private bench. Results are indexed [location][tAggON]. Running
-// every location of TestedLocations through ACminColumns (in any
-// partition) and stitching with AssembleACminSweep reproduces
-// ACminSweep's output bit for bit — this is the sub-shard work function
-// behind the split ACmin experiments.
+// ACminColumns runs the ACmin searches of the given tested locations:
+// per location, the full tAggON lattice of searches, on a private
+// bench. Results are indexed [location][tAggON]. Running every location
+// of TestedLocations through ACminColumns (in any partition) and
+// stitching with AssembleACminSweep gives ACminSweep's output bit for
+// bit — this is the sub-shard work function behind the split ACmin
+// experiments, and ACminSweep is its serial wrapper.
 //
-// Equivalence with the threaded sweep hinges on the off-time profile:
-// there, consecutive search groups at one location are separated by the
-// other locations' groups, each advancing the shared bench clock by at
-// least ~30 ms (the first budget-bounded probe of any group), so every
-// group past a location's first starts beyond dram.RecoveredOff and its
-// first-activation off time caps there. A column reproduces that cap in
-// closed form by advancing its private clock by RecoveredOff between
-// groups. gap must be true exactly when the full sweep tests more than
-// one location; with a single location no groups intervene in the
-// threaded order and the advance must not be inserted.
+// The points match the tAggON-major order the paper's sweep runs in
+// (tAggON outer, location inner; kept as the test reference) because of
+// the off-time profile: there, consecutive search groups at one
+// location are separated by the other locations' groups, each advancing
+// the shared bench clock by at least ~30 ms (the first budget-bounded
+// probe of any group), so every group past a location's first starts
+// beyond dram.RecoveredOff and its first-activation off time caps there.
+// A column reproduces that cap in closed form by advancing its private
+// clock by RecoveredOff between groups. gap must be true exactly when
+// the sweep tests more than one location; with a single location no
+// groups intervene in the tAggON-major order and the advance must not be
+// inserted.
 func ACminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS, locs []int, gap bool) ([][]RowResult, error) {
 	b, err := NewBench(spec, cfg, tempC)
 	if err != nil {

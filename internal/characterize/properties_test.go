@@ -20,7 +20,7 @@ func TestSearchACminBracketProperty(t *testing.T) {
 	on := 7800 * dram.Nanosecond
 	for loc := 100; loc <= 1500; loc += 200 {
 		s := siteFor(loc, SingleSided)
-		r, err := SearchACmin(b, s, on, cfg)
+		r, err := newProber(b, cfg).searchACmin(s, on) // one search, fresh harness
 		if err != nil {
 			t.Fatal(err)
 		}

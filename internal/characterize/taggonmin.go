@@ -3,7 +3,6 @@ package characterize
 import (
 	"fmt"
 
-	"repro/internal/bender"
 	"repro/internal/chipgen"
 	"repro/internal/dram"
 )
@@ -31,16 +30,6 @@ func (p TAggONminPoint) Values() []float64 {
 		}
 	}
 	return vs
-}
-
-// SearchTAggONmin bisects over the row-open time to find the minimum
-// tAggON that induces at least one bitflip at the given total activation
-// count. The upper bound is the time budget divided across the activations
-// (the paper bounds every measurement within the refresh window). One
-// search on a fresh probe harness; sweeps thread one prober through all
-// their searches instead.
-func SearchTAggONmin(b *bender.Bench, s site, ac int, cfg Config) (TAggONminResult, error) {
-	return newProber(b, cfg).searchTAggONmin(s, ac)
 }
 
 // searchTAggONmin is the replay-free bisection over the row-open time:
@@ -100,38 +89,30 @@ func searchTAggONminTrials(p *prober, s site, ac int) (TAggONminResult, error) {
 // StandardACs is the activation-count lattice of Fig. 9 (1 to 10 K).
 var StandardACs = []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
-// TAggONminSweep measures tAggONmin as the activation count grows (Fig. 9)
-// or, with acs = {1} and several temperatures, the Fig. 15 temperature
-// sweep.
+// TAggONminSweep measures tAggONmin as the activation count grows
+// (Fig. 9) or, with acs = {1}, at one temperature of the Fig. 15 sweep.
+// It is TAggONminColumns over every tested location on one bench,
+// stitched into points by AssembleTAggONminSweep, so it inherits the
+// columns' precondition: every activation count must leave a probe-able
+// dwell window (TimeBudget/ac − tRP > tRAS). StandardACs satisfies it at
+// the default budget.
 func TAggONminSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, acs []int) ([]TAggONminPoint, error) {
-	b, err := NewBench(spec, cfg, tempC)
+	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
+	cols, err := TAggONminColumns(spec, cfg, tempC, acs, locs, len(locs) > 1)
 	if err != nil {
 		return nil, err
 	}
-	p := newProber(b, cfg)
-	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
-	points := make([]TAggONminPoint, 0, len(acs))
-	for _, ac := range acs {
-		pt := TAggONminPoint{AC: ac}
-		for _, loc := range locs {
-			r, err := searchTAggONminTrials(p, siteFor(loc, cfg.Sided), ac)
-			if err != nil {
-				return nil, err
-			}
-			pt.Results = append(pt.Results, r)
-		}
-		points = append(points, pt)
-	}
-	return points, nil
+	return AssembleTAggONminSweep(acs, cols), nil
 }
 
 // TAggONminColumns is ACminColumns' counterpart for the tAggONmin
-// search: the slice of a TAggONminSweep covering only the given tested
-// locations, indexed [location][ac]. The same off-time equivalence and
-// gap rule apply (see ACminColumns); it additionally requires every
-// activation count to leave a probe-able dwell window (budget/ac − tRP
-// > tRAS, true for every lattice the experiments use), since a
-// degenerate group advances no clock in the threaded order.
+// search: the searches of the given tested locations, indexed
+// [location][ac], with TAggONminSweep as its serial wrapper. The same
+// off-time equivalence and gap rule apply (see ACminColumns); it
+// additionally requires every activation count to leave a probe-able
+// dwell window (budget/ac − tRP > tRAS, true for every lattice the
+// experiments use), since a degenerate group advances no clock in the
+// ac-major order.
 func TAggONminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, acs []int, locs []int, gap bool) ([][]TAggONminResult, error) {
 	b, err := NewBench(spec, cfg, tempC)
 	if err != nil {

@@ -217,16 +217,16 @@ func TestRefreshResetsExposure(t *testing.T) {
 	if m.PendingExposure(0, 7).IsZero() {
 		t.Fatal("setup: no exposure")
 	}
-	// 16 rows / 8205 refreshes per window -> every REF covers all rows in
-	// chunk 0 (rowsPerChunk = 1); refresh them all.
+	// Refresh every row, as the REF commands of one window would.
 	now := m.Now() + Microsecond
-	for i := 0; i < 16; i++ {
-		if err := m.Refresh(now); err != nil {
+	for row := 0; row < geo.RowsPerBank; row++ {
+		if err := m.RestoreRow(now, 0, row); err != nil {
 			t.Fatal(err)
 		}
-		now += m.Timing.TRFC + Microsecond
 	}
-	if !m.PendingExposure(0, 7).IsZero() {
-		t.Error("refresh did not clear exposure")
+	for row := 0; row < geo.RowsPerBank; row++ {
+		if !m.PendingExposure(0, row).IsZero() {
+			t.Errorf("refresh did not clear the exposure of row %d", row)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // RecoveredOff is the row-off time assumed for an aggressor's first
 // activation (or any activation after a very long idle period): long enough
@@ -18,12 +15,11 @@ const recoveredOff = RecoveredOff
 // bankState is the per-bank command FSM (§2.2): a bank is either precharged
 // (idle) or has exactly one open row.
 type bankState struct {
-	open        bool
-	openRow     int
-	openedAt    TimePS
-	lastPreAt   TimePS // completion time of the last PRE
-	hasPre      bool
-	refBusyTill TimePS // bank unavailable until this time after REF
+	open      bool
+	openRow   int
+	openedAt  TimePS
+	lastPreAt TimePS // completion time of the last PRE
+	hasPre    bool
 }
 
 // rowState is the per-row storage: contents plus accumulated disturbance
@@ -73,19 +69,18 @@ type Module struct {
 	// churned through a long hammer run.
 	rows [][]rowState
 
-	temps      []tempPoint // non-decreasing in time
-	lastCmdAt  TimePS
-	refCounter int // which refresh chunk the next REF covers
+	temps     []tempPoint // non-decreasing in time
+	lastCmdAt TimePS
 
 	journal journal // active checkpoint state (see snapshot.go)
 
 	// Stats counters, exported via Counters().
-	acts, pres, reads, writes, refs uint64
+	acts, pres uint64
 }
 
-// Counters reports cumulative command counts (ACT, PRE, RD, WR, REF).
+// Counters reports cumulative command counts (ACT, PRE).
 type Counters struct {
-	Activates, Precharges, Reads, Writes, Refreshes uint64
+	Activates, Precharges uint64
 }
 
 // NewModule builds a module with the given geometry and timing, initial
@@ -110,7 +105,7 @@ func NewModule(geo Geometry, timing Timing, tempC float64, dist Disturber) *Modu
 
 // Counters returns the command counters.
 func (m *Module) Counters() Counters {
-	return Counters{m.acts, m.pres, m.reads, m.writes, m.refs}
+	return Counters{m.acts, m.pres}
 }
 
 // SetTemperature records a chip temperature change effective at time at.
@@ -259,9 +254,6 @@ func (m *Module) Activate(at TimePS, bank, row int) error {
 	if b.hasPre && at < b.lastPreAt+m.Timing.TRP {
 		return timingErr("ACT", bank, "tRP violated: PRE at %d, ACT at %d", b.lastPreAt, at)
 	}
-	if at < b.refBusyTill {
-		return timingErr("ACT", bank, "tRFC violated: busy until %d, ACT at %d", b.refBusyTill, at)
-	}
 	m.restoreRow(bank, row, at)
 	b.open = true
 	b.openRow = row
@@ -346,7 +338,7 @@ func (m *Module) accrue(bank, aggRow int, onTime, offTime TimePS, tempC float64)
 
 // restoreRow materializes accumulated disturbance as bitflips and resets
 // the row's exposure, returning the number of bits flipped. Called on ACT
-// and on refresh.
+// and by RestoreRow.
 func (m *Module) restoreRow(bank, row int, at TimePS) int {
 	rs := m.row(bank, row)
 	exp := rs.exp
@@ -403,102 +395,6 @@ func (m *Module) RestoreRowCounted(at TimePS, bank, row int) (int, error) {
 	flips := m.restoreRow(bank, row, at)
 	m.advance(at)
 	return flips, nil
-}
-
-// Read returns the cache block at the given block index of the open row.
-// The returned slice is a copy.
-func (m *Module) Read(at TimePS, bank, block int) ([]byte, error) {
-	if err := m.checkBank(bank); err != nil {
-		return nil, err
-	}
-	b := &m.banks[bank]
-	if !b.open {
-		return nil, timingErr("RD", bank, "no open row")
-	}
-	if at < b.openedAt+m.Timing.TRCD {
-		return nil, timingErr("RD", bank, "tRCD violated")
-	}
-	if block < 0 || block >= m.Geo.BlocksPerRow() {
-		return nil, &AddressError{What: "block", Value: block, Limit: m.Geo.BlocksPerRow()}
-	}
-	rs := m.row(bank, b.openRow)
-	out := make([]byte, BlockBytes)
-	if rs.data != nil {
-		copy(out, rs.data[block*BlockBytes:])
-	}
-	m.reads++
-	m.advance(at)
-	return out, nil
-}
-
-// Write stores a cache block into the open row. data must be BlockBytes
-// long.
-func (m *Module) Write(at TimePS, bank, block int, data []byte) error {
-	if err := m.checkBank(bank); err != nil {
-		return err
-	}
-	b := &m.banks[bank]
-	if !b.open {
-		return timingErr("WR", bank, "no open row")
-	}
-	if at < b.openedAt+m.Timing.TRCD {
-		return timingErr("WR", bank, "tRCD violated")
-	}
-	if block < 0 || block >= m.Geo.BlocksPerRow() {
-		return &AddressError{What: "block", Value: block, Limit: m.Geo.BlocksPerRow()}
-	}
-	if len(data) != BlockBytes {
-		return fmt.Errorf("dram: WR data must be %d bytes, got %d", BlockBytes, len(data))
-	}
-	rs := m.row(bank, b.openRow)
-	if rs.data == nil {
-		rs.data = make([]byte, m.Geo.RowBytes)
-	}
-	rs.ownData()
-	copy(rs.data[block*BlockBytes:], data)
-	m.writes++
-	m.advance(at)
-	return nil
-}
-
-// Refresh executes one REF command at time at. All banks must be
-// precharged. Each REF restores the next 1/RefreshesPerWindow slice of every
-// bank's rows, so that a full window's worth of REFs covers the module.
-//
-// Touched rows restore in ascending row order. The order is observable:
-// flip evaluation reads neighbor-row contents for data coupling, so two
-// neighbors restored within the same chunk must restore in a fixed order
-// for the outcome to be deterministic (the old sparse-map iteration was
-// not).
-func (m *Module) Refresh(at TimePS) error {
-	for bank := range m.banks {
-		if m.banks[bank].open {
-			return timingErr("REF", bank, "bank has open row")
-		}
-	}
-	chunks := m.Timing.RefreshesPerWindow()
-	rowsPerChunk := (m.Geo.RowsPerBank + chunks - 1) / chunks
-	start := (m.refCounter % chunks) * rowsPerChunk
-	end := start + rowsPerChunk
-	if end > m.Geo.RowsPerBank {
-		end = m.Geo.RowsPerBank
-	}
-	for bank := range m.banks {
-		// Only touched rows carry state worth restoring; the dense window
-		// makes the scan a contiguous sweep in sorted row order.
-		if rows := m.rows[bank]; rows != nil {
-			for row := start; row < end; row++ {
-				if rows[row].present {
-					m.restoreRow(bank, row, at)
-				}
-			}
-		}
-		m.banks[bank].refBusyTill = at + m.Timing.TRFC
-	}
-	m.refCounter++
-	m.refs++
-	m.advance(at)
-	return nil
 }
 
 // InitRow initializes a row's contents directly, outside the command

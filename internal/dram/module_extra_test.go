@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // retentionProbe leaks deterministically: RetentionAccel doubles per 10°C,
 // ApplyFlips counts as flips any row whose retention stress exceeds 1.
@@ -56,35 +53,6 @@ func (m *Module) restoreRowForTest(bank, row int, at TimePS) {
 	m.restoreRow(bank, row, at)
 }
 
-func TestRefreshCoversAllRowsWithinWindow(t *testing.T) {
-	// Property: after RefreshesPerWindow REF commands, every touched row
-	// has been restored (its exposure is cleared).
-	f := func(seed uint64) bool {
-		geo := Geometry{Banks: 1, RowsPerBank: 4096, RowBytes: 64}
-		m := NewModule(geo, DDR4(), 50, probeDisturber{})
-		agg := int(seed%4000) + 10
-		if _, err := m.HammerBatch(0, HammerSpec{Bank: 0, Rows: []int{agg}, Count: 5, OnTime: 36 * Nanosecond}); err != nil {
-			return false
-		}
-		now := m.Now() + Microsecond
-		for i := 0; i < m.Timing.RefreshesPerWindow(); i++ {
-			if err := m.Refresh(now); err != nil {
-				return false
-			}
-			now += m.Timing.TRFC + Nanosecond
-		}
-		for d := -BlastRadius; d <= BlastRadius; d++ {
-			if !m.PendingExposure(0, agg+d).IsZero() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInitRowErrors(t *testing.T) {
 	m := testModule(nil)
 	if err := m.InitRow(0, 9, 0, 0x00); err == nil {
@@ -102,16 +70,6 @@ func TestRestoreRowErrors(t *testing.T) {
 	}
 	if err := m.RestoreRow(0, 0, -1); err == nil {
 		t.Error("bad row must fail")
-	}
-}
-
-func TestWriteRejectsWrongSize(t *testing.T) {
-	m := testModule(nil)
-	if err := m.Activate(0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(m.Timing.TRCD, 0, 0, make([]byte, 10)); err == nil {
-		t.Error("short write must fail")
 	}
 }
 

@@ -86,9 +86,6 @@ func (m *Module) ProbeFetch(at TimePS, bank int, rows []int) ([]RowProbe, TimePS
 		if hasPre && now < lastPre+m.Timing.TRP {
 			return nil, now, timingErr("ACT", bank, "tRP violated: PRE at %d, ACT at %d", lastPre, now)
 		}
-		if now < b.refBusyTill {
-			return nil, now, timingErr("ACT", bank, "tRFC violated: busy until %d, ACT at %d", b.refBusyTill, now)
-		}
 
 		// ACT: materialize pending disturbance into a scratch copy.
 		exp := *expOf(row)
@@ -202,9 +199,6 @@ func (m *Module) ProbeWouldFlip(at TimePS, bank int, rows []int) (bool, error) {
 		}
 		if hasPre && now < lastPre+m.Timing.TRP {
 			return false, timingErr("ACT", bank, "tRP violated: PRE at %d, ACT at %d", lastPre, now)
-		}
-		if now < b.refBusyTill {
-			return false, timingErr("ACT", bank, "tRFC violated: busy until %d, ACT at %d", b.refBusyTill, now)
 		}
 		exp := *expOf(row)
 		lastRestore, restored := virtRestore[row]

@@ -12,8 +12,8 @@ package dram
 // radius, so a checkpoint costs a handful of row snapshots regardless of
 // how many million activations the play spans. Row contents are
 // copy-on-write too: a journaled row shares its data buffer with its
-// entry until the row's first in-place mutation (a materializing flip, a
-// WR or an InitRow) copies it, so a row that only accrues exposure is
+// entry until the row's first in-place mutation (a materializing flip or
+// an InitRow) replaces it, so a row that only accrues exposure is
 // journaled without copying its bytes.
 
 // journalEntry preserves one row's state as it was when the active
@@ -32,11 +32,10 @@ type journal struct {
 	epoch  uint32
 	rows   []journalEntry
 
-	banks      []bankState
-	nTemps     int
-	lastCmdAt  TimePS
-	refCounter int
-	counters   Counters
+	banks     []bankState
+	nTemps    int
+	lastCmdAt TimePS
+	counters  Counters
 }
 
 // saveRow records a row's pre-mutation state. Called from Module.row on
@@ -84,7 +83,6 @@ func (m *Module) armCheckpoint() {
 	m.journal.banks = append(m.journal.banks[:0], m.banks...)
 	m.journal.nTemps = len(m.temps)
 	m.journal.lastCmdAt = m.lastCmdAt
-	m.journal.refCounter = m.refCounter
 	m.journal.counters = m.Counters()
 }
 
@@ -106,9 +104,7 @@ func (m *Module) Rollback() {
 	copy(m.banks, j.banks)
 	m.temps = m.temps[:j.nTemps]
 	m.lastCmdAt = j.lastCmdAt
-	m.refCounter = j.refCounter
 	m.acts, m.pres = j.counters.Activates, j.counters.Precharges
-	m.reads, m.writes, m.refs = j.counters.Reads, j.counters.Writes, j.counters.Refreshes
 	// Re-arm: bump the epoch so rows journaled before this rollback are
 	// saved again on their next touch.
 	m.armCheckpoint()

@@ -91,8 +91,8 @@ func TestCheckpointRollbackRestoresEverything(t *testing.T) {
 	before := captureState(m)
 
 	m.Checkpoint()
-	// Mutate heavily: more hammering (materializes flips on ACT), writes,
-	// refreshes, temperature changes.
+	// Mutate heavily: more hammering (materializes flips on ACT), row
+	// initialization, targeted refreshes, temperature changes.
 	end2, err := m.HammerBatch(end+Microsecond, HammerSpec{Bank: 0, Rows: []int{30}, Count: 500, OnTime: 700 * Nanosecond})
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +101,10 @@ func TestCheckpointRollbackRestoresEverything(t *testing.T) {
 	if err := m.InitRow(end2, 0, 31, 0xFF); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Refresh(end2 + Microsecond); err != nil {
-		t.Fatal(err)
+	for row := 28; row <= 33; row++ {
+		if err := m.RestoreRow(end2+Microsecond, 0, row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if statesEqual(before, captureState(m)) {
 		t.Fatal("mutations between checkpoint and rollback had no observable effect; test is vacuous")
@@ -206,8 +208,8 @@ func TestProbeFetchMatchesFetchRow(t *testing.T) {
 
 // TestCheckpointSharedRowMutationsRollBack: a journaled row shares its
 // data buffer with the journal until its first mutation. A materialized
-// flip, a WR and an InitRow on shared rows must each copy before writing,
-// so rollback brings back the pre-checkpoint bytes.
+// flip and an InitRow on shared rows must each write a buffer of the
+// row's own, so rollback brings back the pre-checkpoint bytes.
 func TestCheckpointSharedRowMutationsRollBack(t *testing.T) {
 	for _, dist := range []Disturber{
 		thresholdDisturber{hInc: 1, pInc: 100, threshold: 50},
@@ -233,17 +235,6 @@ func TestCheckpointSharedRowMutationsRollBack(t *testing.T) {
 		}
 		if flips == 0 {
 			t.Fatal("restore of the hammered victim flipped nothing; the test is vacuous")
-		}
-		// Row 36 lies outside the aggressors' blast radius: its ACT flips
-		// nothing, so the WR is the first mutation of its shared buffer.
-		if err := m.Activate(at, 0, 36); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Write(at+m.Timing.TRCD, 0, 1, bytes.Repeat([]byte{0xEE}, BlockBytes)); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Precharge(at+m.Timing.TRAS, 0); err != nil {
-			t.Fatal(err)
 		}
 		if _, err := m.RestoreRowCounted(at+2*m.Timing.TRAS, 0, 33); err != nil { // journal 33 first
 			t.Fatal(err)

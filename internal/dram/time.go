@@ -1,8 +1,10 @@
 // Package dram models a DDR4 DRAM module at the command/cell level: bank
-// state machines with timing checks, sparse row storage, refresh, and
-// per-row read-disturbance exposure accounting. The physics of how exposure
-// turns into bitflips is delegated to a Disturber (see internal/disturb);
-// this package stays mechanism-agnostic.
+// state machines with ACT/PRE timing checks, lazily allocated row storage,
+// and per-row read-disturbance exposure accounting. The module issues no
+// REF command of its own: callers model refresh as RestoreRow on the rows
+// a REF covers, at its REF phases. The physics of how exposure turns into
+// bitflips is delegated to a Disturber (see internal/disturb); this
+// package stays mechanism-agnostic.
 //
 // All times are simulated picoseconds (TimePS). The simulated command clock
 // replaces the 1.5 ns command bus of the paper's FPGA infrastructure

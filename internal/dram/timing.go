@@ -40,11 +40,3 @@ func (t Timing) TRC() TimePS { return t.TRAS + t.TRP }
 func (t Timing) RefreshesPerWindow() int {
 	return int(t.TREFW / t.TREFI)
 }
-
-// MaxOpenNoPostpone is the longest a row may stay open if the memory
-// controller never postpones refreshes (= tREFI, §2.3).
-func (t Timing) MaxOpenNoPostpone() TimePS { return t.TREFI }
-
-// MaxOpenPostponed is the longest a row may stay open when the controller
-// postpones the maximum eight REF commands allowed by DDR4 (= 9 × tREFI).
-func (t Timing) MaxOpenPostponed() TimePS { return 9 * t.TREFI }

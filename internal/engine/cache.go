@@ -105,14 +105,6 @@ func (c *Cache) Put(key string, val any) {
 	}
 }
 
-// Purge drops all entries (counters are kept).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = map[string]*list.Element{}
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"strings"
@@ -602,4 +603,12 @@ type failingRemote struct{}
 
 func (failingRemote) Resolve(string, RemoteRequest) (any, string, bool, error) {
 	return nil, "", false, errors.New("every peer failed")
+}
+
+// Purge drops all entries (counters are kept).
+func (c *Cache) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	c.items = map[string]*list.Element{}
 }

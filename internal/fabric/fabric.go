@@ -43,36 +43,17 @@ const TierHeader = "X-Fabric-Tier"
 // Config parameterizes a coordinator's fabric client. The zero value
 // of every knob selects the documented default.
 type Config struct {
-	Peers         []string      // peer base URLs, e.g. http://10.0.0.2:8080
-	VirtualNodes  int           // ring points per member (default 64)
-	Retries       int           // extra attempts per peer after the first (default 1)
-	RetryBackoff  time.Duration // first retry delay, doubling per retry (default 25ms)
-	HedgeQuantile float64       // latency quantile arming the hedge timer (default 0.95)
-	HedgeMin      time.Duration // hedge delay floor (default 20ms)
-	FailureLimit  int           // consecutive failures opening a peer's circuit (default 3)
-	Cooldown      time.Duration // circuit-open duration before a retrial (default 5s)
-	Timeout       time.Duration // per-attempt HTTP timeout (default 2m)
-	MaxInFlight   int           // concurrent dispatch bound (default 4 per peer)
-	Client        *http.Client  // optional transport override (timeout is applied)
+	Peers        []string      // peer base URLs, e.g. http://10.0.0.2:8080
+	Retries      int           // extra attempts per peer after the first (default 1; < 0 means none)
+	FailureLimit int           // consecutive failures opening a peer's circuit (default 3)
+	Cooldown     time.Duration // circuit-open duration before a retrial (default 5s)
 }
 
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.Retries < 0 {
 		c.Retries = 0
 	} else if c.Retries == 0 {
 		c.Retries = 1
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 20 * time.Millisecond
 	}
 	if c.FailureLimit <= 0 {
 		c.FailureLimit = 3
@@ -80,14 +61,21 @@ func (c Config) withDefaults() Config {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Minute
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 4 * len(c.Peers)
-	}
 	return c
 }
+
+// Fixed dispatch tuning: ring points per member, the first retry delay
+// (doubling per retry), the peer-latency quantile that arms the hedge
+// timer and its floor, the per-attempt HTTP timeout, and the concurrent
+// dispatch bound per peer.
+const (
+	virtualNodes    = 64
+	retryBackoff    = 25 * time.Millisecond
+	hedgeQuantile   = 0.95
+	hedgeMin        = 20 * time.Millisecond
+	attemptTimeout  = 2 * time.Minute
+	inFlightPerPeer = 4
+)
 
 // coldHedgeDelay arms the hedge timer before a peer has enough
 // latency samples for a meaningful quantile.
@@ -165,17 +153,12 @@ func New(cfg Config) (*Client, error) {
 		urls[i] = u
 		peers[i] = &peer{url: u, hist: obs.NewLatencyHistogram()}
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	hc.Timeout = cfg.Timeout
 	return &Client{
 		cfg:   cfg,
-		ring:  newRing(urls, cfg.VirtualNodes),
+		ring:  newRing(urls, virtualNodes),
 		peers: peers,
-		http:  hc,
-		sem:   make(chan struct{}, cfg.MaxInFlight),
+		http:  &http.Client{Timeout: attemptTimeout},
+		sem:   make(chan struct{}, inFlightPerPeer*len(peers)),
 	}, nil
 }
 
@@ -289,21 +272,14 @@ func (c *Client) Resolve(key string, req engine.RemoteRequest) (v any, peerURL s
 }
 
 // hedgeDelay derives the hedge timer from the peer's own recent
-// latency distribution, floored at HedgeMin; before the histogram has
+// latency distribution, floored at hedgeMin; before the histogram has
 // enough samples a fixed cold-start delay applies.
 func (c *Client) hedgeDelay(pr *peer) time.Duration {
 	s := pr.hist.Snapshot()
 	if s.Count < hedgeMinSamples {
-		if coldHedgeDelay > c.cfg.HedgeMin {
-			return coldHedgeDelay
-		}
-		return c.cfg.HedgeMin
+		return coldHedgeDelay
 	}
-	d := s.Quantile(c.cfg.HedgeQuantile)
-	if d < c.cfg.HedgeMin {
-		d = c.cfg.HedgeMin
-	}
-	return d
+	return max(s.Quantile(hedgeQuantile), hedgeMin)
 }
 
 // nextUp returns the first live peer after owner in index order, or
@@ -327,7 +303,7 @@ func (c *Client) attempt(pr *peer, body []byte) attemptResult {
 			pr.mu.Lock()
 			pr.retries++
 			pr.mu.Unlock()
-			time.Sleep(c.cfg.RetryBackoff << (try - 1))
+			time.Sleep(retryBackoff << (try - 1))
 		}
 		pr.mu.Lock()
 		pr.dispatches++

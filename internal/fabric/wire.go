@@ -25,10 +25,12 @@ type ShardRequest struct {
 }
 
 // Sentinel errors for the serving layer's status mapping: unknown
-// experiment/shard dispatches answer 404, key skew answers 409.
+// experiment/shard dispatches answer 404, key skew answers 409, options
+// the planner rejects answer 400.
 var (
 	ErrUnknownShard = errors.New("unknown shard")
 	ErrKeySkew      = errors.New("shard key mismatch")
+	ErrBadOptions   = errors.New("bad shard options")
 )
 
 func short(key string) string {
@@ -49,6 +51,9 @@ func short(key string) string {
 func ServeShard(eng *engine.Engine, req ShardRequest) (v any, tier string, err error) {
 	p, err := core.PlanFor(req.Experiment, core.Options{Scale: req.Scale, Seed: req.Seed, Modules: req.Modules})
 	if err != nil {
+		if !errors.Is(err, core.ErrUnknownExperiment) {
+			err = fmt.Errorf("%w: %w", ErrBadOptions, err)
+		}
 		return nil, "", err
 	}
 	for _, s := range p.Shards {
@@ -71,7 +76,7 @@ func ServeShard(eng *engine.Engine, req ShardRequest) (v any, tier string, err e
 				return nil, "", fmt.Errorf("%w: sub-shard %q of %q in %s", ErrUnknownShard, req.Sub, req.Shard, req.Experiment)
 			}
 		}
-		if req.Key != "" && req.Key != addr {
+		if req.Key != addr {
 			return nil, "", fmt.Errorf("%w: %q resolves to %s here, coordinator expects %s (mismatched builds in the fleet?)",
 				ErrKeySkew, req.Shard, short(addr), short(req.Key))
 		}

@@ -214,3 +214,8 @@ func TestGrapheneRPAndPARARPDerivation(t *testing.T) {
 		t.Errorf("PARA-RP p = %v, want ≈0.079", pa.P)
 	}
 }
+
+// Tracked returns a copy of the currently tracked rows.
+func (t *TRR) Tracked() []int {
+	return append([]int(nil), t.recent...)
+}

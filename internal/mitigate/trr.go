@@ -53,10 +53,5 @@ func (t *TRR) OnRefresh() []int {
 	return out
 }
 
-// Tracked returns a copy of the currently tracked rows (tests).
-func (t *TRR) Tracked() []int {
-	return append([]int(nil), t.recent...)
-}
-
 // OnRefreshWindow implements Mitigation.
 func (t *TRR) OnRefreshWindow() { t.recent = t.recent[:0] }

@@ -112,17 +112,6 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{epoch: time.Now(), ring: make([]Span, 0, capacity)}
 }
 
-// Enabled reports whether spans are being recorded.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Epoch returns the recorder's zero time.
-func (r *Recorder) Epoch() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.epoch
-}
-
 // Since converts an absolute time into a recorder-epoch offset.
 func (r *Recorder) Since(t time.Time) time.Duration {
 	if r == nil {

@@ -289,3 +289,14 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatal("execute span for shard a not exported")
 	}
 }
+
+// Enabled reports whether spans are being recorded.
+func (r *Recorder) Enabled() bool { return r != nil }
+
+// Epoch returns the recorder's zero time.
+func (r *Recorder) Epoch() time.Time {
+	if r == nil {
+		return time.Time{}
+	}
+	return r.epoch
+}

@@ -587,16 +587,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // daemon can serve shards — a peer needs no configuration beyond
 // being reachable — and resolution goes through engine.ResolveLocal,
 // which never re-dispatches, so a peer that is itself a coordinator
-// cannot forward the shard onward. Unknown experiments or shards are
-// 404; a key mismatch (the coordinator derived a different cache
-// address than this build does) is 409, so mixed-build fleets fail
-// loudly instead of caching wrong payloads.
+// cannot forward the shard onward. A body that does not decode, lacks
+// the shard address (key) or carries invalid options is 400; unknown
+// experiments or shards are 404; a key mismatch (the coordinator
+// derived a different cache address than this build does) is 409, so
+// mixed-build fleets fail loudly instead of caching wrong payloads.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req fabric.ShardRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad shard request: %v", err)
+		return
+	}
+	if req.Key == "" {
+		writeError(w, http.StatusBadRequest, "bad shard request: missing key")
 		return
 	}
 	v, tier, err := fabric.ServeShard(s.eng, req)
@@ -607,6 +612,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusNotFound
 		case errors.Is(err, fabric.ErrKeySkew):
 			status = http.StatusConflict
+		case errors.Is(err, fabric.ErrBadOptions):
+			status = http.StatusBadRequest
 		}
 		writeError(w, status, "%v", err)
 		return

@@ -18,9 +18,6 @@ type Summary struct {
 	StdDev float64
 }
 
-// IQR returns the interquartile range (box size).
-func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }
-
 // Describe computes a Summary over vs. It returns a zero Summary when vs is
 // empty. The quartile convention matches the paper's footnote 2: Q1 is the
 // median of the lower half and Q3 the median of the upper half of the

@@ -120,3 +120,6 @@ func TestMeanNaNOnEmpty(t *testing.T) {
 		t.Fatal("Mean wrong")
 	}
 }
+
+// IQR returns the interquartile range (box size).
+func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }

@@ -6,17 +6,6 @@ package stats
 
 import "math"
 
-// SplitMix64 advances the SplitMix64 state and returns the next 64-bit
-// value. It is the canonical generator from Steele et al. and is used both
-// as a stream RNG and as a mixing function for hash-derived sampling.
-func SplitMix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // Mix64 hashes x through one SplitMix64 round without carrying state.
 // It is the building block for position-addressed sampling: hashing a
 // (module, bank, row, column, stream) tuple yields the same value forever.
@@ -54,8 +43,13 @@ func (r *RNG) State() uint64 { return r.state }
 // state.
 func (r *RNG) SetState(s uint64) { r.state = s }
 
-// Uint64 returns the next raw 64-bit value.
-func (r *RNG) Uint64() uint64 { return SplitMix64(&r.state) }
+// Uint64 returns the next raw 64-bit value: the SplitMix64 stream, whose
+// n-th output is Mix64 of the seed advanced n-1 golden-ratio steps.
+func (r *RNG) Uint64() uint64 {
+	v := Mix64(r.state)
+	r.state += 0x9E3779B97F4A7C15
+	return v
+}
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -80,11 +74,6 @@ func (r *RNG) NormFloat64() float64 {
 		v := r.Float64()
 		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 	}
-}
-
-// LogNormal returns exp(mu + sigma*Z) for standard normal Z.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
 // Poisson returns a Poisson variate with mean lambda. For large lambda it
@@ -129,9 +118,4 @@ func NormalFromHash(h uint64) float64 {
 	u1 := UnitFromHash(h)
 	u2 := UnitFromHash(Mix64(h))
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// LogNormalFromHash derives a log-normal variate exp(mu+sigma*Z) from a hash.
-func LogNormalFromHash(h uint64, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*NormalFromHash(h))
 }

@@ -7,11 +7,15 @@ import (
 )
 
 func TestSplitMix64Deterministic(t *testing.T) {
-	s1, s2 := uint64(42), uint64(42)
+	s := uint64(42)
+	r := NewRNG(42)
 	for i := 0; i < 100; i++ {
-		if SplitMix64(&s1) != SplitMix64(&s2) {
-			t.Fatalf("SplitMix64 diverged at step %d", i)
+		if want, got := SplitMix64(&s), r.Uint64(); got != want {
+			t.Fatalf("RNG diverged from the SplitMix64 stream at step %d: %#x, want %#x", i, got, want)
 		}
+	}
+	if r.State() != s {
+		t.Fatalf("RNG state %#x, want %#x", r.State(), s)
 	}
 }
 
@@ -22,6 +26,9 @@ func TestSplitMix64KnownValue(t *testing.T) {
 	got := SplitMix64(&s)
 	if got != 0xE220A8397B1DCDAF {
 		t.Fatalf("SplitMix64(0) = %#x, want 0xE220A8397B1DCDAF", got)
+	}
+	if got := NewRNG(0).Uint64(); got != 0xE220A8397B1DCDAF {
+		t.Fatalf("NewRNG(0).Uint64() = %#x, want 0xE220A8397B1DCDAF", got)
 	}
 }
 
@@ -161,4 +168,25 @@ func TestLogNormalMedianRoughly(t *testing.T) {
 	if math.Abs(med-want)/want > 0.05 {
 		t.Errorf("log-normal median = %v, want ~%v", med, want)
 	}
+}
+
+// SplitMix64 is the canonical generator of Steele et al.: it advances the
+// state and returns the next 64-bit value. RNG.Uint64 must reproduce its
+// stream.
+func SplitMix64(state *uint64) uint64 {
+	*state += 0x9E3779B97F4A7C15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// LogNormal returns exp(mu + sigma*Z) for standard normal Z.
+func (r *RNG) LogNormal(mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*r.NormFloat64())
+}
+
+// LogNormalFromHash derives a log-normal variate exp(mu+sigma*Z) from a hash.
+func LogNormalFromHash(h uint64, mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*NormalFromHash(h))
 }
