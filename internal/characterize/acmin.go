@@ -145,7 +145,7 @@ func NewBench(spec chipgen.ModuleSpec, cfg Config, tempC float64) (*bender.Bench
 // location on one bench, stitched into points by AssembleACminSweep.
 func ACminSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS) ([]SweepPoint, error) {
 	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
-	cols, err := ACminColumns(spec, cfg, tempC, tAggONs, locs, len(locs) > 1)
+	cols, err := ACminColumns(spec, cfg, tempC, tAggONs, locs)
 	if err != nil {
 		return nil, err
 	}
@@ -158,21 +158,10 @@ func ACminSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dr
 // of TestedLocations through ACminColumns (in any partition) and
 // stitching with AssembleACminSweep gives ACminSweep's output bit for
 // bit — this is the sub-shard work function behind the split ACmin
-// experiments, and ACminSweep is its serial wrapper.
-//
-// The points match the tAggON-major order the paper's sweep runs in
-// (tAggON outer, location inner; kept as the test reference) because of
-// the off-time profile: there, consecutive search groups at one
-// location are separated by the other locations' groups, each advancing
-// the shared bench clock by at least ~30 ms (the first budget-bounded
-// probe of any group), so every group past a location's first starts
-// beyond dram.RecoveredOff and its first-activation off time caps there.
-// A column reproduces that cap in closed form by advancing its private
-// clock by RecoveredOff between groups. gap must be true exactly when
-// the sweep tests more than one location; with a single location no
-// groups intervene in the tAggON-major order and the advance must not be
-// inserted.
-func ACminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS, locs []int, gap bool) ([][]RowResult, error) {
+// experiments, and ACminSweep is its serial wrapper. The tests hold the
+// columns to the tAggON-major order the paper's sweep runs in (tAggON
+// outer, location inner).
+func ACminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []dram.TimePS, locs []int) ([][]RowResult, error) {
 	b, err := NewBench(spec, cfg, tempC)
 	if err != nil {
 		return nil, err
@@ -182,10 +171,7 @@ func ACminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []
 	for li, loc := range locs {
 		s := siteFor(loc, cfg.Sided)
 		col := make([]RowResult, 0, len(tAggONs))
-		for gi, on := range tAggONs {
-			if gap && gi > 0 {
-				b.Advance(dram.RecoveredOff)
-			}
+		for _, on := range tAggONs {
 			r, err := searchACminTrials(p, s, on)
 			if err != nil {
 				return nil, err

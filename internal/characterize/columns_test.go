@@ -78,7 +78,7 @@ var columnTAggONs = []dram.TimePS{
 // ({36 ns, 7.8 µs, 70.2 µs} at 50 °C, {7.8 µs} at 80 °C), and the
 // tAggONmin lattices ({1} at 50/80 °C, StandardACs). Each runs single-
 // and double-sided, on a true-cell die (S3) and a mixed true/anti-cell
-// die (M3), at one tested location (no gap) and at several (gap).
+// die (M3), at one tested location and at several.
 func TestSweepWrappersMatchReference(t *testing.T) {
 	summary := []dram.TimePS{36 * dram.Nanosecond, 7800 * dram.Nanosecond, 70200 * dram.Nanosecond, 30 * dram.Millisecond}
 	acLattices := []struct {
@@ -158,7 +158,7 @@ func TestACminColumnsMatchSweep(t *testing.T) {
 	// Per-location partition: one column per site, as the finest split.
 	var cols [][]RowResult
 	for _, loc := range locs {
-		c, err := ACminColumns(spec, cfg, 50, columnTAggONs, []int{loc}, true)
+		c, err := ACminColumns(spec, cfg, 50, columnTAggONs, []int{loc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,11 +170,11 @@ func TestACminColumnsMatchSweep(t *testing.T) {
 
 	// Chunked partition: several sites per column, as the sizing
 	// heuristic produces at paper scale.
-	chunked, err := ACminColumns(spec, cfg, 50, columnTAggONs, locs[:2], true)
+	chunked, err := ACminColumns(spec, cfg, 50, columnTAggONs, locs[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, err := ACminColumns(spec, cfg, 50, columnTAggONs, locs[2:], true)
+	rest, err := ACminColumns(spec, cfg, 50, columnTAggONs, locs[2:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +183,8 @@ func TestACminColumnsMatchSweep(t *testing.T) {
 	}
 }
 
-// TestACminColumnsSingleLocation: with one tested location no other
-// groups intervene in the tAggON-major order, so the column must not
-// insert the recovered-off advance (gap=false) to stay identical.
+// TestACminColumnsSingleLocation: with one tested location the column
+// and the tAggON-major order run the same searches in the same order.
 func TestACminColumnsSingleLocation(t *testing.T) {
 	cfg := quickConfig(1)
 	spec := mustSpec(t, "S3")
@@ -197,7 +196,7 @@ func TestACminColumnsSingleLocation(t *testing.T) {
 	if len(locs) != 1 {
 		t.Fatalf("want exactly 1 tested location, got %d", len(locs))
 	}
-	cols, err := ACminColumns(spec, cfg, 50, columnTAggONs, locs, false)
+	cols, err := ACminColumns(spec, cfg, 50, columnTAggONs, locs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestTAggONminColumnsMatchSweep(t *testing.T) {
 	}
 	var cols [][]TAggONminResult
 	for _, loc := range locs {
-		c, err := TAggONminColumns(spec, cfg, 50, acs, []int{loc}, true)
+		c, err := TAggONminColumns(spec, cfg, 50, acs, []int{loc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +241,7 @@ func TestACminColumnsDoubleSided(t *testing.T) {
 	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
 	var cols [][]RowResult
 	for _, loc := range locs {
-		c, err := ACminColumns(spec, cfg, 80, columnTAggONs, []int{loc}, true)
+		c, err := ACminColumns(spec, cfg, 80, columnTAggONs, []int{loc})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ package characterize
 import (
 	"fmt"
 
-	"repro/internal/bender"
 	"repro/internal/dram"
 )
 
@@ -171,46 +170,4 @@ func siteFor(loc int, sided Sidedness) site {
 		}
 	}
 	return s
-}
-
-// prepare writes the data pattern into the site's rows (victims get the
-// victim byte, aggressors the aggressor byte), resetting their state.
-func (s site) prepare(b *bender.Bench, p dram.DataPattern) error {
-	for _, v := range s.victims {
-		if err := b.WriteRow(b.RowMap.Logical(v), p.VictimByte()); err != nil {
-			return err
-		}
-	}
-	for _, a := range s.aggressors {
-		if err := b.WriteRow(b.RowMap.Logical(a), p.AggressorByte()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// check reads all victims and returns every bitflip, tagging flips with
-// physical row coordinates.
-func (s site) check(b *bender.Bench, p dram.DataPattern) ([]bender.Flip, error) {
-	var all []bender.Flip
-	for _, v := range s.victims {
-		flips, err := b.CheckRow(b.RowMap.Logical(v), p.VictimByte())
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range flips {
-			f.LogicalRow = v // report in physical coordinates
-			all = append(all, f)
-		}
-	}
-	return all, nil
-}
-
-// hammer runs count total activations over the site's aggressors.
-func (s site) hammer(b *bender.Bench, count int, onTime, extraOff dram.TimePS) error {
-	logical := make([]int, len(s.aggressors))
-	for i, a := range s.aggressors {
-		logical[i] = b.RowMap.Logical(a)
-	}
-	return b.Hammer(logical, count, onTime, extraOff)
 }

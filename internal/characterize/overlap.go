@@ -13,13 +13,16 @@ type CellKey struct {
 	Bit  uint8
 }
 
-// cellSet collects flips into a set of cells.
-func cellSet(flips []bender.Flip) map[CellKey]bool {
-	s := make(map[CellKey]bool, len(flips))
+// cellOf returns the cell a flip landed in.
+func cellOf(f bender.Flip) CellKey {
+	return CellKey{Row: f.LogicalRow, Byte: f.Byte, Bit: f.Bit}
+}
+
+// addCells adds the cells of flips to set.
+func addCells(set map[CellKey]bool, flips []bender.Flip) {
 	for _, f := range flips {
-		s[CellKey{Row: f.LogicalRow, Byte: f.Byte, Bit: f.Bit}] = true
+		set[cellOf(f)] = true
 	}
-	return s
 }
 
 // OverlapRatio returns |a ∩ b| / |a| (zero when a is empty).
@@ -46,31 +49,23 @@ type OverlapPoint struct {
 	WithRetention float64
 }
 
-// RetentionTest reproduces the §4.3 retention experiment: initialize the
-// tested rows with the data pattern, disable refresh for holdSeconds at
-// 80 °C, and collect the cells that flipped.
+// RetentionTest reproduces the §4.3 retention experiment on a fresh
+// bench: initialize the tested rows with the data pattern, disable
+// refresh for holdSeconds at 80 °C, and collect the cells that flipped.
 func RetentionTest(b *bender.Bench, locs []int, cfg Config, holdSeconds float64) (map[CellKey]bool, error) {
 	if err := b.SetTemperature(80); err != nil {
 		return nil, err
 	}
-	sites := make([]site, 0, len(locs))
-	for _, loc := range locs {
-		s := siteFor(loc, cfg.Sided)
-		if err := s.prepare(b, cfg.Pattern); err != nil {
-			return nil, err
-		}
-		sites = append(sites, s)
+	p := newProber(b, cfg)
+	sites := make([]site, len(locs))
+	for i, loc := range locs {
+		sites[i] = siteFor(loc, cfg.Sided)
+		p.prepare(sites[i])
 	}
 	b.Advance(dram.FromSeconds(holdSeconds))
 	set := make(map[CellKey]bool)
 	for _, s := range sites {
-		flips, err := s.check(b, cfg.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		for k := range cellSet(flips) {
-			set[k] = true
-		}
+		addCells(set, p.check(s))
 	}
 	return set, nil
 }
@@ -98,18 +93,14 @@ func OverlapSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []
 	hammerSet := make(map[CellKey]bool)
 	if len(sweep) > 0 {
 		for _, r := range sweep[0].Results {
-			for k := range cellSet(r.Flips) {
-				hammerSet[k] = true
-			}
+			addCells(hammerSet, r.Flips)
 		}
 	}
 	out := make([]OverlapPoint, 0, len(sweep))
 	for _, pt := range sweep {
 		set := make(map[CellKey]bool)
 		for _, r := range pt.Results {
-			for k := range cellSet(r.Flips) {
-				set[k] = true
-			}
+			addCells(set, r.Flips)
 		}
 		out = append(out, OverlapPoint{
 			TAggON:        pt.TAggON,
@@ -121,23 +112,17 @@ func OverlapSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []
 	return out, nil
 }
 
-// MaxACFlips collects the cells that flip when the aggressors are
-// activated as many times as the budget allows (the @ACmax variant of
-// Fig. 11 and the ECC analysis of §7.1). It returns the flip list so
-// callers can analyze per-word error multiplicities.
+// MaxACFlips collects, on a fresh bench, the cells that flip when the
+// aggressors are activated as many times as the budget allows (the
+// @ACmax variant of Fig. 11 and the ECC analysis of §7.1). It returns the
+// flip list so callers can analyze per-word error multiplicities.
 func MaxACFlips(b *bender.Bench, locs []int, onTime dram.TimePS, cfg Config) ([]bender.Flip, error) {
+	p := newProber(b, cfg)
 	slot := onTime + b.Mod.Timing.TRP
 	var all []bender.Flip
 	for _, loc := range locs {
 		s := siteFor(loc, cfg.Sided)
-		count := maxActivations(cfg.TimeBudget, slot, len(s.aggressors))
-		if err := s.prepare(b, cfg.Pattern); err != nil {
-			return nil, err
-		}
-		if err := s.hammer(b, count, onTime, 0); err != nil {
-			return nil, err
-		}
-		flips, err := s.check(b, cfg.Pattern)
+		flips, err := p.probe(s, maxActivations(cfg.TimeBudget, slot, len(s.aggressors)), onTime, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -7,14 +7,17 @@ import (
 	"repro/internal/dram"
 )
 
-// prober evaluates one characterization probe — prepare the site's data
+// prober evaluates the §4.1 measurement loop — prepare the site's data
 // pattern, run the hammer loop, check the victims — analytically instead
-// of through the module's command path.
+// of through the module's command path. It is the one victim-check path
+// of every characterization flow: the ACmin and tAggONmin searches, BER
+// and ONOFF, repeatability, the @ACmax flips of Figs. 11/25/26 and the
+// retention test.
 //
-// The old probe cost was dominated not by the hammer loop (already
-// batched) but by re-initializing every site row (8 KiB fills) and
-// fetching every victim (8 KiB copies plus exposure bookkeeping) for each
-// of the O(log N) bisection probes. The prober keeps one state record per
+// On the command path a probe's cost is dominated not by the hammer loop
+// (already batched) but by re-initializing every site row (8 KiB fills)
+// and fetching every victim (8 KiB copies plus exposure bookkeeping) for
+// each of the O(log N) bisection probes. The prober keeps one state record per
 // touched row — its current contents as a scratch buffer, and the only
 // cross-probe state the command path threads between probes: the row's
 // last precharge instant (the off time preceding its next first
@@ -24,14 +27,13 @@ import (
 // flips materialize through the very same Disturber evaluation the module
 // would run — so a probe's outcome is bit-identical to executing the
 // commands, at O(site) cost independent of the activation count. The
-// golden-report suite and TestProberMatchesCommandPath enforce that
-// equivalence.
+// golden-report suite and the differential tests against the command-path
+// reference (commandpath_test.go) enforce that equivalence.
 //
-// A prober owns its site rows' virtual state for the lifetime of a sweep:
-// interleaving command-path operations on the same rows of the same bench
-// would fork history. Sweeps create one prober and route every search
-// through it; independent flows (BER, repeatability, retention) use their
-// own benches as before.
+// A prober owns its site rows' virtual state for the lifetime of a flow,
+// starting from a fresh bench: rows the module itself has touched would
+// fork history. Each flow creates one prober on its own bench and routes
+// every probe through it.
 type prober struct {
 	b   *bender.Bench
 	cfg Config
@@ -105,11 +107,12 @@ func (p *prober) initRow(row int, fillByte byte) {
 		rs.fill = int(fillByte)
 	}
 	rs.lastRestore = p.b.Now()
-	p.b.Advance(dram.Microsecond) // WriteRow's per-row setup time
+	p.b.Advance(dram.Microsecond) // the command path's per-row setup time
 }
 
-// prepare resets the site's rows to the data pattern, victims first, like
-// site.prepare, and starts a new probe: every pending exposure is stale.
+// prepare resets the site's rows to the data pattern, victims first, as
+// the command path does, and starts a new probe: every pending exposure
+// is stale.
 func (p *prober) prepare(s site) {
 	p.epoch++
 	for _, v := range s.victims {
@@ -246,7 +249,7 @@ func appendByteDiff(all []bender.Flip, row, i int, got, expect byte) []bender.Fl
 	for bit := uint8(0); diff != 0 && bit < 8; bit++ {
 		if diff&(1<<bit) != 0 {
 			all = append(all, bender.Flip{
-				LogicalRow: row, // physical coordinates, as site.check reports
+				LogicalRow: row, // physical coordinates
 				Byte:       i,
 				Bit:        bit,
 				From:       expect&(1<<bit) != 0,

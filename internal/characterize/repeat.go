@@ -59,8 +59,9 @@ func repeatabilityStudy(b *bender.Bench, cfg Config, tAggONs []dram.TimePS,
 				if err != nil {
 					return nil, err
 				}
-				for k := range cellSet(flips) {
-					counts[k]++
+				// A check reports each flipped cell once.
+				for _, f := range flips {
+					counts[cellOf(f)]++
 				}
 			}
 		}

@@ -92,13 +92,10 @@ var StandardACs = []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10
 // TAggONminSweep measures tAggONmin as the activation count grows
 // (Fig. 9) or, with acs = {1}, at one temperature of the Fig. 15 sweep.
 // It is TAggONminColumns over every tested location on one bench,
-// stitched into points by AssembleTAggONminSweep, so it inherits the
-// columns' precondition: every activation count must leave a probe-able
-// dwell window (TimeBudget/ac − tRP > tRAS). StandardACs satisfies it at
-// the default budget.
+// stitched into points by AssembleTAggONminSweep.
 func TAggONminSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, acs []int) ([]TAggONminPoint, error) {
 	locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
-	cols, err := TAggONminColumns(spec, cfg, tempC, acs, locs, len(locs) > 1)
+	cols, err := TAggONminColumns(spec, cfg, tempC, acs, locs)
 	if err != nil {
 		return nil, err
 	}
@@ -107,13 +104,8 @@ func TAggONminSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, acs []in
 
 // TAggONminColumns is ACminColumns' counterpart for the tAggONmin
 // search: the searches of the given tested locations, indexed
-// [location][ac], with TAggONminSweep as its serial wrapper. The same
-// off-time equivalence and gap rule apply (see ACminColumns); it
-// additionally requires every activation count to leave a probe-able
-// dwell window (budget/ac − tRP > tRAS, true for every lattice the
-// experiments use), since a degenerate group advances no clock in the
-// ac-major order.
-func TAggONminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, acs []int, locs []int, gap bool) ([][]TAggONminResult, error) {
+// [location][ac], with TAggONminSweep as its serial wrapper.
+func TAggONminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, acs []int, locs []int) ([][]TAggONminResult, error) {
 	b, err := NewBench(spec, cfg, tempC)
 	if err != nil {
 		return nil, err
@@ -123,10 +115,7 @@ func TAggONminColumns(spec chipgen.ModuleSpec, cfg Config, tempC float64, acs []
 	for li, loc := range locs {
 		s := siteFor(loc, cfg.Sided)
 		col := make([]TAggONminResult, 0, len(acs))
-		for gi, ac := range acs {
-			if gap && gi > 0 {
-				b.Advance(dram.RecoveredOff)
-			}
+		for _, ac := range acs {
 			r, err := searchTAggONminTrials(p, s, ac)
 			if err != nil {
 				return nil, err

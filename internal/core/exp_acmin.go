@@ -57,7 +57,6 @@ func acminSplit[T any](o Options, spec chipgen.ModuleSpec, variants []acminVaria
 	cfg0 := o.charConfig()
 	locs := characterize.TestedLocations(cfg0.Geometry, cfg0.RowsToTest)
 	chunks := chunkRanges(len(locs), subShardTarget)
-	gap := len(locs) > 1
 
 	type subOf struct{ vi, ci int }
 	var keys []string
@@ -78,7 +77,7 @@ func acminSplit[T any](o Options, spec chipgen.ModuleSpec, variants []acminVaria
 			v, ch := variants[subs[j].vi], chunks[subs[j].ci]
 			cfg := o.charConfig()
 			cfg.Sided = v.sided
-			cols, err := characterize.ACminColumns(spec, cfg, v.tempC, taggons, locs[ch[0]:ch[1]], gap)
+			cols, err := characterize.ACminColumns(spec, cfg, v.tempC, taggons, locs[ch[0]:ch[1]])
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", spec.ID, keys[j], err)
 			}
@@ -225,7 +224,6 @@ func splitFig9(o Options, spec chipgen.ModuleSpec) split[[]string, [][]character
 	cfg := o.charConfig()
 	locs := characterize.TestedLocations(cfg.Geometry, cfg.RowsToTest)
 	chunks := chunkRanges(len(locs), subShardTarget)
-	gap := len(locs) > 1
 	keys := make([]string, len(chunks))
 	for ci, ch := range chunks {
 		keys[ci] = fmt.Sprintf("locs/%d-%d", locs[ch[0]], locs[ch[1]-1])
@@ -234,7 +232,7 @@ func splitFig9(o Options, spec chipgen.ModuleSpec) split[[]string, [][]character
 		keys: keys,
 		work: func(j int) ([][]characterize.TAggONminResult, error) {
 			ch := chunks[j]
-			cols, err := characterize.TAggONminColumns(spec, o.charConfig(), 50, acs, locs[ch[0]:ch[1]], gap)
+			cols, err := characterize.TAggONminColumns(spec, o.charConfig(), 50, acs, locs[ch[0]:ch[1]])
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", spec.ID, keys[j], err)
 			}

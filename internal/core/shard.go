@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/chipgen"
 	"repro/internal/engine"
@@ -17,7 +18,8 @@ import (
 // not mutate them. The builders gob-register every payload type they
 // carry, so any plan a process builds can persist and ship its payloads:
 // a process only encodes or decodes a payload at the key of a plan it
-// has already built.
+// has already built. They also record each payload's type on its shard,
+// so a fabric peer's answer of another type is never merged or cached.
 
 // typedShards converts n typed work units into engine shards plus a merge
 // adapter that hands the typed payload slice to render.
@@ -26,7 +28,7 @@ func typedShards[T any](keys []string, work func(i int) (T, error),
 	engine.RegisterPayloadType(*new(T))
 	shards := make([]engine.Shard, len(keys))
 	for i, key := range keys {
-		shards[i] = engine.Shard{Key: key, Run: func() (any, error) { return work(i) }}
+		shards[i] = engine.Shard{Key: key, Run: func() (any, error) { return work(i) }, Type: reflect.TypeFor[T]()}
 	}
 	return engine.Plan{Shards: shards, Merge: typedMerge(keys, render)}
 }
@@ -72,10 +74,11 @@ func typedSplitShards[T, S any](keys []string, splitOf func(i int) split[T, S],
 		sp := splitOf(i)
 		subs := make([]engine.SubShard, len(sp.keys))
 		for j, sk := range sp.keys {
-			subs[j] = engine.SubShard{Key: sk, Run: func() (any, error) { return sp.work(j) }}
+			subs[j] = engine.SubShard{Key: sk, Run: func() (any, error) { return sp.work(j) }, Type: reflect.TypeFor[S]()}
 		}
 		shards[i] = engine.Shard{
 			Key:  key,
+			Type: reflect.TypeFor[T](),
 			Subs: subs,
 			Gather: func(parts []any) (any, error) {
 				ss := make([]S, len(parts))

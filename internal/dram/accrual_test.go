@@ -140,20 +140,21 @@ func (d probingThreshold) WouldFlip(bank, row int, data []byte, nb NeighborData,
 	return false
 }
 
-// TestProbeFetchRandomTraces drives randomized variable-dwell traces
-// through the command path, then checks that the pure probe of the victim
-// rows equals a real fetch stream executed right after — on the very same
-// module, since the probe must not perturb it. It runs under both a plain
-// disturber (ProbeWouldFlip falls back to the counting walk) and a
-// FlipProber one (the copy-free early-exit walk).
-func TestProbeFetchRandomTraces(t *testing.T) {
+// TestProbeCheckRandomTraces drives randomized variable-dwell traces
+// through the command path — every other one with a preventive refresh
+// burning pending flips into a victim mid-trace — then holds the pure
+// probe of the victim rows to the ProbeCheck contract against the fetch
+// stream executed right after, on the very same module. It runs under
+// both a plain disturber and a FlipProber one.
+func TestProbeCheckRandomTraces(t *testing.T) {
 	base := thresholdDisturber{hInc: 1.2, pInc: 120, threshold: 9}
 	for _, dist := range []Disturber{base, probingThreshold{base}} {
-		t.Run("", func(t *testing.T) { probeFetchRandomTraces(t, dist) })
+		t.Run("", func(t *testing.T) { probeCheckRandomTraces(t, dist) })
 	}
 }
 
-func probeFetchRandomTraces(t *testing.T, dist Disturber) {
+func probeCheckRandomTraces(t *testing.T, dist Disturber) {
+	victims := []int{29, 31, 33, 35, 28, 36, 27, 37}
 	f := func(seed uint64) bool {
 		m := testModule(dist)
 		tm := m.Timing
@@ -176,37 +177,16 @@ func probeFetchRandomTraces(t *testing.T, dist Disturber) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		victims := []int{29, 31, 33, 35, 28, 36, 27, 37}
-		probes, _, err := m.ProbeFetch(end, 0, victims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The any-flip predicate must agree with the counting probe.
-		total := 0
-		for _, p := range probes {
-			total += p.Flips
-		}
-		hit, err := m.ProbeWouldFlip(end, 0, victims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit != (total > 0) {
-			t.Logf("seed %d: ProbeWouldFlip=%v but ProbeFetch found %d flips", seed, hit, total)
-			return false
-		}
-		now := end
-		for i, v := range victims {
-			data, fin, err := m.FetchRow(now, 0, v)
-			if err != nil {
+		if seed%2 == 0 {
+			if err := m.RestoreRow(end, 0, victims[(seed/2)%uint64(len(victims))]); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(data, probes[i].Data) {
-				t.Logf("seed %d: victim %d probe/fetch mismatch", seed, v)
-				return false
+			if end, err = m.PlayTrace(end, 0, n/2, slotFn, nil); err != nil {
+				t.Fatal(err)
 			}
-			now = fin
 		}
-		return true
+		checkProbeCheck(t, m, end, victims, 0x3C)
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -63,8 +63,8 @@ type Disturber interface {
 // FlipProber is the optional Disturber extension for pure flip
 // predicates: WouldFlip reports whether ApplyFlips on the same inputs
 // would flip at least one cell, without mutating data. Models that
-// implement it let Module.ProbeWouldFlip answer searches with an
-// early-exit evaluation and no row copies.
+// implement it let Module.ProbeCheck and the copy-on-write restore copy a
+// row only when a flip lands in it.
 type FlipProber interface {
 	WouldFlip(bank, row int, data []byte, nb NeighborData, exp Exposure) bool
 }

@@ -337,23 +337,20 @@ func (m *Module) accrue(bank, aggRow int, onTime, offTime TimePS, tempC float64)
 }
 
 // restoreRow materializes accumulated disturbance as bitflips and resets
-// the row's exposure, returning the number of bits flipped. Called on ACT
-// and by RestoreRow.
-func (m *Module) restoreRow(bank, row int, at TimePS) int {
+// the row's exposure. Called on ACT and by RestoreRow.
+func (m *Module) restoreRow(bank, row int, at TimePS) {
 	rs := m.row(bank, row)
 	exp := rs.exp
 	exp.Retention = m.retentionStress(rs.lastRestore, at)
-	flips := 0
 	if rs.data != nil && (!exp.IsZero() || exp.Retention > 0) {
 		nb := m.neighborData(bank, row)
-		if !rs.shared || m.sharedRowFlips(bank, row, rs.data, nb, exp) {
+		if !rs.shared || m.flipLands(bank, row, rs.data, nb, exp) {
 			rs.ownData()
-			flips = m.dist.ApplyFlips(bank, row, rs.data, nb, exp)
+			m.dist.ApplyFlips(bank, row, rs.data, nb, exp)
 		}
 	}
 	rs.exp = Exposure{}
 	rs.lastRestore = at
-	return flips
 }
 
 // neighborData collects the adjacent rows' contents for the data-coupling
@@ -377,24 +374,15 @@ func (m *Module) neighborData(bank, row int) NeighborData {
 // pending flips first (this is what a targeted/preventive refresh does).
 // TRR and RowHammer mitigations use it.
 func (m *Module) RestoreRow(at TimePS, bank, row int) error {
-	_, err := m.RestoreRowCounted(at, bank, row)
-	return err
-}
-
-// RestoreRowCounted is RestoreRow reporting how many bitflips the restore
-// materialized. Searches track mid-play materialization through it: once
-// a preventive refresh has burned a flip into a victim, "did anything
-// flip?" can no longer be answered by pending-exposure probes alone.
-func (m *Module) RestoreRowCounted(at TimePS, bank, row int) (int, error) {
 	if err := m.checkBank(bank); err != nil {
-		return 0, err
+		return err
 	}
 	if err := m.checkRow(row); err != nil {
-		return 0, err
+		return err
 	}
-	flips := m.restoreRow(bank, row, at)
+	m.restoreRow(bank, row, at)
 	m.advance(at)
-	return flips, nil
+	return nil
 }
 
 // InitRow initializes a row's contents directly, outside the command

@@ -1,257 +1,158 @@
 package dram
 
-// Pure (side-effect-free) probing of pending disturbance.
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// Pure (side-effect-free) victim checks.
 //
 // A search that wants to know "would stopping here produce a bitflip?"
 // used to have to actually fetch the victim rows — materializing flips,
 // resetting exposure, and advancing per-row PRE history, which forced the
-// next probe to replay the whole pattern. ProbeFetch answers the question
-// without mutating anything: it simulates the exact FetchRow sequence the
+// next probe to replay the whole pattern. ProbeCheck answers the question
+// without mutating anything: it walks the exact FetchRow sequence the
 // caller would issue (including the fetch stream's own self-disturbance
 // and the sequential neighbor-coupling of flips materialized earlier in
-// the same check) against scratch copies of the row contents and a
-// copy-on-write exposure overlay.
+// the same check) over a per-call overlay of the touched rows.
 
-// RowProbe is the simulated outcome of fetching one row.
-type RowProbe struct {
-	Row   int
-	Data  []byte // contents as the fetch would return them (a private copy)
-	Flips int    // bitflips the fetch would materialize at that instant
+// probeRow is ProbeCheck's view of one row at the current point of the
+// simulated stream, seeded from the live row on first touch.
+type probeRow struct {
+	row     int
+	exp     Exposure // pending exposure
+	data    []byte   // live buffer until a simulated flip lands, then a private copy
+	own     bool     // data is a private copy
+	restore TimePS   // last charge restore
+	pre     TimePS   // last PRE instant, if hasPre
+	hasPre  bool
 }
 
-// ProbeFetch simulates FetchRow(at, bank, rows[0]) … FetchRow(…, rows[n-1])
-// back to back — the standard victim-check stream — and returns what each
-// fetch would observe plus the completion time, leaving the module
-// untouched. Flip evaluation goes through the same Disturber calls as the
-// real fetch, on scratch row copies, so results are bit-identical to
-// executing the stream; the module's exposure, contents, per-row PRE
-// history, clock, and counters all stay as they were.
-func (m *Module) ProbeFetch(at TimePS, bank int, rows []int) ([]RowProbe, TimePS, error) {
+// probeWalk is the overlay of one ProbeCheck call. Rows are few (the
+// fetched rows and their blast radii), so lookup is a linear scan.
+type probeWalk struct {
+	m    *Module
+	bank int
+	rows []probeRow
+}
+
+// at returns the index of row's overlay entry, creating it from the live
+// row. Appending may move entries: callers re-index after every at.
+func (w *probeWalk) at(row int) int {
+	for i := range w.rows {
+		if w.rows[i].row == row {
+			return i
+		}
+	}
+	pr := probeRow{row: row}
+	if rs := w.m.peekRow(w.bank, row); rs != nil {
+		pr.exp, pr.data, pr.restore = rs.exp, rs.data, rs.lastRestore
+		pr.pre, pr.hasPre = rs.lastPreAt, rs.lastPreSet
+	}
+	w.rows = append(w.rows, pr)
+	return len(w.rows) - 1
+}
+
+// dataOf returns the contents the stream would see in row, nil off the
+// array or for a never-written row.
+func (w *probeWalk) dataOf(row int) []byte {
+	if row < 0 || row >= w.m.Geo.RowsPerBank {
+		return nil
+	}
+	return w.rows[w.at(row)].data
+}
+
+// ProbeCheck simulates FetchRow(at, bank, rows[0]) … FetchRow(…, rows[n-1])
+// back to back — the standard victim-check stream — and returns how many
+// of the fetched bits differ from expect, leaving the module untouched:
+// its exposure, contents, per-row PRE history, clock, and counters all
+// stay as they were. Flip evaluation goes through the same Disturber calls
+// as the real fetch, so the count is exactly that of executing the stream
+// and diffing. A row is copied only when a flip lands in it (FlipProber's
+// WouldFlip says so, or the disturber cannot tell).
+//
+// With limit > 0 the walk stops once the count reaches limit. That is
+// exact: a row's count is final when its fetch is, so a search that only
+// needs "did anything flip?" passes limit 1. limit 0 counts every row.
+func (m *Module) ProbeCheck(at TimePS, bank int, rows []int, expect byte, limit int) (int, error) {
 	if err := m.checkBank(bank); err != nil {
-		return nil, at, err
+		return 0, err
 	}
 	b := m.banks[bank]
 	if b.open {
-		return nil, at, timingErr("ACT", bank, "row %d already open", b.openRow)
+		return 0, timingErr("ACT", bank, "row %d already open", b.openRow)
 	}
-
-	scratch := make(map[int][]byte, len(rows))     // post-flip contents overlay
-	overlay := make(map[int]*Exposure, len(rows))  // exposure overlay (fetch self-disturbance)
-	virtPre := make(map[int]TimePS, len(rows))     // PRE instants of earlier simulated fetches
-	virtRestore := make(map[int]TimePS, len(rows)) // restore instants of earlier simulated fetches
-
-	// expOf returns the exposure the row would hold at this point of the
-	// simulated stream, copy-on-write.
-	expOf := func(row int) *Exposure {
-		if e, ok := overlay[row]; ok {
-			return e
+	w := probeWalk{m: m, bank: bank, rows: make([]probeRow, 0, len(rows)*(2*BlastRadius+1))}
+	add := func(victim int, above bool, h, p float64) {
+		e := &w.rows[w.at(victim)].exp
+		if above {
+			e.HammerAbove += h
+			e.PressAbove += p
+		} else {
+			e.HammerBelow += h
+			e.PressBelow += p
 		}
-		e := &Exposure{}
-		if rs := m.peekRow(bank, row); rs != nil {
-			*e = rs.exp
-		}
-		overlay[row] = e
-		return e
 	}
-	// dataOf returns the row contents the stream would see: the scratch
-	// copy once a simulated fetch materialized flips into it, the live
-	// buffer otherwise (read-only).
-	dataOf := func(row int) []byte {
-		if d, ok := scratch[row]; ok {
-			return d
-		}
-		if rs := m.peekRow(bank, row); rs != nil {
-			return rs.data
-		}
-		return nil
-	}
-	prevOff := func(row int, actAt TimePS) TimePS {
-		if pre, ok := virtPre[row]; ok {
-			off := actAt - pre
-			if off > recoveredOff {
-				off = recoveredOff
-			}
-			return off
-		}
-		return m.prevOff(bank, row, actAt)
-	}
-
-	out := make([]RowProbe, 0, len(rows))
+	n := 0
 	hasPre, lastPre := b.hasPre, b.lastPreAt
 	now := at
 	for _, row := range rows {
 		if err := m.checkRow(row); err != nil {
-			return nil, now, err
+			return n, err
 		}
 		if hasPre && now < lastPre+m.Timing.TRP {
-			return nil, now, timingErr("ACT", bank, "tRP violated: PRE at %d, ACT at %d", lastPre, now)
+			return n, timingErr("ACT", bank, "tRP violated: PRE at %d, ACT at %d", lastPre, now)
 		}
 
-		// ACT: materialize pending disturbance into a scratch copy.
-		exp := *expOf(row)
-		lastRestore, restored := virtRestore[row]
-		if !restored {
-			if rs := m.peekRow(bank, row); rs != nil {
-				lastRestore = rs.lastRestore
+		// ACT: materialize pending disturbance.
+		nb := NeighborData{Above: w.dataOf(row + 1), Below: w.dataOf(row - 1)}
+		pr := &w.rows[w.at(row)]
+		exp := pr.exp
+		exp.Retention = m.retentionStress(pr.restore, now)
+		if pr.data != nil && (!exp.IsZero() || exp.Retention > 0) && m.flipLands(bank, row, pr.data, nb, exp) {
+			if !pr.own {
+				pr.data, pr.own = append([]byte(nil), pr.data...), true
 			}
-		}
-		exp.Retention = m.retentionStress(lastRestore, now)
-		data := scratch[row]
-		if data == nil {
-			if live := dataOf(row); live != nil {
-				data = append([]byte(nil), live...)
-				scratch[row] = data
-			}
-		}
-		flips := 0
-		if data != nil && (!exp.IsZero() || exp.Retention > 0) {
-			nb := NeighborData{}
-			if row+1 < m.Geo.RowsPerBank {
-				nb.Above = dataOf(row + 1)
-			}
-			if row-1 >= 0 {
-				nb.Below = dataOf(row - 1)
-			}
-			flips = m.dist.ApplyFlips(bank, row, data, nb, exp)
+			m.dist.ApplyFlips(bank, row, pr.data, nb, exp)
 		}
 		// The restore resets exposure; later self-disturbance accrues from
 		// zero, exactly as the real fetch leaves the row.
-		*overlay[row] = Exposure{}
-		virtRestore[row] = now
+		pr.exp, pr.restore = Exposure{}, now
 
-		// Fetch returns a full-row copy (zero-filled for never-written rows).
-		probe := RowProbe{Row: row, Flips: flips, Data: make([]byte, m.Geo.RowBytes)}
-		if data != nil {
-			copy(probe.Data, data)
+		// The fetch returns the row (zero-filled if never written).
+		n += diffBits(pr.data, expect, m.Geo.RowBytes)
+		if limit > 0 && n >= limit {
+			return n, nil
 		}
-		out = append(out, probe)
 
 		// PRE: the fetch's own activation disturbs the row's neighborhood.
 		preAt := now + m.Timing.TRAS
-		off := prevOff(row, now)
-		accrueSpec(m.dist, m.Geo.RowsPerBank, row, m.Timing.TRAS, off, m.TemperatureAt(preAt), 1, nil,
-			func(victim int, above bool, h, p float64) {
-				e := expOf(victim)
-				if above {
-					e.HammerAbove += h
-					e.PressAbove += p
-				} else {
-					e.HammerBelow += h
-					e.PressBelow += p
-				}
-			})
-		virtPre[row] = preAt
+		off := recoveredOff
+		if pr.hasPre {
+			off = min(now-pr.pre, recoveredOff)
+		}
+		pr.pre, pr.hasPre = preAt, true
+		m.AccrueOne(row, m.Timing.TRAS, off, m.TemperatureAt(preAt), add)
 		hasPre, lastPre = true, preAt
 		now = preAt + m.Timing.TRP
 	}
-	return out, now, nil
+	return n, nil
 }
 
-// ProbeWouldFlip reports whether the simulated fetch stream of ProbeFetch
-// would materialize at least one bitflip, without mutating anything. With
-// a FlipProber disturber it needs no row copies at all: rows before the
-// first flip are unmutated in the simulated stream, so the live buffers
-// are exactly what each fetch would evaluate, and the walk returns at the
-// first crossing cell. Searches that only need the any-flip predicate
-// (the scenario min-exposure bisection) probe through here.
-func (m *Module) ProbeWouldFlip(at TimePS, bank int, rows []int) (bool, error) {
-	fp, ok := m.dist.(FlipProber)
-	if !ok {
-		probes, _, err := m.ProbeFetch(at, bank, rows)
-		if err != nil {
-			return false, err
-		}
-		for _, p := range probes {
-			if p.Flips > 0 {
-				return true, nil
-			}
-		}
-		return false, nil
+// diffBits counts the bits of a rowBytes-long row that differ from the
+// fill byte expect; nil data reads as zeros. It compares eight bytes at a
+// time.
+func diffBits(data []byte, expect byte, rowBytes int) int {
+	if data == nil {
+		return bits.OnesCount8(expect) * rowBytes
 	}
-	if err := m.checkBank(bank); err != nil {
-		return false, err
+	word := uint64(expect) * 0x0101010101010101
+	n, i := 0, 0
+	for ; i+8 <= len(data); i += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(data[i:]) ^ word)
 	}
-	b := m.banks[bank]
-	if b.open {
-		return false, timingErr("ACT", bank, "row %d already open", b.openRow)
+	for ; i < len(data); i++ {
+		n += bits.OnesCount8(data[i] ^ expect)
 	}
-
-	overlay := make(map[int]*Exposure, len(rows))
-	virtPre := make(map[int]TimePS, len(rows))
-	virtRestore := make(map[int]TimePS, len(rows))
-	expOf := func(row int) *Exposure {
-		if e, ok := overlay[row]; ok {
-			return e
-		}
-		e := &Exposure{}
-		if rs := m.peekRow(bank, row); rs != nil {
-			*e = rs.exp
-		}
-		overlay[row] = e
-		return e
-	}
-
-	hasPre, lastPre := b.hasPre, b.lastPreAt
-	now := at
-	for _, row := range rows {
-		if err := m.checkRow(row); err != nil {
-			return false, err
-		}
-		if hasPre && now < lastPre+m.Timing.TRP {
-			return false, timingErr("ACT", bank, "tRP violated: PRE at %d, ACT at %d", lastPre, now)
-		}
-		exp := *expOf(row)
-		lastRestore, restored := virtRestore[row]
-		var data []byte
-		if rs := m.peekRow(bank, row); rs != nil {
-			data = rs.data
-			if !restored {
-				lastRestore = rs.lastRestore
-			}
-		}
-		exp.Retention = m.retentionStress(lastRestore, now)
-		if data != nil && (!exp.IsZero() || exp.Retention > 0) {
-			nb := NeighborData{}
-			if row+1 < m.Geo.RowsPerBank {
-				if rs := m.peekRow(bank, row+1); rs != nil {
-					nb.Above = rs.data
-				}
-			}
-			if row-1 >= 0 {
-				if rs := m.peekRow(bank, row-1); rs != nil {
-					nb.Below = rs.data
-				}
-			}
-			if fp.WouldFlip(bank, row, data, nb, exp) {
-				return true, nil
-			}
-		}
-		*overlay[row] = Exposure{}
-		virtRestore[row] = now
-
-		preAt := now + m.Timing.TRAS
-		off := RecoveredOff
-		if pre, ok := virtPre[row]; ok {
-			if o := now - pre; o < off {
-				off = o
-			}
-		} else {
-			off = m.prevOff(bank, row, now)
-		}
-		accrueSpec(m.dist, m.Geo.RowsPerBank, row, m.Timing.TRAS, off, m.TemperatureAt(preAt), 1, nil,
-			func(victim int, above bool, h, p float64) {
-				e := expOf(victim)
-				if above {
-					e.HammerAbove += h
-					e.PressAbove += p
-				} else {
-					e.HammerBelow += h
-					e.PressBelow += p
-				}
-			})
-		virtPre[row] = preAt
-		hasPre, lastPre = true, preAt
-		now = preAt + m.Timing.TRP
-	}
-	return false, nil
+	return n
 }

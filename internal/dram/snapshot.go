@@ -56,11 +56,11 @@ func (rs *rowState) ownData() {
 	}
 }
 
-// sharedRowFlips reports whether a restore with exposure exp flips a bit
-// of a row whose buffer is shared with the journal, so the buffer is
-// copied only when a flip will land in it. WouldFlip agrees exactly with
-// ApplyFlips > 0; a disturber without it is assumed to flip.
-func (m *Module) sharedRowFlips(bank, row int, data []byte, nb NeighborData, exp Exposure) bool {
+// flipLands reports whether a restore with exposure exp flips a bit of the
+// row, so a buffer shared with the journal (or a live buffer ProbeCheck
+// reads) is copied only when a flip will land in it. WouldFlip agrees
+// exactly with ApplyFlips > 0; a disturber without it is assumed to flip.
+func (m *Module) flipLands(bank, row int, data []byte, nb NeighborData, exp Exposure) bool {
 	fp, ok := m.dist.(FlipProber)
 	return !ok || fp.WouldFlip(bank, row, data, nb, exp)
 }

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 )
 
@@ -142,67 +143,102 @@ func TestCheckpointRollbackAfterRelease(t *testing.T) {
 	m.Rollback()
 }
 
-// TestProbeFetchMatchesFetchRow is the pure-probe contract: ProbeFetch
-// must report exactly what executing the FetchRow stream would, and must
-// not change any module state.
-func TestProbeFetchMatchesFetchRow(t *testing.T) {
-	build := func() (*Module, TimePS) {
-		m := testModule(thresholdDisturber{hInc: 1, pInc: 100, threshold: 30})
-		for row := 28; row <= 34; row++ {
-			if err := m.InitRow(0, 0, row, 0xA5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		end, err := m.HammerBatch(Microsecond, HammerSpec{Bank: 0, Rows: []int{31}, Count: 200, OnTime: 400 * Nanosecond})
+// fetchDiff executes the victim-check stream FetchRow(at, rows[0]) …
+// on m and counts the fetched bits that differ from expect: the answer
+// ProbeCheck must give without executing anything.
+func fetchDiff(t *testing.T, m *Module, at TimePS, rows []int, expect byte) int {
+	t.Helper()
+	n := 0
+	for _, v := range rows {
+		data, fin, err := m.FetchRow(at, 0, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, end + m.Timing.TRP
+		for _, b := range data {
+			n += bits.OnesCount8(b ^ expect)
+		}
+		at = fin
 	}
-	victims := []int{30, 32, 29, 33, 28, 34}
+	return n
+}
 
-	m, at := build()
+// checkProbeCheck holds m's ProbeCheck of rows at time at to the
+// contract — limit 0 counts exactly what executing the FetchRow stream
+// and diffing does, limit 1 is > 0 exactly when that count is, a limit
+// stops the count no earlier than the limit, and no call changes module
+// state — then executes the stream on m. It returns the executed count.
+func checkProbeCheck(t *testing.T, m *Module, at TimePS, rows []int, expect byte) int {
+	t.Helper()
 	before := captureState(m)
-	probes, probeEnd, err := m.ProbeFetch(at, 0, victims)
+	full, err := m.ProbeCheck(at, 0, rows, expect, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := m.ProbeCheck(at, 0, rows, expect, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := m.ProbeCheck(at, 0, rows, expect, full/2+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.ProbeCheck(at, 0, rows, expect, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !statesEqual(before, captureState(m)) {
-		t.Fatal("ProbeFetch mutated module state")
+		t.Fatal("ProbeCheck mutated module state")
 	}
-	// Probing twice gives identical answers (purity).
-	probes2, _, err := m.ProbeFetch(at, 0, victims)
-	if err != nil {
-		t.Fatal(err)
+	if again != full {
+		t.Fatalf("repeated ProbeCheck = %d, first = %d", again, full)
 	}
-	for i := range probes {
-		if probes[i].Flips != probes2[i].Flips || !bytes.Equal(probes[i].Data, probes2[i].Data) {
-			t.Fatalf("repeated probe differs at %d", i)
-		}
+	want := fetchDiff(t, m, at, rows, expect)
+	if full != want {
+		t.Errorf("%T: ProbeCheck(limit 0) = %d, executing the stream diffs %d bits", m.dist, full, want)
 	}
+	if (hit > 0) != (want > 0) || hit > want {
+		t.Errorf("%T: ProbeCheck(limit 1) = %d, executing the stream diffs %d bits", m.dist, hit, want)
+	}
+	if lim := full/2 + 1; want >= lim && (half < lim || half > want) {
+		t.Errorf("%T: ProbeCheck(limit %d) = %d, executing the stream diffs %d bits", m.dist, lim, half, want)
+	}
+	return want
+}
 
-	// Execute the real fetch stream on an identically-built module.
-	ref, _ := build()
-	now := at
-	for i, v := range victims {
-		data, fin, err := ref.FetchRow(now, 0, v)
-		if err != nil {
-			t.Fatal(err)
+// TestProbeCheckMatchesFetchRow is the pure-probe contract on a hammered
+// neighbourhood, with and without a FlipProber, fresh and after a
+// RestoreRow burned flips into every victim (no pending exposure left to
+// cross a threshold: only the stored data diffs).
+func TestProbeCheckMatchesFetchRow(t *testing.T) {
+	victims := []int{30, 32, 29, 33, 28, 34}
+	for _, dist := range []Disturber{
+		thresholdDisturber{hInc: 1, pInc: 100, threshold: 30},
+		probingThreshold{thresholdDisturber{hInc: 1, pInc: 100, threshold: 30}},
+	} {
+		for _, burned := range []bool{false, true} {
+			m := testModule(dist)
+			for row := 28; row <= 34; row++ {
+				if err := m.InitRow(0, 0, row, 0xA5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			end, err := m.HammerBatch(Microsecond, HammerSpec{Bank: 0, Rows: []int{31}, Count: 200, OnTime: 400 * Nanosecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := end + m.Timing.TRP
+			if burned {
+				for _, v := range victims {
+					if err := m.RestoreRow(at, 0, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				at += Millisecond
+			}
+			if checkProbeCheck(t, m, at, victims, 0xA5) == 0 {
+				t.Fatalf("%T burned=%v: setup produced no flips; the contract check is vacuous", dist, burned)
+			}
 		}
-		if !bytes.Equal(data, probes[i].Data) {
-			t.Errorf("row %d: probed data differs from fetched data", v)
-		}
-		now = fin
-	}
-	if now != probeEnd {
-		t.Errorf("probe end %d != fetch end %d", probeEnd, now)
-	}
-	totalFlips := 0
-	for _, p := range probes {
-		totalFlips += p.Flips
-	}
-	if totalFlips == 0 {
-		t.Fatal("setup produced no flips; probe equivalence test is vacuous")
 	}
 }
 
@@ -229,14 +265,14 @@ func TestCheckpointSharedRowMutationsRollBack(t *testing.T) {
 
 		m.Checkpoint()
 		at := end + m.Timing.TRP
-		flips, err := m.RestoreRowCounted(at, 0, 31) // journals row 31, then flips it
-		if err != nil {
+		row31 := append([]byte(nil), m.PeekRow(0, 31)...)
+		if err := m.RestoreRow(at, 0, 31); err != nil { // journals row 31, then flips it
 			t.Fatal(err)
 		}
-		if flips == 0 {
+		if bytes.Equal(row31, m.PeekRow(0, 31)) {
 			t.Fatal("restore of the hammered victim flipped nothing; the test is vacuous")
 		}
-		if _, err := m.RestoreRowCounted(at+2*m.Timing.TRAS, 0, 33); err != nil { // journal 33 first
+		if err := m.RestoreRow(at+2*m.Timing.TRAS, 0, 33); err != nil { // journal 33 first
 			t.Fatal(err)
 		}
 		if err := m.InitRow(at+2*m.Timing.TRAS, 0, 33, 0x5A); err != nil {
@@ -273,7 +309,7 @@ func TestCheckpointUnflippedRowCopiesNoData(t *testing.T) {
 		m.Checkpoint()
 		at := end + m.Timing.TRP
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := m.RestoreRowCounted(at, 0, 31); err != nil {
+			if err := m.RestoreRow(at, 0, 31); err != nil {
 				t.Fatal(err)
 			}
 			m.Rollback()

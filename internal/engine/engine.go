@@ -22,6 +22,7 @@ package engine
 import (
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,9 +46,14 @@ import (
 // exactly as if Run had produced it — warm runs hit at the unit level
 // and never touch the subs. Run is ignored when Subs is non-empty. The
 // split is one level deep: sub-shards cannot split further.
+//
+// Type, when set, is the payload's dynamic type: a remote answer of any
+// other type counts as a failed dispatch, so the shard runs locally and
+// nothing from the peer is cached.
 type Shard struct {
-	Key string
-	Run func() (any, error)
+	Key  string
+	Run  func() (any, error)
+	Type reflect.Type
 
 	Subs   []SubShard
 	Gather func(subs []any) (any, error)
@@ -57,10 +63,12 @@ type Shard struct {
 // within the parent shard and stable across runs; the sub-shard's cache
 // address is derived from the parent's, so equal (experiment,
 // fingerprint, shard key, sub key) means an equal payload. Run carries
-// the same purity and immutability contract as Shard.Run.
+// the same purity and immutability contract as Shard.Run, and Type the
+// same meaning as Shard.Type.
 type SubShard struct {
-	Key string
-	Run func() (any, error)
+	Key  string
+	Run  func() (any, error)
+	Type reflect.Type
 }
 
 // Cache tiers as they appear in ShardEvent.Tier and the serving
@@ -775,7 +783,7 @@ func (e *Engine) runSplit(key string, s Shard, exp string, meta any, idx int, en
 		wg.Add(1)
 		go func(si int, sub SubShard, skey, label string) {
 			defer wg.Done()
-			sr := e.runOrJoin(skey, Shard{Key: label, Run: sub.Run}, exp, meta, s.Key, sub.Key, idx, enq)
+			sr := e.runOrJoin(skey, Shard{Key: label, Run: sub.Run, Type: sub.Type}, exp, meta, s.Key, sub.Key, idx, enq)
 			smu.Lock()
 			parts[si], serrs[si] = sr.val, sr.err
 			r.queue += sr.queue
@@ -831,8 +839,9 @@ func gatherShard(s Shard, parts []any) (v any, err error) {
 // and before a worker slot is taken: a remote answer (ran=false, peer
 // set) fills the in-flight slot and both local cache tiers exactly as
 // a local execution would, so concurrent requesters join it and warm
-// runs stay local. Remote resolutions never hold a pool slot — a
-// coordinator at one worker still fans a whole plan out to its peers.
+// runs stay local. An answer of another type than s.Type is a failed
+// dispatch. Remote resolutions never hold a pool slot — a coordinator
+// at one worker still fans a whole plan out to its peers.
 func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, subKey string, idx int, enq time.Time) resolution {
 	c, r := e.claim(key)
 	if c == nil {
@@ -843,6 +852,9 @@ func (e *Engine) runOrJoin(key string, s Shard, exp string, meta any, shardKey, 
 	if e.remote != nil && meta != nil {
 		t0 := time.Now()
 		rv, peer, ok, rerr := e.remote.Resolve(key, RemoteRequest{Experiment: exp, Meta: meta, Shard: shardKey, Sub: subKey})
+		if ok && rerr == nil && s.Type != nil && reflect.TypeOf(rv) != s.Type {
+			ok, rerr = false, fmt.Errorf("engine: peer %s answered %q with a %T payload, want %v", peer, s.Key, rv, s.Type)
+		}
 		if ok && rerr == nil {
 			rlat := time.Since(t0)
 			e.remoteLat.add(rlat)

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"errors"
-	"math/bits"
 
 	"repro/internal/chipgen"
 	"repro/internal/dram"
@@ -120,16 +119,14 @@ type player struct {
 	mit  mitigate.Mitigation
 	gen  slotGen
 
-	out         Outcome
-	nextRef     dram.TimePS
-	nextWin     dram.TimePS
-	lastOff     dram.TimePS
-	resumeAt    dram.TimePS // where the next slot starts
-	stopAt      dram.TimePS // pattern time if the play stopped here (Outcome.Elapsed)
-	victimFlips int         // bitflips preventive refreshes materialized into victims mid-play
-	isVictim    map[int]bool
-	rf          refresher
-	hasREF      bool
+	out      Outcome
+	nextRef  dram.TimePS
+	nextWin  dram.TimePS
+	lastOff  dram.TimePS
+	resumeAt dram.TimePS // where the next slot starts
+	stopAt   dram.TimePS // pattern time if the play stopped here (Outcome.Elapsed)
+	rf       refresher
+	hasREF   bool
 
 	cp playerCheckpoint
 }
@@ -137,15 +134,14 @@ type player struct {
 // playerCheckpoint captures the player's scalar state alongside the
 // module's journal and the mitigation's snapshot.
 type playerCheckpoint struct {
-	gen         slotGen
-	out         Outcome
-	nextRef     dram.TimePS
-	nextWin     dram.TimePS
-	lastOff     dram.TimePS
-	resumeAt    dram.TimePS
-	stopAt      dram.TimePS
-	victimFlips int
-	mitState    any
+	gen      slotGen
+	out      Outcome
+	nextRef  dram.TimePS
+	nextWin  dram.TimePS
+	lastOff  dram.TimePS
+	resumeAt dram.TimePS
+	stopAt   dram.TimePS
+	mitState any
 }
 
 // newPlayer builds a fresh play: module instantiated, site rows
@@ -176,10 +172,6 @@ func (c Config) newPlayer(module chipgen.ModuleSpec, spec Spec, site sitePlan, m
 		nextRef: t.TREFI,
 		nextWin: t.TREFW,
 	}
-	p.isVictim = make(map[int]bool, len(site.victims))
-	for _, v := range site.victims {
-		p.isVictim[v] = true
-	}
 	p.rf, p.hasREF = mit.(refresher)
 	return p, nil
 }
@@ -189,12 +181,8 @@ func (p *player) refreshRows(rows []int, now dram.TimePS) error {
 		if r < 0 || r >= p.cfg.Geometry.RowsPerBank {
 			continue
 		}
-		flips, err := p.mod.RestoreRowCounted(now, p.cfg.Bank, r)
-		if err != nil {
+		if err := p.mod.RestoreRow(now, p.cfg.Bank, r); err != nil {
 			return err
-		}
-		if p.isVictim[r] {
-			p.victimFlips += flips
 		}
 		p.out.PreventiveRefreshes++
 	}
@@ -274,37 +262,20 @@ func (p *player) playTo(targetAgg int) error {
 	return nil
 }
 
-// flips counts the victim bitflips a check stream issued right now would
-// materialize — through the module's pure probe, so the play can continue
-// (or roll back) afterwards as if no check had happened.
+// flips counts the victim bits a check stream issued right now would
+// read back flipped — through the module's pure probe, so the play can
+// continue (or roll back) afterwards as if no check had happened. Flips a
+// preventive refresh burned into a victim mid-play count too: they are
+// in the fetched data.
 func (p *player) flips() (int, error) {
-	probes, _, err := p.mod.ProbeFetch(p.stopAt, p.cfg.Bank, p.site.victims)
-	if err != nil {
-		return 0, err
-	}
-	expect := p.cfg.Pattern.VictimByte()
-	n := 0
-	for _, pr := range probes {
-		for _, b := range pr.Data {
-			n += bits.OnesCount8(b ^ expect)
-		}
-	}
-	return n, nil
+	return p.mod.ProbeCheck(p.stopAt, p.cfg.Bank, p.site.victims, p.cfg.Pattern.VictimByte(), 0)
 }
 
-// wouldFlip is the any-flip predicate of flips(). While no preventive
-// refresh has materialized a flip into a victim, every victim still holds
-// its exact fill byte, so the copy-free early-exit probe is exact: the
-// check stream flips something iff pending exposure crosses a threshold.
-// Once mid-play flips exist, the stored data itself diffs (and a later
-// flip could even cancel one), so only the counting probe answers
-// exactly.
+// wouldFlip is the any-flip predicate of flips(): the same probe, stopped
+// at the first flipped bit.
 func (p *player) wouldFlip() (bool, error) {
-	if p.victimFlips > 0 {
-		n, err := p.flips()
-		return n > 0, err
-	}
-	return p.mod.ProbeWouldFlip(p.stopAt, p.cfg.Bank, p.site.victims)
+	n, err := p.mod.ProbeCheck(p.stopAt, p.cfg.Bank, p.site.victims, p.cfg.Pattern.VictimByte(), 1)
+	return n > 0, err
 }
 
 // outcome returns the Outcome of stopping the play here.
@@ -321,7 +292,7 @@ func (p *player) checkpoint() {
 	p.cp = playerCheckpoint{
 		gen: p.gen, out: p.out,
 		nextRef: p.nextRef, nextWin: p.nextWin, lastOff: p.lastOff,
-		resumeAt: p.resumeAt, stopAt: p.stopAt, victimFlips: p.victimFlips,
+		resumeAt: p.resumeAt, stopAt: p.stopAt,
 		mitState: p.mit.CheckpointState(),
 	}
 }
@@ -332,7 +303,7 @@ func (p *player) rollback() {
 	cp := p.cp
 	p.gen, p.out = cp.gen, cp.out
 	p.nextRef, p.nextWin, p.lastOff = cp.nextRef, cp.nextWin, cp.lastOff
-	p.resumeAt, p.stopAt, p.victimFlips = cp.resumeAt, cp.stopAt, cp.victimFlips
+	p.resumeAt, p.stopAt = cp.resumeAt, cp.stopAt
 	p.mit.RestoreState(cp.mitState)
 }
 
