@@ -18,11 +18,14 @@
 // (bounded by -drain-timeout), and the disk-cache index is flushed
 // before exit.
 //
-// With -ledger-dir, every completed run and sweep is additionally
-// stamped into a persistent append-only run ledger (internal/ledger):
-// identity hashes, wall time, tier-split shard counts, and latency
-// aggregates survive restarts, /v1/results warm-starts from the ledger
-// tail, and /v1/history + /v1/compare serve cross-run analytics over it.
+// Every completed run and sweep is stamped into the run ledger
+// (internal/ledger), the daemon's one run history: /v1/results,
+// /v1/history and /v1/compare all read it. With -ledger-dir the ledger
+// is an append-only file, so identity and document hashes, wall time,
+// tier-split shard counts, and latency aggregates survive restarts.
+// Without it the ledger is memory-only: it keeps this process's newest
+// runs, writes no file, and computes no document hashes, so
+// /v1/compare reports its determinism check as skipped.
 //
 // With -peers, the daemon becomes a fabric coordinator: shard keys are
 // consistent-hashed across the peer set (internal/fabric) and
@@ -138,18 +141,19 @@ func main() {
 		sopts = append(sopts, serve.WithFabric(fc))
 		log.Printf("fabric coordinator: %d peers", len(fc.Peers()))
 	}
-	var led *ledger.Ledger
-	if *ledgerDir != "" {
-		led, err = ledger.Open(*ledgerDir, *ledgerBytes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpressd: -ledger-dir: %v\n", err)
-			os.Exit(1)
-		}
+	led, err := ledger.Open(*ledgerDir, *ledgerBytes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rowpressd: -ledger-dir: %v\n", err)
+		os.Exit(1)
+	}
+	if *ledgerDir == "" {
+		log.Printf("run ledger in memory: the newest %d records of this process", ledger.MemoryRecords)
+	} else {
 		st := led.Stats()
 		log.Printf("run ledger %s: %d records, %d bytes (%d corrupt lines skipped)",
 			*ledgerDir, st.Records, st.Bytes, st.Skipped)
-		sopts = append(sopts, serve.WithLedger(led))
 	}
+	sopts = append(sopts, serve.WithLedger(led))
 	if *pprofOn {
 		sopts = append(sopts, serve.WithPprof())
 		log.Printf("pprof enabled on /debug/pprof/")
@@ -184,12 +188,10 @@ func main() {
 			log.Printf("disk-cache index flushed (%d entries)", dc.Stats().Entries)
 		}
 	}
-	if led != nil {
-		if err := led.Close(); err != nil {
-			log.Printf("ledger close: %v", err)
-		} else {
-			log.Printf("run ledger closed (%d records)", led.Stats().Records)
-		}
+	if err := led.Close(); err != nil {
+		log.Printf("ledger close: %v", err)
+	} else {
+		log.Printf("run ledger closed (%d records)", led.Stats().Records)
 	}
 }
 

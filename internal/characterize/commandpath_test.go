@@ -141,7 +141,7 @@ func refRetentionTest(b *bender.Bench, locs []int, cfg Config, holdSeconds float
 		if err != nil {
 			return nil, err
 		}
-		addCells(set, flips)
+		AddCells(set, flips)
 	}
 	return set, nil
 }

@@ -18,8 +18,8 @@ func cellOf(f bender.Flip) CellKey {
 	return CellKey{Row: f.LogicalRow, Byte: f.Byte, Bit: f.Bit}
 }
 
-// addCells adds the cells of flips to set.
-func addCells(set map[CellKey]bool, flips []bender.Flip) {
+// AddCells adds the cells of flips to set.
+func AddCells(set map[CellKey]bool, flips []bender.Flip) {
 	for _, f := range flips {
 		set[cellOf(f)] = true
 	}
@@ -65,7 +65,7 @@ func RetentionTest(b *bender.Bench, locs []int, cfg Config, holdSeconds float64)
 	b.Advance(dram.FromSeconds(holdSeconds))
 	set := make(map[CellKey]bool)
 	for _, s := range sites {
-		addCells(set, p.check(s))
+		AddCells(set, p.check(s))
 	}
 	return set, nil
 }
@@ -93,14 +93,14 @@ func OverlapSweep(spec chipgen.ModuleSpec, cfg Config, tempC float64, tAggONs []
 	hammerSet := make(map[CellKey]bool)
 	if len(sweep) > 0 {
 		for _, r := range sweep[0].Results {
-			addCells(hammerSet, r.Flips)
+			AddCells(hammerSet, r.Flips)
 		}
 	}
 	out := make([]OverlapPoint, 0, len(sweep))
 	for _, pt := range sweep {
 		set := make(map[CellKey]bool)
 		for _, r := range pt.Results {
-			addCells(set, r.Flips)
+			AddCells(set, r.Flips)
 		}
 		out = append(out, OverlapPoint{
 			TAggON:        pt.TAggON,

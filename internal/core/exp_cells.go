@@ -95,11 +95,8 @@ func workFig11(o Options, spec chipgen.ModuleSpec) ([][]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		set := make(map[characterize.CellKey]bool, len(flips))
-		for _, f := range flips {
-			set[characterize.CellKey{Row: f.LogicalRow, Byte: f.Byte, Bit: f.Bit}] = true
-		}
-		flipSets[i] = set
+		flipSets[i] = make(map[characterize.CellKey]bool, len(flips))
+		characterize.AddCells(flipSets[i], flips)
 	}
 	bret, err := characterize.NewBench(spec, cfg, 50)
 	if err != nil {

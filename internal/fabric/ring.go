@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"repro/internal/stats"
 )
 
 // localMember is the ring member standing for the coordinator process
@@ -21,7 +23,7 @@ type ringPoint struct {
 
 // ring is a consistent-hash ring over the peer set plus the local
 // process. Shard addresses are already uniform SHA-256 digests, but
-// the ring hashes them again through FNV-64a so ownership depends
+// the ring hashes them again through hash64 so ownership depends
 // only on (key, member set) — adding or removing one peer remaps only
 // the keys that peer's virtual nodes cover, which is what keeps a
 // shared remote cache warm across topology changes.
@@ -29,10 +31,14 @@ type ring struct {
 	points []ringPoint
 }
 
+// hash64 places a ring point or key: FNV-64a, then a SplitMix64
+// finalizer. FNV alone leaves names that differ in a few trailing
+// bytes (peer URLs on one host, "#i" vnode suffixes) clustered on
+// the circle, and the clusters skew members' shares several-fold.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	return stats.Mix64(h.Sum64())
 }
 
 // newRing builds the ring with vnodes virtual points per member.

@@ -25,6 +25,12 @@
 //     temp-file + rename, so a crash mid-compact never loses the live
 //     ledger, and a full ledger rewrites itself once per batch of
 //     appends rather than on every append.
+//
+// A ledger opened without a directory is memory-only: the same records,
+// queries and pruning, bounded by record count, with no file and no
+// encoding at all — not even the document hash, which is computed only
+// for a line written to disk. It is the run history of a daemon started
+// without -ledger-dir.
 package ledger
 
 import (
@@ -37,6 +43,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -126,6 +133,12 @@ type Record struct {
 	Error       string    `json:"error,omitempty"`
 	CompletedAt time.Time `json:"completed_at"`
 
+	// Docs are the result documents the record identifies (one for a
+	// run, one per point for a sweep, nil points marking failures).
+	// Append hashes them into DocHash (see DocsHash) when it writes the
+	// record to disk, and never stores them.
+	Docs []*report.Doc `json:"-"`
+
 	WallMS float64 `json:"wall_ms"`
 	Shards int     `json:"shards"`
 	// Workers is the engine pool size the run executed on; SubShards is
@@ -155,10 +168,14 @@ type Record struct {
 // thousands of runs.
 const DefaultMaxBytes int64 = 8 << 20
 
+// MemoryRecords bounds a memory-only ledger by record count. Pruning
+// to ¾ of it, as the file does, keeps the 256 newest records.
+const MemoryRecords = 256 * 4 / 3
+
 // Stats is a snapshot of the store.
 type Stats struct {
 	Records int
-	Bytes   int64
+	Bytes   int64  // NDJSON bytes on disk; 0 for a memory-only ledger
 	Skipped int    // unreadable lines dropped on load
 	Pruned  uint64 // records evicted by the size bound
 	Appends uint64
@@ -166,14 +183,14 @@ type Stats struct {
 
 // Ledger is the store. Safe for concurrent use.
 type Ledger struct {
-	path     string
-	maxBytes int64
+	path  string // "" for a memory-only ledger
+	bound int64  // NDJSON bytes on disk, or records in memory
 
 	mu      sync.Mutex
 	f       *os.File
 	records []Record // oldest first
-	sizes   []int64  // encoded line length per record
-	bytes   int64
+	sizes   []int64  // per record: encoded line length on disk, 1 in memory
+	used    int64    // sum of sizes, including skipped lines still on disk
 	skipped int
 	pruned  uint64
 	appends uint64
@@ -186,15 +203,24 @@ const FileName = "ledger.ndjson"
 // Open opens (creating if needed) the ledger rooted at dir, bounded to
 // maxBytes of NDJSON (<= 0 selects DefaultMaxBytes). Unreadable lines
 // are skipped and counted; they are dropped from disk at the next
-// compaction, not eagerly.
+// compaction, not eagerly. An empty dir opens a memory-only ledger
+// bounded to MemoryRecords records; maxBytes is then unused.
 func Open(dir string, maxBytes int64) (*Ledger, error) {
+	if dir == "" {
+		// Sized once: pruning compacts in place, so the arrays never grow.
+		return &Ledger{
+			bound:   MemoryRecords,
+			records: make([]Record, 0, MemoryRecords+1),
+			sizes:   make([]int64, 0, MemoryRecords+1),
+		}, nil
+	}
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	l := &Ledger{path: filepath.Join(dir, FileName), maxBytes: maxBytes}
+	l := &Ledger{path: filepath.Join(dir, FileName), bound: maxBytes}
 	unterminated, err := l.load()
 	if err != nil {
 		return nil, err
@@ -212,19 +238,19 @@ func Open(dir string, maxBytes int64) (*Ledger, error) {
 			f.Close()
 			return nil, fmt.Errorf("ledger: %w", err)
 		}
-		l.bytes++
+		l.used++
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.bytes > l.maxBytes {
-		if err := l.compactLocked(); err != nil {
+	if l.used > l.bound {
+		if err := l.pruneLocked(); err != nil {
 			return nil, err
 		}
 	}
 	return l, nil
 }
 
-// Path returns the ledger file's path.
+// Path returns the ledger file's path, "" for a memory-only ledger.
 func (l *Ledger) Path() string { return l.path }
 
 // maxLine bounds the bytes of one line held in memory on load. A
@@ -273,7 +299,7 @@ func (l *Ledger) load() (unterminated bool, err error) {
 // loadLine keeps one line's record or counts the line as skipped. A
 // truncated final line lands here too and is skipped.
 func (l *Ledger) loadLine(line []byte, size int64) {
-	l.bytes += size // a skipped line stays on disk until the next compaction
+	l.used += size // a skipped line stays on disk until the next compaction
 	var r Record
 	dec := json.NewDecoder(bytes.NewReader(line))
 	// Unknown fields mean a newer schema wrote this line; Version
@@ -288,20 +314,30 @@ func (l *Ledger) loadLine(line []byte, size int64) {
 	l.sizes = append(l.sizes, size)
 }
 
-// NewID derives a readable, sortable, collision-resistant record id
-// from the completion time and a per-process sequence: the timestamp
-// orders ids across processes, the hash suffix separates processes
-// stamping within the same second.
+// pid is this process's id, a component of every record id it stamps.
+var pid = os.Getpid()
+
+// newIDLocked derives a readable, sortable, collision-resistant record
+// id from the completion time and a per-process sequence: the
+// timestamp orders ids across processes, the hash suffix of
+// "nanos|pid|seq" separates processes stamping within the same second.
 func (l *Ledger) newIDLocked(at time.Time) string {
 	l.seq++
-	h := sha256.Sum256([]byte(fmt.Sprintf("%d|%d|%d", at.UnixNano(), os.Getpid(), l.seq)))
-	return fmt.Sprintf("%s-%s", at.UTC().Format("20060102T150405"), hex.EncodeToString(h[:3]))
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], at.UnixNano(), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(pid), 10)
+	b = strconv.AppendUint(append(b, '|'), l.seq, 10)
+	h := sha256.Sum256(b)
+	b = at.UTC().AppendFormat(b[:0], "20060102T150405")
+	return string(hex.AppendEncode(append(b, '-'), h[:3]))
 }
 
 // Append stamps the record into the ledger and returns it with its
 // assigned ID (when empty) and Version. CompletedAt is defaulted to
-// now. The write is one line; if it pushes the file past the byte
-// bound, the oldest records are pruned and the file compacted.
+// now. On disk the write is one line, carrying the hash of the
+// record's Docs; in memory nothing is encoded or hashed. If the
+// append pushes the ledger past its bound, the oldest records are
+// pruned (and the file compacted).
 func (l *Ledger) Append(r Record) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -313,37 +349,46 @@ func (l *Ledger) Append(r Record) (Record, error) {
 	if r.ID == "" {
 		r.ID = l.newIDLocked(r.CompletedAt)
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return r, fmt.Errorf("ledger: encode: %w", err)
+	size := int64(1)
+	if l.path != "" {
+		if r.Docs != nil {
+			r.DocHash = DocsHash(r.Docs)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			return r, fmt.Errorf("ledger: encode: %w", err)
+		}
+		b = append(b, '\n')
+		if _, err := l.f.Write(b); err != nil {
+			return r, fmt.Errorf("ledger: append: %w", err)
+		}
+		size = int64(len(b))
 	}
-	b = append(b, '\n')
-	if _, err := l.f.Write(b); err != nil {
-		return r, fmt.Errorf("ledger: append: %w", err)
-	}
+	r.Docs = nil
 	l.records = append(l.records, r)
-	l.sizes = append(l.sizes, int64(len(b)))
-	l.bytes += int64(len(b))
+	l.sizes = append(l.sizes, size)
+	l.used += size
 	l.appends++
-	if l.bytes > l.maxBytes {
-		if err := l.compactLocked(); err != nil {
+	if l.used > l.bound {
+		if err := l.pruneLocked(); err != nil {
 			return r, err
 		}
 	}
 	return r, nil
 }
 
-// compactLocked drops the oldest records until the live set fits the
-// low-water mark, then rewrites the file atomically. Pruning below the
-// bound, not just to it, leaves room for the next appends: a full
-// ledger would otherwise prune one record and rewrite the whole file
-// on every append, holding mu while it does. Caller holds mu.
-func (l *Ledger) compactLocked() error {
+// pruneLocked drops the oldest records until the live set fits the
+// low-water mark, ¾ of the bound, then rewrites the file atomically.
+// Pruning below the bound, not just to it, leaves room for the next
+// appends: a full ledger would otherwise prune one record and rewrite
+// the whole file on every append, holding mu while it does. Caller
+// holds mu.
+func (l *Ledger) pruneLocked() error {
 	var live int64
 	for _, s := range l.sizes {
 		live += s
 	}
-	lowWater := l.maxBytes / 4 * 3
+	lowWater := l.bound - l.bound/4
 	drop := 0
 	// Always keep the newest record, even if alone it exceeds the bound.
 	for live > lowWater && drop < len(l.records)-1 {
@@ -351,8 +396,17 @@ func (l *Ledger) compactLocked() error {
 		drop++
 	}
 	l.pruned += uint64(drop)
-	l.records = append([]Record(nil), l.records[drop:]...)
-	l.sizes = append([]int64(nil), l.sizes[drop:]...)
+	// Compact in place: the arrays are reused, so a full ledger prunes
+	// without allocating, and the vacated slots are cleared so they keep
+	// nothing the dropped records referenced alive.
+	n := copy(l.records, l.records[drop:])
+	clear(l.records[n:])
+	l.records = l.records[:n]
+	l.sizes = l.sizes[:copy(l.sizes, l.sizes[drop:])]
+	if l.path == "" {
+		l.used = live
+		return nil
+	}
 
 	tmp, err := os.CreateTemp(filepath.Dir(l.path), "ledger-*")
 	if err != nil {
@@ -389,12 +443,12 @@ func (l *Ledger) compactLocked() error {
 		return fmt.Errorf("ledger: compact: %w", err)
 	}
 	l.f = f
-	l.bytes = live
+	l.used = live
 	return nil
 }
 
 // Close flushes nothing (appends are synchronous) and releases the
-// file handle.
+// file handle; on a memory-only ledger it does nothing.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -410,13 +464,16 @@ func (l *Ledger) Close() error {
 func (l *Ledger) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Records: len(l.records),
-		Bytes:   l.bytes,
 		Skipped: l.skipped,
 		Pruned:  l.pruned,
 		Appends: l.appends,
 	}
+	if l.path != "" {
+		st.Bytes = l.used
+	}
+	return st
 }
 
 // Query filters history lookups. Zero values match everything.
@@ -459,23 +516,12 @@ func (l *Ledger) Get(id string) (Record, bool) {
 	return Record{}, false
 }
 
-// DocHash content-addresses a result document: the SHA-256 of its
-// canonical JSON encoding. Equal documents hash equal, so two runs of
-// the same options must produce the same hash — the determinism
-// invariant Compare enforces.
-func DocHash(d *report.Doc) string {
-	b, err := report.JSON(d)
-	if err != nil {
-		return "unhashable"
-	}
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
-}
-
-// DocsHash content-addresses an ordered document set (a sweep's
-// per-point documents): the SHA-256 over the concatenated canonical
-// encodings, with nil points (failed grid points) marked so failure
-// position changes the hash.
+// DocsHash content-addresses an ordered document set: the SHA-256
+// over the concatenated canonical JSON encodings, with nil points
+// (failed sweep points) marked so failure position changes the hash.
+// A single document hashes to the SHA-256 of its own encoding. Equal
+// documents hash equal, so two runs of the same options must produce
+// the same hash — the determinism invariant Compare enforces.
 func DocsHash(docs []*report.Doc) string {
 	h := sha256.New()
 	for _, d := range docs {

@@ -1,6 +1,8 @@
 package ledger
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -389,5 +391,94 @@ func TestDocsHashMarksNilPoints(t *testing.T) {
 	}
 	if DocsHash([]*report.Doc{d1}) != DocsHash([]*report.Doc{d1}) {
 		t.Fatal("DocsHash must be deterministic")
+	}
+}
+
+// A ledger opened without a directory keeps its records in memory:
+// nothing is written anywhere, ids stay unique under concurrent
+// appends, and Close has nothing to release.
+func TestMemoryLedgerWritesNoFile(t *testing.T) {
+	wd := t.TempDir()
+	t.Chdir(wd)
+	l, err := Open("", 0)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if _, err := l.Append(Record{Kind: KindRun, Experiment: "fig6"}); err != nil {
+					t.Errorf("Append: %v", err)
+				}
+				l.Records(Query{Limit: 1})
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, r := range l.Records(Query{}) {
+		if r.ID == "" || seen[r.ID] || r.Version != RecordVersion {
+			t.Fatalf("stamped %+v (duplicate id: %v)", r, seen[r.ID])
+		}
+		seen[r.ID] = true
+	}
+	if len(seen) != 100 {
+		t.Fatalf("holds %d records, want 100", len(seen))
+	}
+	if ents, _ := os.ReadDir(wd); len(ents) != 0 || l.Path() != "" {
+		t.Fatalf("memory ledger wrote %v (path %q)", ents, l.Path())
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i, err)
+		}
+	}
+	appendT(t, l, Record{Kind: KindRun, Experiment: "after-close"})
+	if st := l.Stats(); st.Records != 101 || st.Bytes != 0 {
+		t.Fatalf("stats after Close: %+v", st)
+	}
+}
+
+// Past MemoryRecords records the memory ledger prunes the oldest down
+// to ¾ of the bound, which is still at least the 256 newest.
+func TestMemoryLedgerPrunesToThreeQuarters(t *testing.T) {
+	l, _ := Open("", 0)
+	for i := 0; i <= MemoryRecords; i++ {
+		appendT(t, l, Record{Kind: KindRun, Experiment: fmt.Sprintf("exp%03d", i)})
+	}
+	st := l.Stats()
+	want := MemoryRecords - MemoryRecords/4
+	if st.Records != want || st.Pruned != uint64(MemoryRecords+1-want) || want < 256 {
+		t.Fatalf("after %d appends: %+v, want %d records", MemoryRecords+1, st, want)
+	}
+	recs := l.Records(Query{})
+	for i, r := range recs {
+		if w := fmt.Sprintf("exp%03d", MemoryRecords-i); r.Experiment != w {
+			t.Fatalf("record %d is %s, want %s", i, r.Experiment, w)
+		}
+	}
+}
+
+// Only a line written to disk carries the hash of the record's
+// documents; a memory record carries none, and neither keeps the
+// documents themselves. A run's one document hashes to the SHA-256 of
+// its canonical JSON, the doc_hash earlier records carry.
+func TestDocsHashedOnlyOnDisk(t *testing.T) {
+	docs := []*report.Doc{report.NewDoc(report.TableSection("t", []string{"c"}, [][]string{{"v"}}))}
+	b, err := report.JSON(docs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b); DocsHash(docs) != hex.EncodeToString(sum[:]) {
+		t.Fatal("a single document's hash is not the SHA-256 of its JSON")
+	}
+	disk := appendT(t, openT(t, t.TempDir(), 0), Record{Kind: KindRun, Docs: docs})
+	mem, _ := Open("", 0)
+	inMem := appendT(t, mem, Record{Kind: KindRun, Docs: docs})
+	if disk.DocHash != DocsHash(docs) || inMem.DocHash != "" || disk.Docs != nil || inMem.Docs != nil {
+		t.Fatalf("disk %+v\nmemory %+v", disk, inMem)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // engine's latency aggregates over window (the metrics accumulated
 // while the run executed). A failed run is recorded with its error
 // instead of a document hash — a history that omits failures cannot
-// explain a trend break. It is the run-side twin of
+// explain a trend break. The document rides in Docs, for Append to
+// hash if it writes the record to disk. It is the run-side twin of
 // sweep.Result.LedgerRecord; callers stamp what only they know, such
 // as CompletedAt, Peers, or Profile.
 func RunRecord(id, optionsHash string, workers int, st engine.RunStats, window engine.Metrics, doc *report.Doc, err error) Record {
@@ -36,7 +37,7 @@ func RunRecord(id, optionsHash string, workers int, st engine.RunStats, window e
 	if err != nil {
 		r.Error = err.Error()
 	} else {
-		r.DocHash = DocHash(doc)
+		r.Docs = []*report.Doc{doc}
 	}
 	return r
 }

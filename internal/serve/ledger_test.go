@@ -1,8 +1,9 @@
 package serve
 
 // Integration tests for the run-ledger surface: run/sweep stamping,
-// /v1/history and /v1/compare in all three formats, warm-starting
-// /v1/results from the ledger after a restart, the histogram bucket
+// /v1/history and /v1/compare in all three formats and without a
+// ledger directory, /v1/results as a history window that survives a
+// restart, the histogram bucket
 // fields /v1/metrics must expose, and the load-test harness driving a
 // live server end to end.
 
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ledger"
 	"repro/internal/report"
@@ -170,36 +172,81 @@ func TestCompareEndpoint(t *testing.T) {
 	}
 }
 
-func TestHistoryWithoutLedger404s(t *testing.T) {
+// Without a ledger directory the daemon still has a run history: a
+// memory-only ledger behind /v1/history and /v1/compare, whose records
+// carry no document hash, so compare reports determinism unchecked.
+func TestHistoryWithoutLedgerDir(t *testing.T) {
 	_, ts := newTestServer(t)
-	if code, _ := getBody(t, ts.URL+"/v1/history"); code != http.StatusNotFound {
-		t.Fatalf("history without ledger: code=%d, want 404", code)
+	for i := 0; i < 2; i++ {
+		if code, body := getBody(t, ts.URL+"/v1/run/fig6?scale=0.05"); code != http.StatusOK {
+			t.Fatalf("run: code=%d body=%s", code, body)
+		}
 	}
-	if code, _ := getBody(t, ts.URL+"/v1/compare?a=x&b=y"); code != http.StatusNotFound {
-		t.Fatalf("compare without ledger: code=%d, want 404", code)
+	var recs []ledger.Record
+	if resp := getJSON(t, ts.URL+"/v1/history", &recs); resp.StatusCode != http.StatusOK {
+		t.Fatalf("history: code=%d", resp.StatusCode)
+	}
+	if len(recs) != 2 || recs[0].Experiment != "fig6" || recs[0].DocHash != "" {
+		t.Fatalf("history=%+v", recs)
+	}
+	var cmp CompareResponse
+	if resp := getJSON(t, ts.URL+"/v1/compare?a=fig6~1&b=fig6~0", &cmp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compare: code=%d", resp.StatusCode)
+	}
+	if cmp.A.ID != recs[1].ID || cmp.B.ID != recs[0].ID || cmp.DeterminismChecked {
+		t.Fatalf("compare=%+v", cmp)
 	}
 }
 
-// A restarted daemon must surface the previous process's runs in
-// /v1/results, seeded from the ledger tail.
+// /v1/results is /v1/history with a default limit.
+func TestResultsIsHistoryWindow(t *testing.T) {
+	_, ts := newTestServer(t)
+	getBody(t, ts.URL+"/v1/run/fig6?scale=0.05")
+	postSweep(t, ts.URL+"/v1/sweep", `{"experiment":"fig7","scales":[0.05],"module_sets":[["S0"]]}`, nil)
+	code, results := getBody(t, ts.URL+"/v1/results")
+	_, history := getBody(t, ts.URL+"/v1/history?limit=256")
+	if code != http.StatusOK || results != history || !strings.Contains(results, `"kind":"sweep"`) {
+		t.Fatalf("code=%d\nresults=%s\nhistory=%s", code, results, history)
+	}
+}
+
+// A restarted daemon serves the previous process's runs from the
+// ledger file, and each run's record keeps its identity across the
+// restart: the record a live /v1/results showed is the record the
+// restarted daemon shows.
 func TestResultsWarmStartFromLedger(t *testing.T) {
 	dir := t.TempDir()
-	_, ts, led := newLedgerServer(t, dir)
+	s, ts, led := newLedgerServer(t, dir)
 	if code, body := getBody(t, ts.URL+"/v1/run/fig6?scale=0.05"); code != http.StatusOK {
 		t.Fatalf("run: code=%d body=%s", code, body)
 	}
+	opt := core.DefaultOptions()
+	opt.Scale, opt.Modules = 0.05, []string{"S0"}
+	p, err := core.PlanFor("fig7", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Engine().Cache().Put(engine.Key(p.Experiment, p.Fingerprint, p.Shards[0].Key), 42) // merge fails
+	if code, _ := getBody(t, ts.URL+"/v1/run/fig7?scale=0.05&modules=S0"); code != http.StatusInternalServerError {
+		t.Fatalf("poisoned run: code=%d", code)
+	}
+	var live []ledger.Record
+	getJSON(t, ts.URL+"/v1/results", &live)
 	ts.Close()
 	led.Close()
 
 	_, ts2, _ := newLedgerServer(t, dir)
-	var results []ResultRecord
-	getJSON(t, ts2.URL+"/v1/results", &results)
-	if len(results) != 1 {
-		t.Fatalf("restarted server reports %d results, want 1 from the ledger", len(results))
+	var restarted []ledger.Record
+	getJSON(t, ts2.URL+"/v1/results", &restarted)
+	if len(live) != 2 || len(restarted) != 2 || live[0].Error == "" || live[1].Error != "" {
+		t.Fatalf("live=%+v\nrestarted=%+v", live, restarted)
 	}
-	r := results[0]
-	if r.Experiment != "fig6" || r.Kind != "run" || r.ID == "" {
-		t.Fatalf("warm-started result incomplete: %+v", r)
+	for i, a := range live {
+		b := restarted[i]
+		if a.ID == "" || a.OptionsHash == "" ||
+			a.ID != b.ID || a.OptionsHash != b.OptionsHash || a.Kind != b.Kind || a.Error != b.Error {
+			t.Fatalf("record %d changed across the restart:\nlive      %+v\nrestarted %+v", i, a, b)
+		}
 	}
 }
 

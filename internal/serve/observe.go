@@ -254,9 +254,6 @@ func promEscape(v string) string {
 // the scrape-side twin of the JSON /v1/metrics.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.eng.Metrics()
-	s.mu.Lock()
-	failures := s.failures
-	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
@@ -278,7 +275,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("rowpress_cache_hits_total", "Run-level shard cache hits (any tier).", float64(m.CacheHits))
 	counter("rowpress_cache_misses_total", "Run-level shard cache misses.", float64(m.CacheMisses))
 	counter("rowpress_engine_errors_total", "Runs that ended in an error.", float64(m.Errors))
-	counter("rowpress_run_failures_total", "Failed runs and failed sweep points served.", float64(failures))
+	counter("rowpress_run_failures_total", "Failed runs and failed sweep points served.", float64(s.failures.Load()))
 
 	fmt.Fprintf(&b, "# HELP rowpress_cache_entries Entries per cache tier.\n# TYPE rowpress_cache_entries gauge\n")
 	fmt.Fprintf(&b, "rowpress_cache_entries{tier=\"mem\"} %d\n", m.Mem.Entries)

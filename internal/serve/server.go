@@ -32,18 +32,20 @@
 //	POST /v1/sweep            batched parameter sweep (sweep.Spec in the
 //	                          body, ?format=json|text|csv); per-point
 //	                          docs/stats plus the aggregate
-//	GET  /v1/results          recent completed runs and sweeps (including
-//	                          failures) with latency + hits; warm-started
-//	                          from the run ledger when one is attached
+//	GET  /v1/results          /v1/history with a default ?limit of 256:
+//	                          the newest completed runs and sweeps
+//	                          (including failures) as ledger records
 //	GET  /v1/metrics          cumulative engine, per-cache-tier, and
 //	                          failure counters
-//	GET  /v1/history          the persistent run ledger (?experiment,
-//	                          ?kind, ?limit, ?format=json|text|csv);
-//	                          requires -ledger-dir
+//	GET  /v1/history          the run ledger, newest first (?experiment,
+//	                          ?kind, ?limit, ?format=json|text|csv)
 //	GET  /v1/compare          benchstat-style delta between two ledger
 //	                          records (?a, ?b selectors: record id or
-//	                          experiment[~N]; ?threshold, ?format);
-//	                          requires -ledger-dir
+//	                          experiment[~N]; ?threshold, ?format)
+//
+// Every run and sweep is stamped into one run ledger, the only run
+// history: a file under -ledger-dir (see WithLedger), or otherwise a
+// memory-only ledger holding this process's newest runs.
 package serve
 
 import (
@@ -68,8 +70,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// maxResults bounds the /v1/results history ring.
-const maxResults = 256
+// resultsLimit is /v1/results' default ?limit.
+const resultsLimit = 256
 
 // RunResponse is the JSON body of /v1/run/{exp} (and the "done" event
 // of the NDJSON stream). Doc is the typed result document; Report is
@@ -95,24 +97,6 @@ type RunStats struct {
 	QueueWaitMS float64 `json:"queue_wait_ms"`          // summed dispatch→execution wait
 	WallMS      float64 `json:"wall_ms"`
 	FromCache   bool    `json:"from_cache"` // true when no shard re-executed
-}
-
-// ResultRecord is one completed run or sweep in /v1/results. Kind is
-// "run" or "sweep"; Points is the grid size for sweeps; Error is set
-// when the execution failed (failed runs stay in history so operators
-// can see them — they also increment run_failures in /v1/metrics). ID
-// is the run-ledger record id when a ledger is attached — the handle
-// /v1/compare selectors and `rowpress compare` accept.
-type ResultRecord struct {
-	ID          string    `json:"id,omitempty"`
-	Experiment  string    `json:"experiment"`
-	Kind        string    `json:"kind"`
-	Fingerprint string    `json:"fingerprint"`
-	Bytes       int       `json:"bytes"`
-	Points      int       `json:"points,omitempty"`
-	Error       string    `json:"error,omitempty"`
-	Stats       RunStats  `json:"stats"`
-	CompletedAt time.Time `json:"completed_at"`
 }
 
 // MetricsResponse is the JSON body of /v1/metrics. The cache_* fields
@@ -182,21 +166,12 @@ type Server struct {
 	now   func() time.Time // test hook
 
 	log      *slog.Logger
-	ledger   *ledger.Ledger // optional persistent run ledger
+	ledger   *ledger.Ledger // run history: WithLedger's, or memory-only
 	fabric   *fabric.Client // optional coordinator-mode peer fabric
 	routes   []*route       // instrumented endpoints, registration order
 	reqID    atomic.Uint64
 	draining atomic.Bool
-
-	mu sync.Mutex
-	// results is a fixed-size ring: head is the next insert position and
-	// count ≤ maxResults. Inserting overwrites the oldest entry in place —
-	// O(1) per completed run, where rebuilding a newest-first slice was
-	// O(n) allocations per request under load.
-	results  [maxResults]ResultRecord
-	head     int
-	count    int
-	failures uint64 // failed runs + failed sweep points
+	failures atomic.Uint64 // failed runs + failed sweep points served here
 }
 
 // Option configures a Server at construction.
@@ -212,10 +187,10 @@ func WithLogger(l *slog.Logger) Option {
 	}
 }
 
-// WithLedger attaches a persistent run ledger: every completed run and
-// sweep is stamped into it, /v1/history and /v1/compare serve it, and
-// the /v1/results ring is warm-started from its newest records at
-// construction so history survives daemon restarts.
+// WithLedger sets the run ledger every completed run and sweep is
+// stamped into, and /v1/results, /v1/history and /v1/compare read
+// (default: a memory-only ledger). A file-backed ledger carries the
+// history, document hashes included, across daemon restarts.
 func WithLedger(l *ledger.Ledger) Option {
 	return func(s *Server) { s.ledger = l }
 }
@@ -253,6 +228,9 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
+	if s.ledger == nil {
+		s.ledger, _ = ledger.Open("", 0) // memory-only: cannot fail
+	}
 	s.handle("GET /healthz", s.handleHealthz)
 	s.handle("GET /v1/healthz", s.handleHealthzV1)
 	s.handle("GET /metrics", s.handlePromMetrics)
@@ -261,50 +239,11 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	s.handle("GET /v1/run/{exp}", s.handleRun)
 	s.handle("POST /v1/shard", s.handleShard)
 	s.handle("POST /v1/sweep", s.handleSweep)
-	s.handle("GET /v1/results", s.handleResults)
+	s.handle("GET /v1/results", s.historyHandler(resultsLimit))
 	s.handle("GET /v1/metrics", s.handleMetrics)
-	s.handle("GET /v1/history", s.handleHistory)
+	s.handle("GET /v1/history", s.historyHandler(0))
 	s.handle("GET /v1/compare", s.handleCompare)
-	s.warmResults()
 	return s
-}
-
-// warmResults seeds the /v1/results ring from the ledger's newest
-// records so a restarted daemon's history endpoint is not empty even
-// though nothing ran in this process yet. The process-local failure
-// counter is untouched — those records' failures belong to the process
-// that served them.
-func (s *Server) warmResults() {
-	if s.ledger == nil {
-		return
-	}
-	recs := s.ledger.Records(ledger.Query{Limit: maxResults}) // newest first
-	for i := len(recs) - 1; i >= 0; i-- {
-		s.record(resultFromLedger(recs[i]), 0)
-	}
-}
-
-// resultFromLedger converts a durable ledger record into the
-// /v1/results wire shape.
-func resultFromLedger(r ledger.Record) ResultRecord {
-	hits := r.Tiers.Total() - r.Tiers.Miss
-	return ResultRecord{
-		ID:          r.ID,
-		Experiment:  r.Experiment,
-		Kind:        r.Kind,
-		Fingerprint: r.OptionsHash,
-		Error:       r.Error,
-		CompletedAt: r.CompletedAt,
-		Stats: RunStats{
-			Shards:      r.Shards,
-			CacheHits:   hits,
-			Executed:    r.Tiers.Miss,
-			SubExecuted: r.SubShards,
-			QueueWaitMS: r.QueueWait.TotalMS,
-			WallMS:      r.WallMS,
-			FromCache:   r.Shards > 0 && r.Tiers.Miss == 0 && r.Error == "",
-		},
-	}
 }
 
 // Engine returns the backing engine.
@@ -511,13 +450,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// With a ledger attached, window the engine's latency aggregates
-	// around this run.
-	var before engine.Metrics
-	if s.ledger != nil {
-		before = s.eng.Metrics()
-	}
-
+	// Window the engine's latency aggregates around this run for its
+	// ledger record.
+	before := s.eng.Metrics()
 	doc, es, err := s.eng.Execute(p)
 	annotate(r.Context(), es.Shards, es.Executed)
 	text := report.Text(doc)
@@ -530,22 +465,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		WallMS:      float64(es.Wall) / float64(time.Millisecond),
 		FromCache:   es.Executed == 0 && err == nil,
 	}
-	rec := ResultRecord{
-		Experiment:  id,
-		Kind:        "run",
-		Fingerprint: p.Fingerprint,
-		Bytes:       len(text),
-		Stats:       stats,
-		CompletedAt: s.now().UTC(),
-	}
-	if s.ledger != nil {
-		lr := ledger.RunRecord(id, o.Hash(), s.eng.Workers(), es, s.eng.Metrics().Sub(before), doc, err)
-		lr.CompletedAt, lr.Peers = rec.CompletedAt, s.peerCount()
-		rec.ID = s.appendLedger(r, lr)
-	}
+	s.appendLedger(r, ledger.RunRecord(id, o.Hash(), s.eng.Workers(), es, s.eng.Metrics().Sub(before), doc, err))
 	if err != nil {
-		rec.Error = err.Error()
-		s.record(rec, 1)
+		s.failures.Add(1)
 		if format == "ndjson" {
 			wmu.Lock()
 			_ = enc.Encode(streamError{Event: "error", Error: err.Error()})
@@ -555,7 +477,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.record(rec, 0)
 	var title string
 	if e, ok := core.Get(id); ok {
 		title = e.Title
@@ -663,10 +584,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
 		return
 	}
-	var before engine.Metrics
-	if s.ledger != nil {
-		before = s.eng.Metrics()
-	}
+	before := s.eng.Metrics()
 	res, err := sweep.Run(s.eng, spec)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -676,32 +594,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	a := res.Aggregate
-	annotate(r.Context(), a.ShardRefs, a.Executed)
-	rec := ResultRecord{
-		Experiment:  res.Experiment,
-		Kind:        "sweep",
-		Fingerprint: sweepFingerprint(spec),
-		Bytes:       a.ReportBytes,
-		Points:      a.Points,
-		Stats: RunStats{
-			Shards:      a.ShardRefs,
-			CacheHits:   a.ShardRefs - a.Executed,
-			Executed:    a.Executed,
-			SubExecuted: a.SubExecuted,
-			QueueWaitMS: a.QueueWaitMS,
-			WallMS:      a.WallMS,
-			FromCache:   a.Executed == 0 && a.Failed == 0,
-		},
-		CompletedAt: s.now().UTC(),
-	}
-	rec.Error = res.Failure()
-	if s.ledger != nil {
-		lr := res.LedgerRecord(spec, s.eng.Workers(), s.eng.Metrics().Sub(before))
-		lr.CompletedAt, lr.Peers = rec.CompletedAt, s.peerCount()
-		rec.ID = s.appendLedger(r, lr)
-	}
-	s.record(rec, uint64(a.Failed))
+	annotate(r.Context(), res.Aggregate.ShardRefs, res.Aggregate.Executed)
+	s.appendLedger(r, res.LedgerRecord(spec, s.eng.Workers(), s.eng.Metrics().Sub(before)))
+	s.failures.Add(uint64(res.Aggregate.Failed))
 	switch format {
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -714,97 +609,53 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// appendLedger stamps the record into the attached ledger and returns
-// its assigned id. An append failure is logged, not fatal — the run
-// itself succeeded; only its durable history entry was lost.
-func (s *Server) appendLedger(r *http.Request, lr ledger.Record) string {
-	stamped, err := s.ledger.Append(lr)
-	if err != nil {
+// appendLedger stamps the record into the run ledger, completed now
+// on this daemon's fabric. An append failure is logged, not fatal —
+// the run itself succeeded; only its history entry was lost.
+func (s *Server) appendLedger(r *http.Request, lr ledger.Record) {
+	lr.CompletedAt, lr.Peers = s.now().UTC(), s.peerCount()
+	if _, err := s.ledger.Append(lr); err != nil {
 		s.log.LogAttrs(r.Context(), slog.LevelWarn, "ledger_append_failed", slog.String("error", err.Error()))
-		return ""
-	}
-	return stamped.ID
-}
-
-// sweepFingerprint content-addresses a sweep spec the same way shard
-// results are addressed, so identical sweeps are recognizable in
-// /v1/results history.
-func sweepFingerprint(spec sweep.Spec) string {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return "unfingerprintable"
-	}
-	return engine.Key("sweep", string(b))
-}
-
-// record appends one history entry to the ring and adds failed to the
-// process-wide failure counter (a failed run is 1; a sweep contributes
-// its failed point count).
-func (s *Server) record(rec ResultRecord, failed uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failures += failed
-	s.results[s.head] = rec
-	s.head = (s.head + 1) % maxResults
-	if s.count < maxResults {
-		s.count++
 	}
 }
 
-// recentResults snapshots the ring newest-first.
-func (s *Server) recentResults() []ResultRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ResultRecord, s.count)
-	for i := 0; i < s.count; i++ {
-		out[i] = s.results[(s.head-1-i+maxResults)%maxResults]
-	}
-	return out
-}
-
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.recentResults())
-}
-
-// handleHistory serves the persistent run ledger: JSON is the raw
-// record list (newest first), text/CSV render through the shared
-// report pipeline. 404 without a ledger — history is a deployment
-// choice (-ledger-dir), not a degraded empty list.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if s.ledger == nil {
-		writeError(w, http.StatusNotFound, "no run ledger attached (start the daemon with -ledger-dir)")
-		return
-	}
-	format, err := parseFormat(r, "json", "text", "csv")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	q := ledger.Query{
-		Experiment: r.URL.Query().Get("experiment"),
-		Kind:       r.URL.Query().Get("kind"),
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
+// historyHandler serves the run ledger, newest first, with limit as
+// the default ?limit (0 = all): JSON is the raw record list, text/CSV
+// render through the shared report pipeline.
+func (s *Server) historyHandler(limit int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		format, err := parseFormat(r, "json", "text", "csv")
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		q.Limit = n
-	}
-	recs := s.ledger.Records(q)
-	switch format {
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, report.Text(ledger.HistoryDoc(recs, s.ledger.Stats())))
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		fmt.Fprint(w, report.CSV(ledger.HistoryDoc(recs, s.ledger.Stats())))
-	default:
-		if recs == nil {
-			recs = []ledger.Record{}
+		q := ledger.Query{
+			Experiment: r.URL.Query().Get("experiment"),
+			Kind:       r.URL.Query().Get("kind"),
+			Limit:      limit,
 		}
-		writeJSON(w, http.StatusOK, recs)
+		if v := r.URL.Query().Get("limit"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				writeError(w, http.StatusBadRequest, "bad limit %q", v)
+				return
+			}
+			q.Limit = n
+		}
+		recs := s.ledger.Records(q)
+		switch format {
+		case "text":
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprint(w, report.Text(ledger.HistoryDoc(recs, s.ledger.Stats())))
+		case "csv":
+			w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+			fmt.Fprint(w, report.CSV(ledger.HistoryDoc(recs, s.ledger.Stats())))
+		default:
+			if recs == nil {
+				recs = []ledger.Record{}
+			}
+			writeJSON(w, http.StatusOK, recs)
+		}
 	}
 }
 
@@ -825,10 +676,6 @@ type CompareResponse struct {
 // (experiment[~N], N-th newest); equal experiment selectors compare
 // the previous run against the latest.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if s.ledger == nil {
-		writeError(w, http.StatusNotFound, "no run ledger attached (start the daemon with -ledger-dir)")
-		return
-	}
 	format, err := parseFormat(r, "json", "text", "csv")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -872,9 +719,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.eng.Metrics()
-	s.mu.Lock()
-	failures := s.failures
-	s.mu.Unlock()
 	var fm *fabric.Metrics
 	if s.fabric != nil {
 		snap := s.fabric.Metrics()
@@ -902,7 +746,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		DiskWrites:     m.Disk.Writes,
 		DiskWriteErrs:  m.Disk.WriteErrors,
 		Errors:         m.Errors,
-		RunFailures:    failures,
+		RunFailures:    s.failures.Load(),
 		TotalWallMS:    float64(m.TotalWall) / float64(time.Millisecond),
 		TotalShardMS:   float64(m.TotalShardTime) / float64(time.Millisecond),
 

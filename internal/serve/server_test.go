@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/ledger"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -140,17 +141,17 @@ func TestResultsAndMetrics(t *testing.T) {
 	getJSON(t, ts.URL+runQuery, nil)
 	getJSON(t, ts.URL+runQuery, nil)
 
-	var results []ResultRecord
+	var results []ledger.Record
 	getJSON(t, ts.URL+"/v1/results", &results)
 	if len(results) != 2 {
 		t.Fatalf("expected 2 result records, got %d", len(results))
 	}
-	// Newest first: the warm run.
-	if !results[0].Stats.FromCache || results[1].Stats.FromCache {
-		t.Fatalf("result order/from_cache wrong: %+v", results)
+	// Newest first: the warm run, which executed nothing.
+	if results[0].Tiers.Miss != 0 || results[1].Tiers.Miss == 0 {
+		t.Fatalf("result order/tier split wrong: %+v", results)
 	}
-	if results[0].Experiment != "fig7" || results[0].Bytes == 0 {
-		t.Fatalf("record malformed: %+v", results[0])
+	if r := results[0]; r.Experiment != "fig7" || r.ID == "" || r.OptionsHash != results[1].OptionsHash || r.DocHash != "" {
+		t.Fatalf("record malformed: %+v", r)
 	}
 
 	var m MetricsResponse
@@ -385,13 +386,13 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 
 	// Sweeps are listed in /v1/results, newest first.
-	var results []ResultRecord
+	var results []ledger.Record
 	getJSON(t, ts.URL+"/v1/results", &results)
 	if len(results) != 2 || results[1].Kind != "sweep" || results[0].Kind != "run" {
 		t.Fatalf("results=%+v", results)
 	}
-	if results[1].Points != 2 || results[1].Stats.Executed != 3 || results[1].Fingerprint == "" {
-		t.Fatalf("sweep record=%+v", results[1])
+	if r := results[1]; r.Shards != 4 || r.Tiers.Miss != 3 || r.OptionsHash == "" {
+		t.Fatalf("sweep record=%+v", r)
 	}
 }
 
@@ -465,7 +466,7 @@ func TestFailedRunRecordedWithError(t *testing.T) {
 		t.Fatalf("poisoned run status %d", resp.StatusCode)
 	}
 
-	var results []ResultRecord
+	var results []ledger.Record
 	getJSON(t, ts.URL+"/v1/results", &results)
 	if len(results) != 1 || results[0].Error == "" || results[0].Kind != "run" {
 		t.Fatalf("failed run not recorded: %+v", results)
@@ -565,21 +566,23 @@ func TestConcurrentSweepAndRunConsistency(t *testing.T) {
 	}
 }
 
-// TestResultsRingOrderingAndOverflow pins the ring-buffer history: with
-// more completed records than the ring holds, /v1/results returns
-// exactly maxResults entries, newest first, and the oldest are the ones
-// dropped. Records are inserted through record() directly so the test
-// exercises the ring, not the experiment engine.
-func TestResultsRingOrderingAndOverflow(t *testing.T) {
+// TestResultsOrderingAndOverflow pins /v1/results over the default
+// memory-only ledger: with more records than its window, it returns
+// exactly resultsLimit entries, newest first, and the oldest are the
+// ones dropped. Records are appended to the ledger directly so the
+// test exercises the history, not the experiment engine.
+func TestResultsOrderingAndOverflow(t *testing.T) {
 	s, ts := newTestServer(t)
-	total := maxResults + 40
+	total := ledger.MemoryRecords + 40
 	for i := 0; i < total; i++ {
-		s.record(ResultRecord{Experiment: fmt.Sprintf("exp-%d", i), Kind: "run"}, 0)
+		if _, err := s.ledger.Append(ledger.Record{Experiment: fmt.Sprintf("exp-%d", i), Kind: ledger.KindRun}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var results []ResultRecord
+	var results []ledger.Record
 	getJSON(t, ts.URL+"/v1/results", &results)
-	if len(results) != maxResults {
-		t.Fatalf("ring returned %d records, want %d", len(results), maxResults)
+	if len(results) != resultsLimit {
+		t.Fatalf("results returned %d records, want %d", len(results), resultsLimit)
 	}
 	for i, rec := range results {
 		want := fmt.Sprintf("exp-%d", total-1-i)
@@ -589,14 +592,16 @@ func TestResultsRingOrderingAndOverflow(t *testing.T) {
 	}
 }
 
-// TestResultsRingPartiallyFilled: below capacity the ring reports only
-// what was recorded, still newest first.
-func TestResultsRingPartiallyFilled(t *testing.T) {
+// TestResultsPartiallyFilled: below the window /v1/results reports
+// only what was recorded, still newest first.
+func TestResultsPartiallyFilled(t *testing.T) {
 	s, ts := newTestServer(t)
 	for i := 0; i < 3; i++ {
-		s.record(ResultRecord{Experiment: fmt.Sprintf("exp-%d", i), Kind: "run"}, 0)
+		if _, err := s.ledger.Append(ledger.Record{Experiment: fmt.Sprintf("exp-%d", i), Kind: ledger.KindRun}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var results []ResultRecord
+	var results []ledger.Record
 	getJSON(t, ts.URL+"/v1/results", &results)
 	if len(results) != 3 {
 		t.Fatalf("got %d records, want 3", len(results))

@@ -229,11 +229,12 @@ func (r *Result) Failure() string {
 	return fmt.Sprintf("%d/%d points failed", r.Aggregate.Failed, r.Aggregate.Points)
 }
 
-// LedgerRecord builds the sweep's durable ledger record: identity
-// hashes over the spec and every point's document, the exact tier
-// split, and the engine's latency aggregates over window (the metrics
-// accumulated while the sweep ran). Callers stamp what only they know,
-// such as CompletedAt and Peers.
+// LedgerRecord builds the sweep's durable ledger record: the spec's
+// identity hash, every point's document (for Append to hash when it
+// writes to disk), the exact tier split, and the engine's latency
+// aggregates over window (the metrics accumulated while the sweep
+// ran). Callers stamp what only they know, such as CompletedAt and
+// Peers.
 func (r *Result) LedgerRecord(spec Spec, workers int, window engine.Metrics) ledger.Record {
 	docs := make([]*report.Doc, len(r.Points))
 	for i := range r.Points {
@@ -243,7 +244,7 @@ func (r *Result) LedgerRecord(spec Spec, workers int, window engine.Metrics) led
 		Kind:        ledger.KindSweep,
 		Experiment:  r.Experiment,
 		OptionsHash: ledger.HashJSON("sweep", spec),
-		DocHash:     ledger.DocsHash(docs),
+		Docs:        docs,
 		Error:       r.Failure(),
 		WallMS:      r.Aggregate.WallMS,
 		Shards:      r.Aggregate.ShardRefs,
