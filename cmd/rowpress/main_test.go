@@ -1,11 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 // mainEnv switches the test binary into running main: the tests re-exec
@@ -73,5 +80,104 @@ func TestRejectsUnusedFlags(t *testing.T) {
 func TestScenariosCSV(t *testing.T) {
 	if code, stderr := runMain(t, "scenarios", "-format", "csv"); code != 0 {
 		t.Fatalf("rowpress scenarios -format csv: exit %d (stderr %q)", code, stderr)
+	}
+}
+
+// traceEvent is the part of a Chrome trace event the trace test reads.
+type traceEvent struct {
+	Ph   string         `json:"ph"`
+	Cat  string         `json:"cat"`
+	Name string         `json:"name"`
+	Args map[string]any `json:"args"`
+}
+
+// tracedSpans runs work on a fresh engine with a span recorder, as
+// -trace does, writes the trace file through writeTrace, and returns
+// the file's complete ("X") events.
+func tracedSpans(t *testing.T, work func(*engine.Engine) error) []traceEvent {
+	t.Helper()
+	e := engine.New(0, 0)
+	e.SetRecorder(obs.NewRecorder(0))
+	if err := work(e); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := writeTrace(e.Recorder(), path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &tf); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	var spans []traceEvent
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "X" {
+			spans = append(spans, ev)
+		}
+	}
+	return spans
+}
+
+// TestTraceCoversShardLifecycle: a traced run records at least one
+// execute span per planned shard (fig6 plans 12 module shards) plus the
+// plan-build, merge and queue-wait spans. A traced sweep runs through
+// the same execution core as a single run, so its lookup spans carry
+// the shard index and none is labelled with the pseudo-experiment
+// "batch".
+func TestTraceCoversShardLifecycle(t *testing.T) {
+	o := core.DefaultOptions()
+	o.Scale = 0.05
+	spans := tracedSpans(t, func(e *engine.Engine) error {
+		_, _, err := core.RunObserved(e, "fig6", o, nil)
+		return err
+	})
+	execs := map[any]bool{}
+	cats := map[string]bool{}
+	for _, ev := range spans {
+		cats[ev.Cat] = true
+		if ev.Cat == "execute" {
+			execs[ev.Args["shard"]] = true
+		}
+	}
+	if len(execs) < 12 {
+		t.Errorf("run: execute spans for %d shards, want >= 12", len(execs))
+	}
+	for _, cat := range []string{"plan_build", "merge", "queue_wait"} {
+		if !cats[cat] {
+			t.Errorf("run: no %s span among %d", cat, len(spans))
+		}
+	}
+
+	spec, err := buildSpec("fig6", "0.05", "1,2", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans = tracedSpans(t, func(e *engine.Engine) error {
+		res, err := sweep.Run(e, spec)
+		if err == nil && res.Failure() != "" {
+			t.Errorf("sweep: %s", res.Failure())
+		}
+		return err
+	})
+	lookups := 0
+	for _, ev := range spans {
+		if strings.HasPrefix(ev.Cat, "cache_") {
+			lookups++
+			if _, ok := ev.Args["index"]; !ok {
+				t.Errorf("sweep: lookup span %s has no index arg", ev.Name)
+			}
+		}
+		if ev.Args["experiment"] == "batch" {
+			t.Errorf("sweep: span %s labelled experiment \"batch\"", ev.Name)
+		}
+	}
+	if lookups == 0 {
+		t.Error("sweep: trace has no cache lookup spans")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/characterize"
 	"repro/internal/chipgen"
@@ -287,9 +286,8 @@ func Run(id string, o Options) (*report.Doc, error) {
 // RunWith executes the experiment on the given engine. The resulting
 // document — and therefore report.Text of it — is byte-identical across
 // worker counts: shards are deterministic and the merge consumes them
-// in plan order. When the engine has a span recorder attached, plan
-// decomposition is recorded as a plan_build span so traced runs show
-// the full lifecycle, not just shard execution.
+// in plan order. Traced runs record plan decomposition as well as
+// shard execution (see RunObserved).
 func RunWith(eng *engine.Engine, id string, o Options) (*report.Doc, error) {
 	out, _, err := RunObserved(eng, id, o, nil)
 	return out, err
@@ -300,20 +298,16 @@ func RunWith(eng *engine.Engine, id string, o Options) (*report.Doc, error) {
 // uses the events to split the shard count by answering cache tier.
 // onShard (may be nil) is chained onto the plan exactly like
 // engine.Plan.OnShard: invoked concurrently from worker goroutines.
+// When the engine has a span recorder attached, the recorder times
+// plan decomposition as a plan_build span; core itself never reads the
+// clock, so nothing timed can reach the report document.
 func RunObserved(eng *engine.Engine, id string, o Options, onShard func(engine.ShardEvent)) (*report.Doc, engine.RunStats, error) {
-	var t0 time.Time
-	rec := eng.Recorder()
-	if rec != nil {
-		t0 = time.Now() //lint:ignore rowpressvet/wallclock span timestamp for the plan_build trace; recorder-gated and never feeds the report document
-	}
+	planned := eng.Recorder().Start(obs.PlanBuild, id)
 	p, err := PlanFor(id, o)
 	if err != nil {
 		return nil, engine.RunStats{}, err
 	}
-	if rec != nil {
-		//lint:ignore rowpressvet/wallclock span duration for the plan_build trace; recorder-gated and never feeds the report document
-		rec.Record(obs.PlanBuild, -1, -1, id, "", t0, time.Since(t0), 0)
-	}
+	planned()
 	p.OnShard = onShard
 	return eng.Execute(p)
 }

@@ -25,7 +25,6 @@ import (
 // constructor pattern and not a race.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
-	Doc:  "struct fields accessed both atomically (sync/atomic) and by plain load/store",
 	Run:  runAtomicMix,
 }
 

@@ -1,36 +1,19 @@
-package lint_test
+package lint
 
-import (
-	"testing"
-
-	"repro/internal/lint"
-)
-
-// checkFixture runs analyzers over a testdata package and fails the
-// test on any unmatched `// want` expectation or unexpected finding.
-func checkFixture(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
-	t.Helper()
-	problems, err := lint.CheckFixture(dir, analyzers...)
-	if err != nil {
-		t.Fatalf("fixture %s: %v", dir, err)
-	}
-	for _, p := range problems {
-		t.Error(p)
-	}
-}
+import "testing"
 
 func TestMapRangeFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("maprange", "a"), lint.MapRange)
+	checkFixture(t, fixtureDir("maprange", "a"), MapRange)
 }
 
 func TestWallClockFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("wallclock", "det"), lint.WallClock)
+	checkFixture(t, fixtureDir("wallclock", "det"), WallClock)
 }
 
 // The obs path element exempts a package wholesale: the same calls that
 // are findings in det produce none here.
 func TestWallClockExemptFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("wallclock", "obs"), lint.WallClock)
+	checkFixture(t, fixtureDir("wallclock", "obs"), WallClock)
 }
 
 // The ledger path element is exempt the same way — its completion
@@ -38,32 +21,46 @@ func TestWallClockExemptFixture(t *testing.T) {
 // fixture above keeps proving that non-exempt packages are still
 // flagged.
 func TestWallClockLedgerExemptFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("wallclock", "ledger"), lint.WallClock)
+	checkFixture(t, fixtureDir("wallclock", "ledger"), WallClock)
 }
 
 // The fabric path element is exempt too: hedge timers, retry backoff,
 // and circuit-breaker cooldowns measure real time by design.
 func TestWallClockFabricExemptFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("wallclock", "fabric"), lint.WallClock)
+	checkFixture(t, fixtureDir("wallclock", "fabric"), WallClock)
 }
 
 func TestRNGSourceFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("rngsource", "a"), lint.RNGSource)
+	checkFixture(t, fixtureDir("rngsource", "a"), RNGSource)
 }
 
 func TestAtomicMixFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("atomicmix", "a"), lint.AtomicMix)
+	checkFixture(t, fixtureDir("atomicmix", "a"), AtomicMix)
 }
 
 // The suppression directive is itself under test: valid directives
 // silence their target line, reason-less / unknown-analyzer / stale
 // ones surface as findings of the reserved "ignore" analyzer.
 func TestIgnoreDirectiveFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("ignore", "a"), lint.Analyzers()...)
+	checkFixture(t, fixtureDir("ignore", "a"), Analyzers()...)
 }
 
-// The CI smoke package violates every invariant at once; each analyzer
-// must land its finding.
+// The smoke package violates every invariant at once: each analyzer,
+// and the ignore pseudo-analyzer for directive hygiene, must land at
+// least one finding, so an analyzer added without a smoke line fails
+// here.
 func TestSmokeFixture(t *testing.T) {
-	checkFixture(t, lint.FixtureDir("smoke"), lint.Analyzers()...)
+	found := map[string]bool{}
+	for _, d := range checkFixture(t, fixtureDir("smoke"), Analyzers()...) {
+		found[d.Analyzer] = true
+	}
+	names := []string{IgnoreAnalyzer}
+	for _, a := range Analyzers() {
+		names = append(names, a.Name)
+	}
+	for _, name := range names {
+		if !found[name] {
+			t.Errorf("smoke fixture: no %s finding; testdata/smoke needs a line that trips it", name)
+		}
+	}
 }

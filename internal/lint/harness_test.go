@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"testing"
 )
 
 // This file is the fixture-test harness: testdata packages annotate
@@ -14,7 +15,7 @@ import (
 //	m := map[int]int{}           // no comment: no finding expected
 //	for k := range m { use(k) }  // want "map iteration"
 //
-// and CheckFixture runs the full pipeline (analyzers + suppression
+// and checkFixture runs the full pipeline (analyzers + suppression
 // handling) over the package, failing on any unmatched expectation or
 // unexpected finding. Each `// want` takes one or more Go-quoted
 // regular expressions, each matched against "analyzer: message" of a
@@ -31,52 +32,51 @@ type expectation struct {
 	matched  []bool
 }
 
-// FixtureDir resolves the conventional fixture location for a named
+// fixtureDir resolves the conventional fixture location for a named
 // case: testdata/<analyzer>/<case> under the lint package.
-func FixtureDir(elem ...string) string {
+func fixtureDir(elem ...string) string {
 	return filepath.Join(append([]string{"testdata"}, elem...)...)
 }
 
-// CheckFixture loads the package rooted at dir, runs the given
-// analyzers through the standard pipeline, and verifies the findings
-// against the package's `// want` comments. It returns a list of
-// mismatch descriptions — empty means the fixture passed — plus any
-// load error. Test wrappers turn mismatches into t.Errorf calls.
-func CheckFixture(dir string, analyzers ...*Analyzer) ([]string, error) {
+// checkFixture loads the package rooted at dir, runs the given
+// analyzers through the standard pipeline, and fails the test on any
+// type error, unmatched `// want` expectation or unexpected finding.
+// It returns the findings so callers can assert more about them.
+func checkFixture(t *testing.T, dir string, analyzers ...*Analyzer) []Diagnostic {
+	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	prog, err := Load(abs, []string{abs})
 	if err != nil {
-		return nil, err
+		t.Fatalf("fixture %s: %v", dir, err)
 	}
-	var problems []string
 	for _, pkg := range prog.Pkgs {
 		for _, terr := range pkg.Errors {
-			problems = append(problems, fmt.Sprintf("type error: %v", terr))
+			t.Errorf("type error: %v", terr)
 		}
 	}
 	wants, err := collectWants(prog)
 	if err != nil {
-		return nil, err
+		t.Fatalf("fixture %s: %v", dir, err)
 	}
-	diags := Active(Run(prog, analyzers))
+	diags := Run(prog, analyzers)
 
 	for _, d := range diags {
 		got := d.Analyzer + ": " + d.Message
 		if !matchWant(wants, d, got) {
-			problems = append(problems, fmt.Sprintf("%s:%d: unexpected finding: %s", d.File, d.Line, got))
+			t.Errorf("%s:%d: unexpected finding: %s", d.File, d.Line, got)
 		}
 	}
 	for _, w := range wants {
 		for i, re := range w.patterns {
 			if !w.matched[i] {
-				problems = append(problems, fmt.Sprintf("%s:%d: expected finding matching %q, got none", w.file, w.line, re))
+				t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, re)
 			}
 		}
 	}
-	return problems, nil
+	return diags
 }
 
 // matchWant consumes one unmatched pattern covering the diagnostic.

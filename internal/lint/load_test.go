@@ -27,7 +27,7 @@ type Package struct {
 	Src map[string][]byte
 	// Pkg and Info are the type-checker's output. Info is always
 	// non-nil; Errors collects type errors (analysis continues on a
-	// best-effort basis, but the driver reports them).
+	// best-effort basis, but the tests fail on them).
 	Pkg    *types.Package
 	Info   *types.Info
 	Errors []error
@@ -172,7 +172,7 @@ func check(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package
 		Error:    func(err error) { pkg.Errors = append(pkg.Errors, err) },
 	}
 	// Check returns the package even when it collected errors; the
-	// suite analyzes what it can and the driver surfaces the errors.
+	// suite analyzes what it can and the tests fail on the errors.
 	pkg.Pkg, _ = conf.Check(lp.ImportPath, fset, pkg.Files, pkg.Info)
 	return pkg, nil
 }

@@ -31,7 +31,6 @@ import (
 // state, calling out — needs sorted keys or a reasoned suppression.
 var MapRange = &Analyzer{
 	Name: "maprange",
-	Doc:  "map iteration feeding order-sensitive work without sorted keys",
 	Run:  runMapRange,
 }
 

@@ -15,7 +15,6 @@ import (
 // every payload.
 var RNGSource = &Analyzer{
 	Name: "rngsource",
-	Doc:  "math/rand use instead of the seeded stats.RNG",
 	Run:  runRNGSource,
 }
 

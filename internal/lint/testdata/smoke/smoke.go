@@ -1,7 +1,7 @@
-// Package smoke deliberately violates every rowpressvet invariant in
-// one file. The CI smoke step runs the driver over this directory and
-// asserts a non-zero exit with every analyzer named in the output; the
-// fixture test checks the exact findings.
+// Package smoke deliberately violates every invariant the lint suite
+// checks, in one file. TestSmokeFixture checks the exact findings and
+// that every analyzer, plus the ignore pseudo-analyzer, reports at
+// least one of them.
 package smoke
 
 import (

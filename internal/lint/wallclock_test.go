@@ -9,13 +9,12 @@ import (
 // packages. Experiment shards must be pure functions of (experiment,
 // Options, shard key): a time.Now anywhere in the simulation or merge
 // path can leak into a cached payload or a rendered report and break
-// byte-identical replay. Timing is the point of the observability and
-// serving layers, so obs, engine, serve, the command binaries, and the
-// examples are allowlisted wholesale; everything else in the module is
-// deterministic compute.
+// byte-identical replay. Timing is the point of the observability,
+// serving, ledger and fabric layers, so obs, engine, serve, ledger,
+// fabric, the command binaries, and the examples are allowlisted
+// wholesale; everything else in the module is deterministic compute.
 var WallClock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "wall-clock reads (time.Now etc.) in deterministic compute packages",
 	Run:  runWallClock,
 }
 

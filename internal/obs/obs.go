@@ -120,6 +120,21 @@ func (r *Recorder) Since(t time.Time) time.Duration {
 	return t.Sub(r.epoch)
 }
 
+// noSpan is Start's end function on a nil recorder.
+func noSpan() {}
+
+// Start opens a span of kind outside the worker pool (worker and index
+// -1) and returns the function that closes and records it. On a nil
+// recorder the clock is never read and the returned function is a
+// no-op, so callers time a stage without importing time themselves.
+func (r *Recorder) Start(kind Kind, experiment string) (end func()) {
+	if r == nil {
+		return noSpan
+	}
+	t0 := time.Now()
+	return func() { r.Record(kind, -1, -1, experiment, "", t0, time.Since(t0), 0) }
+}
+
 // Record stores one span. start is absolute (converted to an epoch
 // offset); worker/index follow the Span conventions. No-op on nil.
 func (r *Recorder) Record(kind Kind, worker, index int, experiment, shard string, start time.Time, dur time.Duration, bytes int64) {
