@@ -55,6 +55,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -468,23 +469,36 @@ func runOne(eng *engine.Engine, led *ledger.Ledger, id string, o core.Options, f
 			fmt.Fprintf(os.Stderr, "rowpress: ledger: %v\n", aerr)
 		}
 	}
+	if err == nil {
+		err = writeReport(os.Stdout, eng.Recorder(), id, doc, format, start)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rowpress: %s: %v\n", id, err)
 		os.Exit(1)
 	}
+}
+
+// writeReport renders doc in format and writes it to w, timed as a
+// render span on rec (nil: untimed). The text report is headed by the
+// run's elapsed time since start.
+func writeReport(w io.Writer, rec *obs.Recorder, id string, doc *report.Doc, format string, start time.Time) error {
+	defer rec.Start(obs.Render, id)()
+	var b []byte
 	switch format {
 	case "json":
-		b, err := report.JSON(doc)
+		j, err := report.JSON(doc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpress: %s: %v\n", id, err)
-			os.Exit(1)
+			return err
 		}
-		os.Stdout.Write(b)
+		b = j
 	case "csv":
-		fmt.Print(report.CSV(doc))
+		b = report.AppendCSV(nil, doc)
 	default:
-		fmt.Printf("# %s (%.1fs)\n%s\n", id, time.Since(start).Seconds(), report.Text(doc))
+		b = fmt.Appendf(nil, "# %s (%.1fs)\n", id, time.Since(start).Seconds())
+		b = append(report.AppendText(b, doc), '\n')
 	}
+	_, err := w.Write(b)
+	return err
 }
 
 // runProfile executes one experiment cold under a span recorder and

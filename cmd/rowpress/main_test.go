@@ -3,11 +3,13 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -126,7 +128,9 @@ func tracedSpans(t *testing.T, work func(*engine.Engine) error) []traceEvent {
 
 // TestTraceCoversShardLifecycle: a traced run records at least one
 // execute span per planned shard (fig6 plans 12 module shards) plus the
-// plan-build, merge and queue-wait spans. A traced sweep runs through
+// plan-build, merge and queue-wait spans, and printing its report
+// through writeReport, as `rowpress run` does, a render span. A traced
+// sweep runs through
 // the same execution core as a single run, so its lookup spans carry
 // the shard index and none is labelled with the pseudo-experiment
 // "batch".
@@ -134,8 +138,11 @@ func TestTraceCoversShardLifecycle(t *testing.T) {
 	o := core.DefaultOptions()
 	o.Scale = 0.05
 	spans := tracedSpans(t, func(e *engine.Engine) error {
-		_, _, err := core.RunObserved(e, "fig6", o, nil)
-		return err
+		doc, _, err := core.RunObserved(e, "fig6", o, nil)
+		if err != nil {
+			return err
+		}
+		return writeReport(io.Discard, e.Recorder(), "fig6", doc, "text", time.Now())
 	})
 	execs := map[any]bool{}
 	cats := map[string]bool{}
@@ -148,7 +155,7 @@ func TestTraceCoversShardLifecycle(t *testing.T) {
 	if len(execs) < 12 {
 		t.Errorf("run: execute spans for %d shards, want >= 12", len(execs))
 	}
-	for _, cat := range []string{"plan_build", "merge", "queue_wait"} {
+	for _, cat := range []string{"plan_build", "merge", "queue_wait", "render"} {
 		if !cats[cat] {
 			t.Errorf("run: no %s span among %d", cat, len(spans))
 		}

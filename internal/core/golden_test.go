@@ -16,11 +16,13 @@ import (
 	"repro/internal/report"
 )
 
-// -update regenerates the golden reports. Only use it for deliberate,
-// reviewed output changes: the goldens pin every experiment report to the
-// byte-exact output of the original per-command simulation path, so the
-// batched/closed-form fast paths cannot drift without failing here.
-var updateGolden = flag.Bool("update", false, "rewrite golden experiment reports")
+// -update regenerates the golden reports and documents
+// (testdata/golden/<id>.golden and <id>.json). Only use it for
+// deliberate, reviewed output changes: the goldens pin every experiment
+// report to the byte-exact output of the original per-command
+// simulation path, so the batched/closed-form fast paths cannot drift
+// without failing here.
+var updateGolden = flag.Bool("update", false, "rewrite golden experiment reports and documents")
 
 func goldenOptions() Options {
 	return Options{Scale: 0.05, Seed: 1, Modules: []string{"S0", "S3", "M3"}}
@@ -213,8 +215,10 @@ func TestEngineDeterminismAndCache(t *testing.T) {
 //   - report.Text(doc) is byte-identical to the pre-refactor merge
 //     output (the checked-in golden files, which predate the Doc model);
 //   - the canonical JSON encoding is deterministic (two encodes agree),
-//     round-trips through encoding/json losslessly, and re-renders to
-//     the same text after the round trip;
+//     equals the checked-in testdata/golden/<id>.json (the documents
+//     internal/report's differential renderer tests replay), round-trips
+//     through encoding/json losslessly, and re-renders to the same text
+//     after the round trip;
 //   - the CSV rendering is non-empty and every non-comment line parses
 //     as RFC 4180 CSV.
 func TestRendererEquivalence(t *testing.T) {
@@ -238,6 +242,16 @@ func TestRendererEquivalence(t *testing.T) {
 			j2, _ := report.JSON(doc)
 			if !bytes.Equal(j1, j2) {
 				t.Error("canonical JSON is not deterministic across encodes")
+			}
+			jpath := filepath.Join("testdata", "golden", e.ID+".json")
+			if *updateGolden {
+				if err := os.WriteFile(jpath, j1, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if jwant, err := os.ReadFile(jpath); err != nil {
+				t.Errorf("missing golden document (run with -update to create): %v", err)
+			} else if !bytes.Equal(j1, jwant) {
+				t.Errorf("canonical JSON differs from golden document %s", jpath)
 			}
 			var round report.Doc
 			if err := json.Unmarshal(j1, &round); err != nil {

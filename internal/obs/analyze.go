@@ -37,6 +37,7 @@ type Analysis struct {
 	Wall       time.Duration // span envelope: earliest start to latest end
 	PlanBuild  time.Duration
 	Merge      time.Duration
+	Render     time.Duration
 	TotalExec  time.Duration // summed shard execution
 	TotalQueue time.Duration // summed queue waits
 	CacheHits  int           // mem+disk lookup hits
@@ -44,10 +45,10 @@ type Analysis struct {
 	Workers    []WorkerProfile
 
 	// CriticalPath is the serial chain no worker count removes: plan
-	// build + the longest single shard + merge.
+	// build + the longest single shard + merge + render.
 	CriticalPath time.Duration
 	// SerialFraction is CriticalPath over the total serialized work
-	// (plan build + all shard execution + merge) — Amdahl's s.
+	// (plan build + all shard execution + merge + render) — Amdahl's s.
 	SerialFraction float64
 	// MaxSpeedup is the Amdahl bound: total work / critical path.
 	MaxSpeedup float64
@@ -81,6 +82,8 @@ func Analyze(spans []Span) Analysis {
 			a.PlanBuild += s.Dur
 		case Merge:
 			a.Merge += s.Dur
+		case Render:
+			a.Render += s.Dur
 		case QueueWait:
 			a.TotalQueue += s.Dur
 			queues[s.Experiment+"\x1f"+s.Shard] += s.Dur
@@ -136,8 +139,8 @@ func Analyze(spans []Span) Analysis {
 		a.MeanUtilization /= float64(len(a.Workers))
 	}
 
-	a.CriticalPath = a.PlanBuild + maxExec + a.Merge
-	total := a.PlanBuild + a.TotalExec + a.Merge
+	a.CriticalPath = a.PlanBuild + maxExec + a.Merge + a.Render
+	total := a.PlanBuild + a.TotalExec + a.Merge + a.Render
 	if total > 0 && a.CriticalPath > 0 {
 		a.SerialFraction = float64(a.CriticalPath) / float64(total)
 		a.MaxSpeedup = float64(total) / float64(a.CriticalPath)
@@ -205,10 +208,10 @@ func (a Analysis) Doc(n int) *report.Doc {
 		fmt.Sprintf("mean utilization %s over %s ms wall", report.Pct(a.MeanUtilization), ms(a.Wall)))
 
 	crit := report.FindingsSection("critical path",
-		fmt.Sprintf("plan build %s ms + longest shard %s ms + merge %s ms = critical path %s ms",
-			ms(a.PlanBuild), ms(a.CriticalPath-a.PlanBuild-a.Merge), ms(a.Merge), ms(a.CriticalPath)),
+		fmt.Sprintf("plan build %s ms + longest shard %s ms + merge %s ms + render %s ms = critical path %s ms",
+			ms(a.PlanBuild), ms(a.CriticalPath-a.PlanBuild-a.Merge-a.Render), ms(a.Merge), ms(a.Render), ms(a.CriticalPath)),
 		fmt.Sprintf("serial fraction %s of %s ms total work (Amdahl)",
-			report.Pct(a.SerialFraction), ms(a.PlanBuild+a.TotalExec+a.Merge)),
+			report.Pct(a.SerialFraction), ms(a.PlanBuild+a.TotalExec+a.Merge+a.Render)),
 		fmt.Sprintf("theoretical max speedup %.2fx at unlimited workers", a.MaxSpeedup),
 		fmt.Sprintf("queue wait total %s ms across executed shards", ms(a.TotalQueue)),
 	)

@@ -1,7 +1,7 @@
 // Package obs is the engine's observability layer: a low-overhead span
 // recorder threaded through the shard lifecycle (queue wait, cache
 // lookup split by tier, execute, merge, plan build, scatter-gather
-// barrier), a Chrome trace-event exporter so a run renders as a
+// barrier, render), a Chrome trace-event exporter so a run renders as a
 // per-worker timeline in chrome://tracing or Perfetto, a critical-path
 // analyzer turning a span set into a shard-dominance / worker-
 // utilization / Amdahl report, and fixed-bucket latency histograms for
@@ -48,13 +48,16 @@ const (
 	// RemoteDispatch is a shard answered by a fabric peer: the full
 	// wire round trip, retries included, as seen by the coordinator.
 	RemoteDispatch
+	// Render is a run's document rendered into the format its caller
+	// sends, and the write of it.
+	Render
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"queue_wait", "cache_mem", "cache_disk", "cache_miss",
 	"execute", "merge", "plan_build", "barrier",
-	"remote_dispatch",
+	"remote_dispatch", "render",
 }
 
 // String names the kind as it appears in trace categories and tables.

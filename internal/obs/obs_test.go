@@ -142,7 +142,8 @@ func TestHistogramEmpty(t *testing.T) {
 // analyzeFixture builds a deterministic two-worker span set:
 //
 //	plan build 2ms, then worker 0 runs a 10ms shard and worker 1 runs a
-//	6ms and a 4ms shard, then merge 1ms. Queue waits 1ms per shard.
+//	6ms and a 4ms shard, then merge 1ms and render 1ms. Queue waits 1ms
+//	per shard.
 func analyzeFixture() []Span {
 	msec := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	return []Span{
@@ -155,29 +156,30 @@ func analyzeFixture() []Span {
 		{Kind: Execute, Worker: 1, Index: 2, Experiment: "e", Shard: "c", Start: msec(10), Dur: msec(4), Bytes: 40},
 		{Kind: CacheMem, Worker: -1, Index: 3, Experiment: "e", Shard: "d", Start: msec(2), Dur: 0},
 		{Kind: Merge, Worker: -1, Index: -1, Experiment: "e", Start: msec(14), Dur: msec(1)},
+		{Kind: Render, Worker: -1, Index: -1, Experiment: "e", Start: msec(15), Dur: msec(1)},
 	}
 }
 
 func TestAnalyzeCriticalPath(t *testing.T) {
 	a := Analyze(analyzeFixture())
-	if a.Wall != 15*time.Millisecond {
-		t.Fatalf("Wall = %v, want 15ms", a.Wall)
+	if a.Wall != 16*time.Millisecond {
+		t.Fatalf("Wall = %v, want 16ms", a.Wall)
 	}
-	if a.PlanBuild != 2*time.Millisecond || a.Merge != time.Millisecond {
-		t.Fatalf("plan=%v merge=%v", a.PlanBuild, a.Merge)
+	if a.PlanBuild != 2*time.Millisecond || a.Merge != time.Millisecond || a.Render != time.Millisecond {
+		t.Fatalf("plan=%v merge=%v render=%v", a.PlanBuild, a.Merge, a.Render)
 	}
 	if a.TotalExec != 20*time.Millisecond || a.TotalQueue != 3*time.Millisecond || a.CacheHits != 1 {
 		t.Fatalf("exec=%v queue=%v hits=%d", a.TotalExec, a.TotalQueue, a.CacheHits)
 	}
-	// Critical path: 2ms plan + 10ms longest shard + 1ms merge = 13ms
-	// over 23ms of total serialized work.
-	if a.CriticalPath != 13*time.Millisecond {
-		t.Fatalf("CriticalPath = %v, want 13ms", a.CriticalPath)
+	// Critical path: 2ms plan + 10ms longest shard + 1ms merge + 1ms
+	// render = 14ms over 24ms of total serialized work.
+	if a.CriticalPath != 14*time.Millisecond {
+		t.Fatalf("CriticalPath = %v, want 14ms", a.CriticalPath)
 	}
-	if want := 13.0 / 23.0; math.Abs(a.SerialFraction-want) > 1e-9 {
+	if want := 14.0 / 24.0; math.Abs(a.SerialFraction-want) > 1e-9 {
 		t.Fatalf("SerialFraction = %v, want %v", a.SerialFraction, want)
 	}
-	if want := 23.0 / 13.0; math.Abs(a.MaxSpeedup-want) > 1e-9 {
+	if want := 24.0 / 14.0; math.Abs(a.MaxSpeedup-want) > 1e-9 {
 		t.Fatalf("MaxSpeedup = %v, want %v", a.MaxSpeedup, want)
 	}
 	// Shards sort by descending execution time and join their queue waits.
@@ -187,12 +189,12 @@ func TestAnalyzeCriticalPath(t *testing.T) {
 	if a.Shards[0].Queue != time.Millisecond {
 		t.Fatalf("queue wait not joined: %+v", a.Shards[0])
 	}
-	// Worker 0: 10ms busy / 15ms wall; worker 1: 10ms busy / 15ms wall.
+	// Worker 0: 10ms busy / 16ms wall; worker 1: 10ms busy / 16ms wall.
 	if len(a.Workers) != 2 || a.Workers[0].Worker != 0 || a.Workers[1].Worker != 1 {
 		t.Fatalf("workers wrong: %+v", a.Workers)
 	}
 	for _, w := range a.Workers {
-		if want := 10.0 / 15.0; math.Abs(w.Utilization-want) > 1e-9 {
+		if want := 10.0 / 16.0; math.Abs(w.Utilization-want) > 1e-9 {
 			t.Fatalf("worker %d utilization = %v, want %v", w.Worker, w.Utilization, want)
 		}
 	}
@@ -220,7 +222,10 @@ func TestAnalysisDocTopN(t *testing.T) {
 	if strings.Contains(text, "\nc ") {
 		t.Fatalf("doc shows shard beyond top-2:\n%s", text)
 	}
-	if !strings.Contains(text, "theoretical max speedup 1.77x") {
+	if !strings.Contains(text, "render 1.000 ms = critical path 14.000 ms") {
+		t.Fatalf("doc critical path omits render:\n%s", text)
+	}
+	if !strings.Contains(text, "theoretical max speedup 1.71x") {
 		t.Fatalf("doc missing Amdahl bound:\n%s", text)
 	}
 }

@@ -11,8 +11,9 @@ package report
 // machine-readable figure datasets.
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -89,55 +90,64 @@ func (d *Doc) Add(sections ...DocSection) *Doc {
 	return d
 }
 
-// text renders one section exactly as the legacy string path did:
-// Section(title, body) with the body parts concatenated in model order.
-func (s DocSection) text() string {
-	var b strings.Builder
-	if s.Table != nil {
-		b.WriteString(Table(s.Table.Headers, s.Table.Rows))
+// AppendText appends the operator-facing report to b — the exact bytes
+// the pre-Doc merge path produced: each section is "== title ==" over
+// its table, notes, findings and Num-formatted series points, sections
+// joined with a single newline (which reads as a blank line because
+// table bodies end in one). A nil doc appends nothing.
+func AppendText(b []byte, d *Doc) []byte {
+	if d == nil {
+		return b
 	}
-	for _, n := range s.Notes {
-		b.WriteString(n)
-		b.WriteByte('\n')
-	}
-	for _, f := range s.Findings {
-		b.WriteString(f)
-		b.WriteByte('\n')
-	}
-	if s.Series != nil {
-		for _, p := range s.Series.Points {
-			fmt.Fprintf(&b, "%s %s\n", Num(p.X), Num(p.Y))
+	for i, s := range d.Sections {
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		b = append(b, "== "...)
+		b = append(b, s.Title...)
+		b = append(b, " ==\n"...)
+		if s.Table != nil {
+			b = appendTable(b, s.Table.Headers, s.Table.Rows)
+		}
+		b = appendLines(b, "", s.Notes)
+		b = appendLines(b, "", s.Findings)
+		if s.Series != nil {
+			for _, p := range s.Series.Points {
+				b = appendNum(b, p.X)
+				b = append(b, ' ')
+				b = appendNum(b, p.Y)
+				b = append(b, '\n')
+			}
 		}
 	}
-	return Section(s.Title, b.String())
+	return b
 }
 
-// Text renders the document as the operator-facing report — the exact
-// bytes the pre-Doc merge path produced (sections joined with a single
-// newline, which reads as a blank line because table bodies end in one).
-func Text(d *Doc) string {
-	if d == nil {
-		return ""
+// appendLines appends each line under prefix, newline-terminated.
+func appendLines(b []byte, prefix string, lines []string) []byte {
+	for _, l := range lines {
+		b = append(b, prefix...)
+		b = append(b, l...)
+		b = append(b, '\n')
 	}
-	parts := make([]string, len(d.Sections))
-	for i, s := range d.Sections {
-		parts[i] = s.text()
-	}
-	return strings.Join(parts, "\n")
+	return b
 }
+
+// Text renders the document as the operator-facing report (AppendText).
+func Text(d *Doc) string { return string(AppendText(nil, d)) }
 
 // JSON is the canonical encoding: compact, struct-field-ordered keys
 // (encoding/json emits struct fields in declaration order, and the
 // model holds no maps), trailing newline. Equal Docs encode to equal
 // bytes, so the encoding is usable as a content address.
 func JSON(d *Doc) ([]byte, error) {
-	var b strings.Builder
+	var b bytes.Buffer
 	enc := json.NewEncoder(&b)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(d); err != nil {
 		return nil, err
 	}
-	return []byte(b.String()), nil
+	return b.Bytes(), nil
 }
 
 // CSVEscape quotes a cell when it contains a separator, quote, or
@@ -146,59 +156,91 @@ func CSVEscape(s string) string {
 	if !strings.ContainsAny(s, ",\"\n") {
 		return s
 	}
-	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+	return string(appendCSVCell(nil, s))
 }
 
-func csvRow(b *strings.Builder, cells []string) {
+// appendCSVCell appends CSVEscape(s) to b.
+func appendCSVCell(b []byte, s string) []byte {
+	if !strings.ContainsAny(s, ",\"\n") {
+		return append(b, s...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '"')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+func appendCSVRow(b []byte, cells ...string) []byte {
 	for i, c := range cells {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(CSVEscape(c))
+		b = appendCSVCell(b, c)
 	}
-	b.WriteByte('\n')
+	return append(b, '\n')
 }
 
-// CSV renders the document for spreadsheet/pandas ingestion: one CSV
-// block per table or series section (header row then data rows),
-// sections separated by a blank line, with document and section
+// AppendCSV appends the spreadsheet/pandas rendering of the document to
+// b: one CSV block per table or series section (header row then data
+// rows), sections separated by a blank line, with document and section
 // metadata on '#'-prefixed comment lines (pandas: comment='#'). Notes
 // and findings become comment lines too, so no report content is lost.
-func CSV(d *Doc) string {
+// Series points are %g-formatted (strconv's shortest 'g' spelling). A
+// nil doc appends nothing.
+func AppendCSV(b []byte, d *Doc) []byte {
 	if d == nil {
-		return ""
+		return b
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# experiment: %s\n", d.Experiment)
+	b = append(b, "# experiment: "...)
+	b = append(b, d.Experiment...)
+	b = append(b, '\n')
 	if d.Title != "" {
-		fmt.Fprintf(&b, "# title: %s\n", d.Title)
+		b = append(b, "# title: "...)
+		b = append(b, d.Title...)
+		b = append(b, '\n')
 	}
 	for _, p := range d.Params {
-		fmt.Fprintf(&b, "# param: %s=%s\n", p.Key, p.Value)
+		b = append(b, "# param: "...)
+		b = append(b, p.Key...)
+		b = append(b, '=')
+		b = append(b, p.Value...)
+		b = append(b, '\n')
 	}
 	for i, s := range d.Sections {
 		if i > 0 {
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(&b, "# section: %s\n", s.Title)
+		b = append(b, "# section: "...)
+		b = append(b, s.Title...)
+		b = append(b, '\n')
 		if s.Table != nil {
-			csvRow(&b, s.Table.Headers)
+			b = appendCSVRow(b, s.Table.Headers...)
 			for _, r := range s.Table.Rows {
-				csvRow(&b, r)
+				b = appendCSVRow(b, r...)
 			}
 		}
-		for _, n := range s.Notes {
-			fmt.Fprintf(&b, "# note: %s\n", n)
-		}
-		for _, f := range s.Findings {
-			fmt.Fprintf(&b, "# finding: %s\n", f)
-		}
+		b = appendLines(b, "# note: ", s.Notes)
+		b = appendLines(b, "# finding: ", s.Findings)
 		if s.Series != nil {
-			csvRow(&b, []string{s.Series.XLabel, s.Series.YLabel})
+			b = appendCSVRow(b, s.Series.XLabel, s.Series.YLabel)
 			for _, p := range s.Series.Points {
-				fmt.Fprintf(&b, "%g,%g\n", p.X, p.Y)
+				b = strconv.AppendFloat(b, p.X, 'g', -1, 64)
+				b = append(b, ',')
+				b = strconv.AppendFloat(b, p.Y, 'g', -1, 64)
+				b = append(b, '\n')
 			}
 		}
 	}
-	return b.String()
+	return b
 }
+
+// CSV renders the document as CSV (AppendCSV).
+func CSV(d *Doc) string { return string(AppendCSV(nil, d)) }

@@ -6,16 +6,25 @@ package report
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 )
 
 // Table renders rows under headers with aligned columns.
-func Table(headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
+func Table(headers []string, rows [][]string) string { return string(appendTable(nil, headers, rows)) }
+
+// appendTable appends Table's rendering to b. Every cell, the last
+// column's included, is left-aligned and space-padded to its column's
+// width; cells of a row longer than headers take the last column's
+// width. Widths are byte lengths and padding counts runes, the way
+// fmt's %-*s pads, so non-ASCII cells keep the legacy bytes.
+func appendTable(b []byte, headers []string, rows [][]string) []byte {
+	var stack [16]int // up to 16 column widths without allocating
+	widths := stack[:0]
+	for _, h := range headers {
+		widths = append(widths, len(h))
 	}
 	for _, r := range rows {
 		for i, c := range r {
@@ -24,43 +33,59 @@ func Table(headers []string, rows [][]string) string {
 			}
 		}
 	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[min(i, len(widths)-1)], c)
+	b = appendRow(b, headers, widths)
+	for i, w := range widths {
+		if i > 0 {
+			b = append(b, "  "...)
 		}
-		b.WriteByte('\n')
+		b = appendRepeat(b, '-', w)
 	}
-	writeRow(headers)
-	var rule []string
-	for _, w := range widths {
-		rule = append(rule, strings.Repeat("-", w))
-	}
-	writeRow(rule)
+	b = append(b, '\n')
 	for _, r := range rows {
-		writeRow(r)
+		b = appendRow(b, r, widths)
 	}
-	return b.String()
+	return b
+}
+
+func appendRow(b []byte, cells []string, widths []int) []byte {
+	for i, c := range cells {
+		if i > 0 {
+			b = append(b, "  "...)
+		}
+		b = append(b, c...)
+		b = appendRepeat(b, ' ', widths[min(i, len(widths)-1)]-utf8.RuneCountInString(c))
+	}
+	return append(b, '\n')
+}
+
+// appendRepeat appends n copies of c (none when n <= 0).
+func appendRepeat(b []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, c)
+	}
+	return b
 }
 
 // Num formats a float compactly (3 significant-ish digits).
-func Num(v float64) string {
+func Num(v float64) string { return string(appendNum(nil, v)) }
+
+// appendNum appends Num(v) to b. strconv spells every value these
+// verbs reach as fmt's %.Ne/%.Nf do, NaN excepted, which Num prints
+// as "-".
+func appendNum(b []byte, v float64) []byte {
 	switch {
 	case v == 0:
-		return "0"
+		return append(b, '0')
 	case v != v: // NaN
-		return "-"
+		return append(b, '-')
 	case abs(v) >= 1e5 || abs(v) < 1e-3:
-		return fmt.Sprintf("%.2e", v)
+		return strconv.AppendFloat(b, v, 'e', 2, 64)
 	case abs(v) >= 100:
-		return fmt.Sprintf("%.0f", v)
+		return strconv.AppendFloat(b, v, 'f', 0, 64)
 	case abs(v) >= 1:
-		return fmt.Sprintf("%.2f", v)
+		return strconv.AppendFloat(b, v, 'f', 2, 64)
 	default:
-		return fmt.Sprintf("%.4f", v)
+		return strconv.AppendFloat(b, v, 'f', 4, 64)
 	}
 }
 
@@ -87,9 +112,7 @@ func Box(s stats.Summary) string {
 }
 
 // Section renders a titled block.
-func Section(title, body string) string {
-	return fmt.Sprintf("== %s ==\n%s", title, body)
-}
+func Section(title, body string) string { return "== " + title + " ==\n" + body }
 
 func abs(v float64) float64 {
 	if v < 0 {

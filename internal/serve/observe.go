@@ -193,7 +193,7 @@ func (s *Server) readiness() (ready, degraded bool, checks map[string]string) {
 // probe-friendly) or JSON (?format=json). Not-ready answers 503 so an
 // orchestrator's readiness probe fails while the daemon drains.
 func (s *Server) handleHealthzV1(w http.ResponseWriter, r *http.Request) {
-	format, err := parseFormatDefault(r, "text", "text", "json")
+	format, err := parseFormat(r.URL.Query(), "text", "text", "json")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -224,21 +224,6 @@ func (s *Server) handleHealthzV1(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		fmt.Fprintf(w, "%s: %s\n", n, checks[n])
 	}
-}
-
-// parseFormatDefault is parseFormat with an explicit default for
-// endpoints whose natural rendering is not JSON.
-func parseFormatDefault(r *http.Request, def string, allowed ...string) (string, error) {
-	v := r.URL.Query().Get("format")
-	if v == "" {
-		return def, nil
-	}
-	for _, a := range allowed {
-		if v == a {
-			return v, nil
-		}
-	}
-	return "", fmt.Errorf("bad format %q: want one of %s", v, strings.Join(allowed, "|"))
 }
 
 // promEscape escapes a label value per the exposition format.

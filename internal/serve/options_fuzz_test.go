@@ -26,7 +26,8 @@ func FuzzParseOptions(f *testing.F) {
 	f.Add("0.05", "1", " S0")
 	f.Fuzz(func(t *testing.T, scale, seed, modules string) {
 		q := url.Values{"scale": {scale}, "seed": {seed}, "modules": {modules}}
-		o, err := parseOptions(httptest.NewRequest("GET", "/v1/run/table1?"+q.Encode(), nil))
+		u := httptest.NewRequest("GET", "/v1/run/table1?"+q.Encode(), nil).URL
+		o, err := parseOptions(u.Query())
 		if err != nil {
 			return
 		}

@@ -55,6 +55,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,6 +66,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/ledger"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -298,18 +300,16 @@ type ScenarioInfo struct {
 // the run and sweep endpoints — unknown values are a 400 naming the
 // allowed list, never a silent JSON fallthrough.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	format, err := parseFormat(r, "json", "text", "csv")
+	format, err := parseFormat(r.URL.Query(), "json", "json", "text", "csv")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	switch format {
 	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, scenario.MatrixText())
+		writeRendered(w, format, func(b []byte) []byte { return append(b, scenario.MatrixText()...) })
 	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		fmt.Fprint(w, scenario.MatrixCSV())
+		writeRendered(w, format, func(b []byte) []byte { return append(b, scenario.MatrixCSV()...) })
 	default:
 		var out []ScenarioInfo
 		for _, sc := range scenario.Catalog() {
@@ -320,9 +320,8 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseOptions decodes ?scale, ?seed, ?modules into core.Options.
-func parseOptions(r *http.Request) (core.Options, error) {
+func parseOptions(q url.Values) (core.Options, error) {
 	o := core.DefaultOptions()
-	q := r.URL.Query()
 	if v := q.Get("scale"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
@@ -348,11 +347,12 @@ func parseOptions(r *http.Request) (core.Options, error) {
 }
 
 // parseFormat validates ?format against the renderings the endpoint
-// supports; unknown values are a 400, never a silent JSON fallthrough.
-func parseFormat(r *http.Request, allowed ...string) (string, error) {
-	v := r.URL.Query().Get("format")
+// supports, answering def when the query names none; unknown values are
+// a 400, never a silent fallthrough to the default.
+func parseFormat(q url.Values, def string, allowed ...string) (string, error) {
+	v := q.Get("format")
 	if v == "" {
-		return "json", nil
+		return def, nil
 	}
 	for _, a := range allowed {
 		if v == a {
@@ -360,6 +360,54 @@ func parseFormat(r *http.Request, allowed ...string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("bad format %q: want one of %s", v, strings.Join(allowed, "|"))
+}
+
+// renderBufs pools the buffers text and CSV bodies are rendered into,
+// so a warm request renders without allocating a body.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRender bounds the buffers renderBufs keeps: a rare large
+// body (a long history) goes to the collector instead of staying pinned.
+const maxPooledRender = 64 << 10
+
+// writeRendered sends a text or CSV body, which render appends to a
+// pooled buffer, with one Write and no intermediate string.
+func writeRendered(w http.ResponseWriter, format string, render func(b []byte) []byte) {
+	bp := renderBufs.Get().(*[]byte)
+	*bp = render((*bp)[:0])
+	if format == "csv" {
+		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+	} else {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	}
+	_, _ = w.Write(*bp)
+	putRenderBuf(bp)
+}
+
+func putRenderBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledRender {
+		renderBufs.Put(bp)
+	}
+}
+
+// writeDoc sends d rendered as text or CSV.
+func writeDoc(w http.ResponseWriter, format string, d *report.Doc) {
+	writeRendered(w, format, func(b []byte) []byte {
+		if format == "csv" {
+			return report.AppendCSV(b, d)
+		}
+		return report.AppendText(b, d)
+	})
+}
+
+// textReport is report.Text(d) rendered through a pooled buffer, so the
+// returned string is its one allocation.
+func textReport(d *report.Doc) string {
+	bp := renderBufs.Get().(*[]byte)
+	*bp = report.AppendText((*bp)[:0], d)
+	text := string(*bp)
+	putRenderBuf(bp)
+	return text
 }
 
 // shardEvent is one NDJSON stream line emitted while a /v1/run executes.
@@ -399,18 +447,26 @@ type streamError struct {
 	Error string `json:"error"`
 }
 
+// handleRun plans, executes and renders one experiment run. Only the
+// format the response carries is rendered: text and CSV straight into a
+// pooled buffer, json and ndjson the text report their body embeds.
+// With a span recorder on the engine, planning is timed as a plan_build
+// span and rendering plus the write as a render span.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("exp")
-	format, err := parseFormat(r, "json", "text", "csv", "ndjson")
+	q := r.URL.Query()
+	format, err := parseFormat(q, "json", "json", "text", "csv", "ndjson")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	o, err := parseOptions(r)
+	o, err := parseOptions(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	rec := s.eng.Recorder()
+	planned := rec.Start(obs.PlanBuild, id)
 	p, err := core.PlanFor(id, o)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -420,6 +476,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
+	planned()
 
 	// NDJSON mode: stream per-shard completion events as the engine
 	// resolves them, then the final document. Shard events arrive from
@@ -455,7 +512,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	before := s.eng.Metrics()
 	doc, es, err := s.eng.Execute(p)
 	annotate(r.Context(), es.Shards, es.Executed)
-	text := report.Text(doc)
 	stats := RunStats{
 		Shards:      es.Shards,
 		CacheHits:   es.CacheHits,
@@ -477,6 +533,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	defer rec.Start(obs.Render, id)()
+	if format == "text" || format == "csv" {
+		writeDoc(w, format, doc)
+		return
+	}
 	var title string
 	if e, ok := core.Get(id); ok {
 		title = e.Title
@@ -484,22 +545,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	resp := RunResponse{
 		Experiment: id, Title: title,
 		Scale: o.Scale, Seed: o.Seed, Modules: o.Modules,
-		Doc: doc, Report: text, Stats: stats,
+		Doc: doc, Report: textReport(doc), Stats: stats,
 	}
-	switch format {
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, text)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		fmt.Fprint(w, report.CSV(doc))
-	case "ndjson":
+	if format == "ndjson" {
 		wmu.Lock()
 		_ = enc.Encode(streamDone{Event: "done", RunResponse: resp})
 		wmu.Unlock()
-	default:
-		writeJSON(w, http.StatusOK, resp)
+		return
 	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleShard answers one fabric coordinator's dispatch: the body is
@@ -572,7 +626,7 @@ func (s *Server) peerCount() int {
 const maxSweepBody = 1 << 20
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	format, err := parseFormat(r, "json", "text", "csv")
+	format, err := parseFormat(r.URL.Query(), "json", "json", "text", "csv")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -599,11 +653,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.failures.Add(uint64(res.Aggregate.Failed))
 	switch format {
 	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, res.Text())
+		writeRendered(w, format, func(b []byte) []byte { return append(b, res.Text()...) })
 	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		fmt.Fprint(w, res.CSV())
+		writeRendered(w, format, func(b []byte) []byte { return append(b, res.CSV()...) })
 	default:
 		writeJSON(w, http.StatusOK, res)
 	}
@@ -624,38 +676,30 @@ func (s *Server) appendLedger(r *http.Request, lr ledger.Record) {
 // render through the shared report pipeline.
 func (s *Server) historyHandler(limit int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		format, err := parseFormat(r, "json", "text", "csv")
+		q := r.URL.Query()
+		format, err := parseFormat(q, "json", "json", "text", "csv")
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		q := ledger.Query{
-			Experiment: r.URL.Query().Get("experiment"),
-			Kind:       r.URL.Query().Get("kind"),
-			Limit:      limit,
-		}
-		if v := r.URL.Query().Get("limit"); v != "" {
+		lq := ledger.Query{Experiment: q.Get("experiment"), Kind: q.Get("kind"), Limit: limit}
+		if v := q.Get("limit"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
 				writeError(w, http.StatusBadRequest, "bad limit %q", v)
 				return
 			}
-			q.Limit = n
+			lq.Limit = n
 		}
-		recs := s.ledger.Records(q)
-		switch format {
-		case "text":
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprint(w, report.Text(ledger.HistoryDoc(recs, s.ledger.Stats())))
-		case "csv":
-			w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-			fmt.Fprint(w, report.CSV(ledger.HistoryDoc(recs, s.ledger.Stats())))
-		default:
-			if recs == nil {
-				recs = []ledger.Record{}
-			}
-			writeJSON(w, http.StatusOK, recs)
+		recs := s.ledger.Records(lq)
+		if format != "json" {
+			writeDoc(w, format, ledger.HistoryDoc(recs, s.ledger.Stats()))
+			return
 		}
+		if recs == nil {
+			recs = []ledger.Record{}
+		}
+		writeJSON(w, http.StatusOK, recs)
 	}
 }
 
@@ -676,18 +720,19 @@ type CompareResponse struct {
 // (experiment[~N], N-th newest); equal experiment selectors compare
 // the previous run against the latest.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	format, err := parseFormat(r, "json", "text", "csv")
+	q := r.URL.Query()
+	format, err := parseFormat(q, "json", "json", "text", "csv")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	selA, selB := r.URL.Query().Get("a"), r.URL.Query().Get("b")
+	selA, selB := q.Get("a"), q.Get("b")
 	if selA == "" || selB == "" {
 		writeError(w, http.StatusBadRequest, "compare needs ?a and ?b (record id or experiment[~N])")
 		return
 	}
 	var opt ledger.CompareOptions
-	if v := r.URL.Query().Get("threshold"); v != "" {
+	if v := q.Get("threshold"); v != "" {
 		th, err := strconv.ParseFloat(v, 64)
 		if err != nil || th <= 0 {
 			writeError(w, http.StatusBadRequest, "bad threshold %q: want a positive fraction", v)
@@ -701,20 +746,15 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := ledger.Compare(a, b, opt)
-	switch format {
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, report.Text(d.Doc))
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		fmt.Fprint(w, report.CSV(d.Doc))
-	default:
-		writeJSON(w, http.StatusOK, CompareResponse{
-			A: d.A, B: d.B, Doc: d.Doc,
-			Regression: d.Regression, Improvement: d.Improvement,
-			DeterminismChecked: d.DeterminismChecked, DeterminismViolation: d.DeterminismViolation,
-		})
+	if format != "json" {
+		writeDoc(w, format, d.Doc)
+		return
 	}
+	writeJSON(w, http.StatusOK, CompareResponse{
+		A: d.A, B: d.B, Doc: d.Doc,
+		Regression: d.Regression, Improvement: d.Improvement,
+		DeterminismChecked: d.DeterminismChecked, DeterminismViolation: d.DeterminismViolation,
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
