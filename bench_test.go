@@ -198,10 +198,18 @@ var benchGoldenOptions = core.Options{Scale: benchScale, Seed: 1, Modules: []str
 // Attack benchmark: the §6.3 adaptive-policy and §7.2 row-buffer
 // decoupling attacks, each regenerated on a fresh engine per iteration so
 // every iteration runs the attack loop cold (the disturbance kernel and
-// the per-tREFI hammer windows), and checked against its golden report.
+// each victim's periodic hammer run), and checked against its golden
+// report.
 var attackBenchIDs = []string{"sec63", "sec72"}
 
 func BenchmarkAttackCold(b *testing.B) { benchColdGolden(b, attackBenchIDs...) }
+
+// Attack grid benchmark: Fig. 23's NUM_AGGR_ACTS × NUM_READS grid
+// (Algorithm 1) and Fig. 49's second pass in Algorithm 2, on a fresh
+// engine per iteration and checked against their golden reports. The
+// grid mixes synchronized victims, each one periodic hammer run, with
+// unsynchronized ones whose TRR catches split the run into stretches.
+func BenchmarkAttackGridCold(b *testing.B) { benchColdGolden(b, "fig23", "fig49") }
 
 // Scenario benchmark: scenario-grid — every catalog scenario against every
 // module, each site a full-budget play with its minimum-exposure search

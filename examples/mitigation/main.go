@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"repro/internal/dram"
 	"repro/internal/mitigate"
@@ -38,16 +37,11 @@ func main() {
 	// Performance study on 4-core heterogeneous mixes.
 	cfg := simperf.DefaultConfig()
 	cfg.InstrPerCore = 400_000
-	// Flatten the mix groups in sorted name order: the study rows (and
-	// the printed table) must not depend on map iteration order.
+	// Flatten the mix groups in MixGroups order: the study rows (and the
+	// printed table) must not depend on map iteration order.
 	groups := simperf.HeterogeneousMixes(1, 7)
-	names := make([]string, 0, len(groups))
-	for name := range groups {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var mixes [][]workload.Profile
-	for _, name := range names {
+	for _, name := range simperf.MixGroups {
 		mixes = append(mixes, groups[name]...)
 	}
 	var flat [][]string

@@ -153,20 +153,9 @@ func Run(sys *sysarch.System, cfg Config) (Result, error) {
 	t := sys.Mod.Timing
 	tm := cfg.timing(t, sys.TRREntries)
 	res := Result{NumAggrActs: cfg.NumAggrActs, NumReads: cfg.NumReads, TAggON: tm.aggON}
-	res.Synced = tm.iterTime <= t.TREFI
-
-	geo := sys.Mod.Geo
-	rows := geo.RowsPerBank
-	step := (rows - 16) / cfg.Victims
-	if step < 8 {
-		step = 8
-	}
+	res.Synced = tm.fits(t)
 	const bank = 0
-	for v := 0; v < cfg.Victims; v++ {
-		victim := 8 + v*step
-		if victim >= rows-8 {
-			break
-		}
+	for v, victim := range victimRows(sys.Mod.Geo.RowsPerBank, cfg.Victims) {
 		flips, err := runVictim(sys, cfg, tm, bank, victim, uint64(v))
 		if err != nil {
 			return Result{}, err
@@ -179,8 +168,29 @@ func Run(sys *sysarch.System, cfg Config) (Result, error) {
 	return res, nil
 }
 
+// victimRows spreads n victim rows across a bank of rows rows, at least
+// eight apart and clear of the bank's edges.
+func victimRows(rows, n int) []int {
+	step := max((rows-16)/n, 8)
+	var out []int
+	for v := 0; v < n && 8+v*step < rows-8; v++ {
+		out = append(out, 8+v*step)
+	}
+	return out
+}
+
 // runVictim simulates one victim's refresh window under the access
 // pattern and returns the observed bitflips.
+//
+// Every iteration issues the same double-sided hammer phase one period
+// after the previous one, so the refresh window is one periodic run
+// (dram.Module.HammerRun) between state events. The only event is a TRR
+// catch: when the iteration does not fit a tREFI window, REF lands at a
+// drifting phase, drawn per iteration from stats.UnitFromHash, and a
+// phase that still finds an aggressor in the sampler refreshes the
+// victim's neighborhood. A synchronized victim is therefore one run; an
+// unsynchronized one is one run per stretch up to and including its next
+// caught iteration, followed by the TRR refreshes.
 func runVictim(sys *sysarch.System, cfg Config, tm timing, bank, victim int, salt uint64) (int, error) {
 	mod := sys.Mod
 	t := mod.Timing
@@ -197,46 +207,37 @@ func runVictim(sys *sysarch.System, cfg Config, tm timing, bank, victim int, sal
 		}
 	}
 
-	windowsPerIter := int((tm.iterTime + t.TREFI - 1) / t.TREFI)
-	if windowsPerIter < 1 {
-		windowsPerIter = 1
-	}
-	acts := 2 * cfg.NumAggrActs
-	for w := 0; w < cfg.Windows; w += windowsPerIter {
-		end, err := mod.HammerBatch(now, dram.HammerSpec{
-			Bank: bank, Rows: []int{agg1, agg2}, Count: acts, OnTime: tm.aggON,
-		})
+	spec := dram.HammerSpec{Bank: bank, Rows: []int{agg1, agg2}, Count: 2 * cfg.NumAggrActs, OnTime: tm.aggON}
+	wpi := max(int((tm.iterTime+t.TREFI-1)/t.TREFI), 1) // tREFI windows per iteration
+	iters := (cfg.Windows + wpi - 1) / wpi
+	// After its hammer phase an iteration flushes and runs the dummy rows
+	// (post), then idles to the REF closing its last window and waits out
+	// tRFC (idle).
+	post := tm.flushGap + tm.dummyTime
+	idle := dram.TimePS(wpi)*t.TREFI - tm.iterTime + t.TRFC
+	period := spec.TotalTime(t) + post + idle
+	for i := 0; i < iters; {
+		last, caught := tm.stretch(t, salt, wpi, i, iters)
+		end, err := mod.HammerRun(now, spec, period, last-i+1)
 		if err != nil {
 			return 0, err
 		}
-		now = end + tm.flushGap + tm.dummyTime
-
-		// REF arrives at the end of the window. When the iteration fits,
-		// the program is synchronized: the refresh lands after the dummy
-		// phase, the TRR sampler holds only dummies, and the real victims
-		// survive. When it does not fit, the phase drifts and REF can land
-		// while an aggressor is still among the sampler's recent rows.
-		if !tmFits(tm, t) {
-			phase := dram.TimePS(stats.UnitFromHash(stats.Combine(salt, uint64(w))) * float64(tm.iterTime))
-			if phase < tm.caughtCut {
-				// TRR preventively refreshes the tracked aggressors'
-				// neighbors — including our victim.
-				for _, a := range []int{agg1, agg2} {
-					for d := -2; d <= 2; d++ {
-						if d == 0 {
-							continue
-						}
-						r := a + d
-						if r >= 0 && r < mod.Geo.RowsPerBank {
-							if err := mod.RestoreRow(now, bank, r); err != nil {
-								return 0, err
-							}
+		now = end + post
+		if caught {
+			// TRR preventively refreshes the tracked aggressors'
+			// neighbors — including our victim.
+			for _, a := range []int{agg1, agg2} {
+				for d := -2; d <= 2; d++ {
+					if r := a + d; d != 0 && r >= 0 && r < mod.Geo.RowsPerBank {
+						if err := mod.RestoreRow(now, bank, r); err != nil {
+							return 0, err
 						}
 					}
 				}
 			}
 		}
-		now += dram.TimePS(windowsPerIter)*t.TREFI - tm.iterTime + t.TRFC
+		now += idle
+		i = last + 1
 	}
 	sys.Advance(now - sys.Now())
 
@@ -255,7 +256,28 @@ func runVictim(sys *sysarch.System, cfg Config, tm timing, bank, victim int, sal
 	return flips, nil
 }
 
-func tmFits(tm timing, t dram.Timing) bool { return tm.iterTime <= t.TREFI }
+// stretch returns the last iteration of the run that starts at iteration
+// i — the first caught one from i on, or the last of all — and whether it
+// is caught. REF arrives at the end of an iteration's last window. When
+// the iteration fits, the program is synchronized: the refresh lands
+// after the dummy phase, the TRR sampler holds only dummies, and the real
+// victims survive. When it does not fit, the phase drifts and REF can
+// land while an aggressor is still among the sampler's recent rows.
+func (tm timing) stretch(t dram.Timing, salt uint64, wpi, i, iters int) (last int, caught bool) {
+	if tm.fits(t) {
+		return iters - 1, false
+	}
+	for ; i < iters; i++ {
+		phase := dram.TimePS(stats.UnitFromHash(stats.Combine(salt, uint64(i*wpi))) * float64(tm.iterTime))
+		if phase < tm.caughtCut {
+			return i, true
+		}
+	}
+	return iters - 1, false
+}
+
+// fits reports whether one iteration fits a tREFI window.
+func (tm timing) fits(t dram.Timing) bool { return tm.iterTime <= t.TREFI }
 
 func popcount8(b byte) int {
 	n := 0
@@ -278,6 +300,20 @@ var StandardReads = []int{1, 2, 4, 8, 16, 32, 48, 64, 80, 128}
 // the paper does: no NUM_READS > 48 at four activations, > 80 at three).
 func RunGrid(sys *sysarch.System, base Config) (GridResult, error) {
 	var out GridResult
+	for _, cfg := range gridConfigs(base) {
+		r, err := Run(sys, cfg)
+		if err != nil {
+			return GridResult{}, fmt.Errorf("attack: acts=%d reads=%d: %w", cfg.NumAggrActs, cfg.NumReads, err)
+		}
+		out.Cells = append(out.Cells, r)
+	}
+	return out, nil
+}
+
+// gridConfigs lists RunGrid's cells in sweep order, each base with its
+// NUM_AGGR_ACTS and NUM_READS.
+func gridConfigs(base Config) []Config {
+	var out []Config
 	for _, acts := range []int{2, 3, 4} {
 		for _, reads := range StandardReads {
 			if (acts == 4 && reads > 48) || (acts == 3 && reads > 80) {
@@ -286,12 +322,8 @@ func RunGrid(sys *sysarch.System, base Config) (GridResult, error) {
 			cfg := base
 			cfg.NumAggrActs = acts
 			cfg.NumReads = reads
-			r, err := Run(sys, cfg)
-			if err != nil {
-				return GridResult{}, fmt.Errorf("attack: acts=%d reads=%d: %w", acts, reads, err)
-			}
-			out.Cells = append(out.Cells, r)
+			out = append(out, cfg)
 		}
 	}
-	return out, nil
+	return out
 }

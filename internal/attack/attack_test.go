@@ -1,9 +1,13 @@
 package attack
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/stats"
 	"repro/internal/sysarch"
 )
 
@@ -202,5 +206,165 @@ func TestAdaptivePolicyFacilitates(t *testing.T) {
 	}
 	if r1.Bitflips <= r0.Bitflips {
 		t.Errorf("adaptive policy should amplify the attack: %d vs %d flips", r1.Bitflips, r0.Bitflips)
+	}
+}
+
+// refRunVictim is runVictim's per-window reference: one HammerBatch per
+// iteration, the REF phase drawn after each, and the TRR refreshes of a
+// caught iteration issued in place.
+func refRunVictim(sys *sysarch.System, cfg Config, tm timing, bank, victim int, salt uint64) (int, error) {
+	mod := sys.Mod
+	t := mod.Timing
+	agg1, agg2 := victim-1, victim+1
+
+	now := sys.Now()
+	if err := mod.InitRow(now, bank, victim, 0x55); err != nil {
+		return 0, err
+	}
+	for _, a := range []int{agg1, agg2} {
+		if err := mod.InitRow(now, bank, a, 0xAA); err != nil {
+			return 0, err
+		}
+	}
+
+	windowsPerIter := int((tm.iterTime + t.TREFI - 1) / t.TREFI)
+	if windowsPerIter < 1 {
+		windowsPerIter = 1
+	}
+	acts := 2 * cfg.NumAggrActs
+	for w := 0; w < cfg.Windows; w += windowsPerIter {
+		end, err := mod.HammerBatch(now, dram.HammerSpec{
+			Bank: bank, Rows: []int{agg1, agg2}, Count: acts, OnTime: tm.aggON,
+		})
+		if err != nil {
+			return 0, err
+		}
+		now = end + tm.flushGap + tm.dummyTime
+		if tm.iterTime > t.TREFI {
+			phase := dram.TimePS(stats.UnitFromHash(stats.Combine(salt, uint64(w))) * float64(tm.iterTime))
+			if phase < tm.caughtCut {
+				for _, a := range []int{agg1, agg2} {
+					for d := -2; d <= 2; d++ {
+						if d == 0 {
+							continue
+						}
+						r := a + d
+						if r >= 0 && r < mod.Geo.RowsPerBank {
+							if err := mod.RestoreRow(now, bank, r); err != nil {
+								return 0, err
+							}
+						}
+					}
+				}
+			}
+		}
+		now += dram.TimePS(windowsPerIter)*t.TREFI - tm.iterTime + t.TRFC
+	}
+	sys.Advance(now - sys.Now())
+
+	data, end, err := mod.FetchRow(now, bank, victim)
+	if err != nil {
+		return 0, err
+	}
+	sys.Advance(end - sys.Now())
+	flips := 0
+	for _, b := range data {
+		flips += popcount8(b ^ 0x55)
+	}
+	return flips, nil
+}
+
+// goldenSystem is the demonstration system the core experiments build
+// for a seed.
+func goldenSystem(seed uint64) *sysarch.System {
+	geo := dram.Geometry{Banks: 4, RowsPerBank: 4096, RowBytes: 8192}
+	return sysarch.NewDemoSystem(geo, 0xDE40^seed)
+}
+
+// checkFoldedMatchesReference plays cfgs in order on two copies of the
+// seed's system, every victim through runVictim on one and refRunVictim
+// on the other, and requires equal per-victim flip counts and, after
+// every cell, equal module state: each row's contents, exposure bits,
+// restore and PRE times, plus the counters and both clocks.
+func checkFoldedMatchesReference(t *testing.T, seed uint64, cfgs []Config) {
+	t.Helper()
+	fold, ref := goldenSystem(seed), goldenSystem(seed)
+	for _, cfg := range cfgs {
+		name := fmt.Sprintf("seed=%d %v acts=%d reads=%d hold=%d decoupled=%v",
+			seed, cfg.Variant, cfg.NumAggrActs, cfg.NumReads, cfg.AdaptiveHoldNs, cfg.RowBufferDecoupled)
+		tm := cfg.timing(fold.Mod.Timing, fold.TRREntries)
+		for v, victim := range victimRows(fold.Mod.Geo.RowsPerBank, cfg.Victims) {
+			got, err := runVictim(fold, cfg, tm, 0, victim, uint64(v))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := refRunVictim(ref, cfg, tm, 0, victim, uint64(v))
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			if got != want {
+				t.Errorf("%s victim %d: %d flips, reference %d", name, victim, got, want)
+			}
+		}
+		if fold.Now() != ref.Now() {
+			t.Fatalf("%s: system clock %d, reference %d", name, fold.Now(), ref.Now())
+		}
+		if err := sameModuleState(fold.Mod, ref.Mod); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// sameModuleState reports the first difference between two modules'
+// stored state, comparing exposures bit for bit.
+func sameModuleState(a, b *dram.Module) error {
+	if a.Counters() != b.Counters() || a.Now() != b.Now() {
+		return fmt.Errorf("counters/clock %+v@%d, reference %+v@%d", a.Counters(), a.Now(), b.Counters(), b.Now())
+	}
+	bits := func(e dram.Exposure) [5]uint64 {
+		return [5]uint64{math.Float64bits(e.HammerAbove), math.Float64bits(e.HammerBelow),
+			math.Float64bits(e.PressAbove), math.Float64bits(e.PressBelow), math.Float64bits(e.Retention)}
+	}
+	for bank := 0; bank < a.Geo.Banks; bank++ {
+		for row := 0; row < a.Geo.RowsPerBank; row++ {
+			x, y := a.View(bank, row), b.View(bank, row)
+			if !bytes.Equal(x.Data, y.Data) || bits(x.Exp) != bits(y.Exp) ||
+				x.LastRestore != y.LastRestore || x.LastPre != y.LastPre || x.Precharged != y.Precharged {
+				return fmt.Errorf("bank %d row %d: %+v, reference %+v", bank, row, x, y)
+			}
+		}
+	}
+	return nil
+}
+
+// TestFoldedRunMatchesPerWindowReference holds the folded attack against
+// the per-window loop over every Fig. 23 cell in both variants (RunGrid's
+// order on one system), the §6.3 adaptive holds and the §7.2 decoupled
+// configuration, at the golden victim count and seeds 1 and 3. The grid
+// covers synchronized victims, folded into one run, and unsynchronized
+// ones with TRR catches.
+func TestFoldedRunMatchesPerWindowReference(t *testing.T) {
+	base := DefaultConfig()
+	base.Victims = 8
+	for _, seed := range []uint64{1, 3} {
+		for _, variant := range []Variant{Algorithm1, Algorithm2} {
+			cfg := base
+			cfg.Variant = variant
+			t.Run(fmt.Sprintf("seed=%d/%v", seed, variant), func(t *testing.T) {
+				t.Parallel()
+				checkFoldedMatchesReference(t, seed, gridConfigs(cfg))
+			})
+		}
+		t.Run(fmt.Sprintf("seed=%d/sec63+sec72", seed), func(t *testing.T) {
+			t.Parallel()
+			for _, hold := range []int{0, 250, 500} {
+				cfg := base
+				cfg.NumAggrActs, cfg.NumReads, cfg.AdaptiveHoldNs = 4, 8, hold
+				checkFoldedMatchesReference(t, seed, []Config{cfg})
+			}
+			cfg := base
+			cfg.NumAggrActs, cfg.NumReads, cfg.RowBufferDecoupled = 4, 16, true
+			checkFoldedMatchesReference(t, seed, []Config{cfg})
+		})
 	}
 }

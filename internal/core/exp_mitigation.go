@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dram"
 	"repro/internal/report"
@@ -42,25 +41,10 @@ func perfConfig(o Options) simperf.Config {
 func fourCoreMixes(o Options, perGroup int) [][]workload.Profile {
 	groups := simperf.HeterogeneousMixes(perGroup, o.Seed)
 	var mixes [][]workload.Profile
-	for _, g := range mixGroupNames(groups) {
+	for _, g := range simperf.MixGroups {
 		mixes = append(mixes, groups[g]...)
 	}
 	return mixes
-}
-
-// mixGroupNames orders the Appendix D category names deterministically.
-// Audited for the maprange contract: the raw key iteration below only
-// collects names into a local slice, which is sorted before anything
-// consumes it, so fourCoreMixes flattens groups in a fixed order
-// regardless of map layout — table3/fig40/fig41 rows never depend on
-// iteration order.
-func mixGroupNames(groups map[string][][]workload.Profile) []string {
-	var names []string
-	for g := range groups {
-		names = append(names, g)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // workTable3 runs the full overhead study for one mitigation kind.
@@ -134,9 +118,10 @@ func fig40Profiles(o Options) []workload.Profile {
 }
 
 func fig40Keys(o Options) ([]string, error) {
+	profiles := fig40Profiles(o)
 	var ks []string
 	for _, kind := range mitigationKinds {
-		for _, p := range fig40Profiles(o) {
+		for _, p := range profiles {
 			ks = append(ks, kind.String()+"/"+p.Name)
 		}
 	}
@@ -199,17 +184,10 @@ func mergeFig40(o Options, parts [][]float64) (*report.Doc, error) {
 	return doc, nil
 }
 
-// fig41Groups resolves the Appendix D mixes and their ordered names.
-func fig41Groups(o Options) (map[string][][]workload.Profile, []string) {
-	groups := simperf.HeterogeneousMixes(o.scaled(2, 1), o.Seed)
-	return groups, mixGroupNames(groups)
-}
-
 func fig41Keys(o Options) ([]string, error) {
-	_, names := fig41Groups(o)
 	var ks []string
 	for _, kind := range mitigationKinds {
-		for _, g := range names {
+		for _, g := range simperf.MixGroups {
 			ks = append(ks, kind.String()+"/"+g)
 		}
 	}
@@ -220,7 +198,8 @@ func fig41Keys(o Options) ([]string, error) {
 // weighted speedup of the adapted mechanism normalized to baseline, per
 // tmro.
 func workFig41(o Options, i int, key string) ([]float64, error) {
-	groups, names := fig41Groups(o)
+	names := simperf.MixGroups
+	groups := simperf.HeterogeneousMixes(o.scaled(2, 1), o.Seed)
 	kind := mitigationKinds[i/len(names)]
 	g := names[i%len(names)]
 	cfg := perfConfig(o)
@@ -254,7 +233,7 @@ func workFig41(o Options, i int, key string) ([]float64, error) {
 }
 
 func mergeFig41(o Options, parts [][]float64) (*report.Doc, error) {
-	_, names := fig41Groups(o)
+	names := simperf.MixGroups
 	doc := report.NewDoc()
 	for ki, kind := range mitigationKinds {
 		headers := []string{"group"}

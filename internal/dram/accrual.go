@@ -1,6 +1,6 @@
 package dram
 
-import "sort"
+import "slices"
 
 // Closed-form exposure accrual.
 //
@@ -11,14 +11,22 @@ import "sort"
 // activations) evaluates the kernel once. The disturb model memoizes it
 // per model, so the attack and scenario loops that repeat one (on, off,
 // temperature) thousands of times pay for the exp/pow once. This file is
-// the single source of truth for that closed form: the batched executor
-// (HammerBatch) and the replay-free pure probe (HammerExposures, and
-// internal/characterize's search prober on top of it) both drive
-// accrueSpec, so they perform bit-identical floating-point operations in
-// bit-identical order. The per-command PRE path (Module.accrue) is the
-// n = 1, no-skip case of the same walk, unrolled so it pays no closure call
-// per victim. That shared order is what lets the golden-report tests
-// demand byte equality between the per-command path and the closed form.
+// the single source of truth for that closed form: the run executor
+// (HammerRun, with HammerBatch as its one-window case) and the
+// replay-free pure probe (HammerExposures, and internal/characterize's
+// search prober on top of it) both drive accrueSpec, so they perform
+// bit-identical floating-point operations in bit-identical order. The
+// per-command PRE path (Module.accrue) is the n = 1, no-skip case of the
+// same walk, unrolled so it pays no closure call per victim. That shared
+// order is what lets the golden-report tests demand byte equality
+// between the per-command path and the closed form.
+//
+// A run of windows folds one level further (hammer.go): once a run is in
+// steady state every window hands every row the same increments, and a
+// FlipProber check of one window's aggressor restores proves the rest
+// flip-free, so HammerRun replays that window's victim adds — repeated,
+// not multiplied, to keep the floats bit-identical — instead of
+// executing each window.
 
 // AggSchedule describes one aggressor row's share of a HammerSpec loop:
 // Count activations split round-robin across spec.Rows.
@@ -29,17 +37,19 @@ type AggSchedule struct {
 }
 
 // Schedule returns the per-aggressor activation schedule of the loop.
-func (s HammerSpec) Schedule() []AggSchedule {
+func (s HammerSpec) Schedule() []AggSchedule { return s.appendSchedule(nil) }
+
+// appendSchedule appends the loop's schedule to dst.
+func (s HammerSpec) appendSchedule(dst []AggSchedule) []AggSchedule {
 	n := len(s.Rows)
-	sched := make([]AggSchedule, n)
 	for idx, r := range s.Rows {
 		acts := s.Count / n
 		if idx < s.Count%n {
 			acts++
 		}
-		sched[idx] = AggSchedule{Row: r, Acts: acts, LastSlot: idx + (acts-1)*n}
+		dst = append(dst, AggSchedule{Row: r, Acts: acts, LastSlot: idx + (acts-1)*n})
 	}
-	return sched
+	return dst
 }
 
 // SteadyOff returns the steady-state off time of one aggressor between its
@@ -54,13 +64,15 @@ func (s HammerSpec) SteadyOff(t Timing) TimePS {
 	return off
 }
 
-// accrueSpec delivers n activation increments from aggRow to every
-// non-skipped row inside the blast radius, folding the n slots into one
-// multiply. add receives (victim row, aggressor-above?, hammer, press) in
-// a fixed order — distance ascending, lower victim before upper — which
-// every accrual path must share for float-exact equivalence.
+// accrueSpec delivers n activation increments from aggRow to every row
+// inside the blast radius that skip does not list, folding the n slots
+// into one multiply. add receives (victim row, aggressor-above?, hammer,
+// press) in a fixed order — distance ascending, lower victim before
+// upper — which every accrual path must share for float-exact
+// equivalence. skip is a loop's aggressor rows, one to a few entries, so
+// a linear scan beats a map probe.
 func accrueSpec(dist Disturber, rowsPerBank, aggRow int, onTime, offTime TimePS, tempC float64,
-	n int, skip map[int]bool, add func(victim int, above bool, h, p float64)) {
+	n int, skip []int, add func(victim int, above bool, h, p float64)) {
 	inc := dist.Increments(onTime, offTime, tempC)
 	fn := float64(n)
 	for d := 1; d <= BlastRadius; d++ {
@@ -69,11 +81,10 @@ func accrueSpec(dist Disturber, rowsPerBank, aggRow int, onTime, offTime TimePS,
 		if h == 0 && p == 0 {
 			continue
 		}
-		// A nil skip set would still cost a runtime map probe per victim.
-		if v := aggRow - d; v >= 0 && (skip == nil || !skip[v]) {
+		if v := aggRow - d; v >= 0 && !slices.Contains(skip, v) {
 			add(v, true, h, p)
 		}
-		if v := aggRow + d; v < rowsPerBank && (skip == nil || !skip[v]) {
+		if v := aggRow + d; v < rowsPerBank && !slices.Contains(skip, v) {
 			add(v, false, h, p)
 		}
 	}
@@ -108,29 +119,18 @@ type VictimExposure struct {
 // history); nil falls back to the module's recorded per-row PRE state.
 // Results are sorted by row.
 func (m *Module) HammerExposures(at TimePS, spec HammerSpec, firstOff func(row int, firstActAt TimePS) TimePS) []VictimExposure {
-	if firstOff == nil {
-		firstOff = func(row int, firstActAt TimePS) TimePS {
-			return m.prevOff(spec.Bank, row, firstActAt)
+	var buf [4]AggSchedule
+	w := newHammerWindow(spec, m.Timing, buf[:0])
+	// A loop reaches at most 2×BlastRadius victims per aggressor, so the
+	// deltas live in a short slice found by linear scan.
+	out := make([]VictimExposure, 0, 2*BlastRadius*len(w.aggs))
+	w.accrueVictims(m, at, firstOff, func(victim int, above bool, h, p float64) {
+		i := slices.IndexFunc(out, func(ve VictimExposure) bool { return ve.Row == victim })
+		if i < 0 {
+			i = len(out)
+			out = append(out, VictimExposure{Row: victim})
 		}
-	}
-	sched := spec.Schedule()
-	isAggressor := make(map[int]bool, len(sched))
-	for _, ag := range sched {
-		if ag.Acts > 0 {
-			isAggressor[ag.Row] = true
-		}
-	}
-	slot := spec.SlotTime(m.Timing)
-	steadyOff := spec.SteadyOff(m.Timing)
-	tempC := m.TemperatureAt(at)
-
-	deltas := make(map[int]*Exposure)
-	add := func(victim int, above bool, h, p float64) {
-		e := deltas[victim]
-		if e == nil {
-			e = &Exposure{}
-			deltas[victim] = e
-		}
+		e := &out[i].Exp
 		if above {
 			e.HammerAbove += h
 			e.PressAbove += p
@@ -138,22 +138,7 @@ func (m *Module) HammerExposures(at TimePS, spec HammerSpec, firstOff func(row i
 			e.HammerBelow += h
 			e.PressBelow += p
 		}
-	}
-	for idx, ag := range sched {
-		if ag.Acts == 0 {
-			continue
-		}
-		fOff := firstOff(ag.Row, at+TimePS(idx)*slot)
-		accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, fOff, tempC, 1, isAggressor, add)
-		if ag.Acts > 1 {
-			accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, steadyOff, tempC, ag.Acts-1, isAggressor, add)
-		}
-	}
-
-	out := make([]VictimExposure, 0, len(deltas))
-	for row, e := range deltas {
-		out = append(out, VictimExposure{Row: row, Exp: *e})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Row < out[j].Row })
+	})
+	slices.SortFunc(out, func(a, b VictimExposure) int { return a.Row - b.Row })
 	return out
 }

@@ -49,14 +49,14 @@ func TestHammerExposuresMatchesBatch(t *testing.T) {
 			if isAgg[row] {
 				continue // aggressor residue is the executor's tail replay, not the closed form
 			}
-			if got := exec.PendingExposure(spec.Bank, row); got != byRow[row] {
+			if got := exec.View(spec.Bank, row).Exp; got != byRow[row] {
 				t.Logf("row %d: batch=%+v pure=%+v spec=%+v", row, got, byRow[row], spec)
 				return false
 			}
 		}
 		// The pure evaluation must not have touched the module.
 		for row := 0; row < pure.Geo.RowsPerBank; row++ {
-			if !pure.PendingExposure(spec.Bank, row).IsZero() {
+			if !pure.View(spec.Bank, row).Exp.IsZero() {
 				t.Logf("HammerExposures mutated row %d", row)
 				return false
 			}

@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // HammerSpec describes a (Row)Hammer/(Row)Press access-pattern loop, i.e.
 // the patterns of Figs. 5, 16, and 21 of the paper:
@@ -34,15 +37,15 @@ func (s HammerSpec) Validate(m *Module) error {
 	if len(s.Rows) == 0 {
 		return fmt.Errorf("dram: hammer spec needs at least one aggressor row")
 	}
-	seen := make(map[int]bool, len(s.Rows))
-	for _, r := range s.Rows {
+	for i, r := range s.Rows {
 		if err := m.checkRow(r); err != nil {
 			return err
 		}
-		if seen[r] {
+		// Rows lists are a few entries long: a quadratic scan allocates
+		// nothing.
+		if slices.Contains(s.Rows[:i], r) {
 			return fmt.Errorf("dram: duplicate aggressor row %d", r)
 		}
-		seen[r] = true
 	}
 	if s.Count <= 0 {
 		return fmt.Errorf("dram: hammer count must be positive, got %d", s.Count)
@@ -56,32 +59,126 @@ func (s HammerSpec) Validate(m *Module) error {
 	return nil
 }
 
+// activeRows returns the listed rows that activate at least once. The
+// loop activates rows round-robin, so that is the first min(Count, len)
+// of them; a listed row past it (Count < len(Rows)) behaves as a plain
+// victim. It is the accrual paths' skip set, and allocates nothing.
+func (s HammerSpec) activeRows() []int { return s.Rows[:min(s.Count, len(s.Rows))] }
+
 // HammerBatch executes the access pattern starting at time at and returns
 // the completion time, in O(aggressors × blast radius) instead of
 // O(count): every iteration after the first delivers an identical
 // disturbance increment (the closed form in accrual.go). The observable
 // effect on every row's exposure is equivalent to issuing every ACT/PRE
 // through the command path (up to float summation order); property tests
-// hold it against that per-command reference.
+// hold it against that per-command reference. It is HammerRun's
+// one-window case.
 func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
+	return m.HammerRun(at, spec, 0, 1)
+}
+
+// HammerRun executes the access pattern reps times, window k starting at
+// at + k×period, and returns the completion time of the last window. The
+// effect is exactly that of reps HammerBatch calls at those times, bit
+// for bit, but the spec is validated and scheduled once, and a run in
+// steady state accrues as float adds instead of commands.
+//
+// From the third window on, every window sees the same aggressor
+// off-times, the same aggressor exposure (the previous window's tail) and
+// the same retention interval, so it hands every row the same increments
+// with the same inputs. If that window's aggressor restores flip nothing
+// (FlipProber.WouldFlip), no later one can either: nothing changes the
+// rows' contents. The rest of the run then replays that window's victim
+// adds once per window, in executor order, and sets the aggressors'
+// restore and PRE times, the counters, the bank and the clock in closed
+// form. A window that cannot be proved flip-free — a restore would flip,
+// the disturber has no WouldFlip, a temperature change lies ahead, or a
+// checkpoint is armed — is played, and the next window tries again.
+func (m *Module) HammerRun(at TimePS, spec HammerSpec, period TimePS, reps int) (TimePS, error) {
+	end, _, err := m.hammerRun(at, spec, period, reps)
+	return end, err
+}
+
+// steadyWindow is the first window of a run whose inputs repeat: window 1
+// already sees steady off-times and retention, but its aggressors still
+// carry the tail of window 0, whose first activations followed the
+// pre-run history.
+const steadyWindow = 2
+
+// hammerRun is HammerRun, also reporting how many windows it folded.
+func (m *Module) hammerRun(at TimePS, spec HammerSpec, period TimePS, reps int) (end TimePS, folded int, err error) {
 	if err := spec.Validate(m); err != nil {
-		return at, err
+		return at, 0, err
+	}
+	if reps < 1 {
+		return at, 0, fmt.Errorf("dram: hammer run needs at least one window, got %d", reps)
+	}
+	if reps > 1 && period < spec.TotalTime(m.Timing) {
+		return at, 0, fmt.Errorf("dram: hammer run period %s shorter than its window %s",
+			FormatTime(period), FormatTime(spec.TotalTime(m.Timing)))
 	}
 	if m.banks[spec.Bank].open {
-		return at, timingErr("ACT", spec.Bank, "bank must be precharged before hammering")
+		return at, 0, timingErr("ACT", spec.Bank, "bank must be precharged before hammering")
 	}
-	n := len(spec.Rows)
-	slot := spec.SlotTime(m.Timing)
-	steadyOff := spec.SteadyOff(m.Timing)
-	sched := spec.Schedule()
-	// A listed row that never activates (Count < len(Rows)) behaves as a
-	// plain victim, so the skip set only contains rows with ≥1 activation.
-	isAggressor := make(map[int]bool, n)
-	for _, ag := range sched {
-		if ag.Acts > 0 {
-			isAggressor[ag.Row] = true
+	var buf [4]AggSchedule // double-sided and few-sided loops fit
+	w := newHammerWindow(spec, m.Timing, buf[:0])
+	for k := 0; k < reps; k++ {
+		start := at + TimePS(k)*period
+		if k >= steadyWindow && reps-k > 1 && m.foldRun(&w, start, period, reps-k) {
+			return start + TimePS(reps-1-k)*period + spec.TotalTime(m.Timing), reps - k, nil
+		}
+		end = w.play(m, start)
+	}
+	return end, 0, nil
+}
+
+// hammerWindow is one HammerSpec loop's constants, built once per run.
+type hammerWindow struct {
+	spec      HammerSpec
+	sched     []AggSchedule
+	aggs      []int // rows with ≥1 activation: the accrual skip set
+	slot      TimePS
+	steadyOff TimePS
+}
+
+// newHammerWindow builds spec's window, appending its schedule to buf so
+// a caller with a small array at hand allocates nothing.
+func newHammerWindow(spec HammerSpec, t Timing, buf []AggSchedule) hammerWindow {
+	return hammerWindow{spec: spec, sched: spec.appendSchedule(buf), aggs: spec.activeRows(),
+		slot: spec.SlotTime(t), steadyOff: spec.SteadyOff(t)}
+}
+
+// accrueVictims walks the window starting at at through the shared
+// closed form, handing every non-aggressor increment to add in executor
+// order. The first activation of each aggressor uses the off time
+// preceding the window — firstOff's, or the module's PRE history when
+// firstOff is nil — and the rest use the steady-state off time.
+func (w *hammerWindow) accrueVictims(m *Module, at TimePS, firstOff func(row int, firstActAt TimePS) TimePS,
+	add func(victim int, above bool, h, p float64)) {
+	spec := w.spec
+	tempC := m.TemperatureAt(at)
+	for idx, ag := range w.sched {
+		if ag.Acts == 0 {
+			continue
+		}
+		var off TimePS
+		if actAt := at + TimePS(idx)*w.slot; firstOff != nil {
+			off = firstOff(ag.Row, actAt)
+		} else {
+			off = m.prevOff(spec.Bank, ag.Row, actAt)
+		}
+		accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, off, tempC, 1, w.aggs, add)
+		if ag.Acts > 1 {
+			accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, w.steadyOff, tempC, ag.Acts-1, w.aggs, add)
 		}
 	}
+}
+
+// play executes one window starting at at and returns its completion
+// time.
+func (w *hammerWindow) play(m *Module, at TimePS) TimePS {
+	spec, sched, slot := w.spec, w.sched, w.slot
+	n := len(spec.Rows)
 
 	// Phase 1: each aggressor's first activation restores its own charge,
 	// materializing any pre-loop exposure exactly as the command path does.
@@ -91,10 +188,8 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 		}
 	}
 
-	// Phase 2: bulk-accrue disturbance to non-aggressor victims through the
-	// shared closed form. The first activation uses the off time preceding
-	// the loop; the rest use the steady-state off time.
-	addExposure := func(victim int, above bool, h, p float64) {
+	// Phase 2: bulk-accrue disturbance to non-aggressor victims.
+	w.accrueVictims(m, at, nil, func(victim int, above bool, h, p float64) {
 		rs := m.row(spec.Bank, victim)
 		if above {
 			rs.exp.HammerAbove += h
@@ -103,19 +198,7 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 			rs.exp.HammerBelow += h
 			rs.exp.PressBelow += p
 		}
-	}
-	for idx, ag := range sched {
-		if ag.Acts == 0 {
-			continue
-		}
-		firstActAt := at + TimePS(idx)*slot
-		firstOff := m.prevOff(spec.Bank, ag.Row, firstActAt)
-		tempC := m.TemperatureAt(at)
-		accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, firstOff, tempC, 1, isAggressor, addExposure)
-		if ag.Acts > 1 {
-			accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, steadyOff, tempC, ag.Acts-1, isAggressor, addExposure)
-		}
-	}
+	})
 
 	// Phase 3: every aggressor activation wipes that aggressor's own
 	// pending exposure in the command path, so at loop end each aggressor
@@ -137,7 +220,7 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 	for s := tailStart; s < spec.Count; s++ {
 		actIdx := s % n
 		actRow := spec.Rows[actIdx]
-		off := steadyOff
+		off := w.steadyOff
 		if s == actIdx { // this slot is the aggressor's first activation
 			off = m.prevOff(spec.Bank, actRow, at+TimePS(s)*slot)
 		}
@@ -165,17 +248,87 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 	}
 
 	// Phase 4: bookkeeping — last PRE time per aggressor, counters, clock.
-	for _, ag := range sched {
+	end := at + TimePS(spec.Count)*slot
+	m.finishWindows(w, at, end, 1)
+	return end
+}
+
+// finishWindows records the PRE bookkeeping of reps windows whose last
+// one runs from last to end: each aggressor's last PRE, the command
+// counters, the bank's last PRE and the clock.
+func (m *Module) finishWindows(w *hammerWindow, last, end TimePS, reps int) {
+	spec := w.spec
+	for _, ag := range w.sched {
 		if ag.Acts == 0 {
 			continue
 		}
-		m.recordPre(spec.Bank, ag.Row, at+TimePS(ag.LastSlot)*slot+spec.OnTime)
-		m.acts += uint64(ag.Acts)
-		m.pres += uint64(ag.Acts)
+		m.recordPre(spec.Bank, ag.Row, last+TimePS(ag.LastSlot)*w.slot+spec.OnTime)
+		m.acts += uint64(reps * ag.Acts)
+		m.pres += uint64(reps * ag.Acts)
 	}
-	end := at + TimePS(spec.Count)*slot
 	m.banks[spec.Bank].hasPre = true
 	m.banks[spec.Bank].lastPreAt = end - m.Timing.TRP - spec.ExtraOff // last PRE instant
 	m.advance(end)
-	return end, nil
+}
+
+// foldAdd is one float add of a folded window: *f += v.
+type foldAdd struct {
+	f *float64
+	v float64
+}
+
+// foldRun executes the reps windows starting at at, period apart, in
+// closed form and reports true — or reports false, having changed
+// nothing, when it cannot prove them flip-free. The window before at
+// must already have been played (see steadyWindow).
+func (m *Module) foldRun(w *hammerWindow, at, period TimePS, reps int) bool {
+	spec := w.spec
+	// The retention intervals and temperatures of every window from the
+	// previous one on must lie in the schedule's last segment, and a
+	// checkpoint must journal every touched row, which a fold skips.
+	if m.journal.active || m.temps[len(m.temps)-1].at > at-period {
+		return false
+	}
+	// The proof: this window's aggressor restores flip nothing. Their
+	// inputs repeat in every later window, and no row's contents change.
+	for idx, ag := range w.sched {
+		if ag.Acts == 0 {
+			continue
+		}
+		rs := m.peekRow(spec.Bank, ag.Row)
+		exp := rs.exp
+		exp.Retention = m.retentionStress(rs.lastRestore, at+TimePS(idx)*w.slot)
+		if rs.data != nil && !exp.IsZero() &&
+			m.flipLands(spec.Bank, ag.Row, rs.data, m.neighborData(spec.Bank, ag.Row), exp) {
+			return false
+		}
+	}
+
+	// Victims: every window repeats this window's adds, in executor order.
+	rows := m.bankRows(spec.Bank)
+	adds := make([]foldAdd, 0, 4*BlastRadius*len(w.aggs))
+	w.accrueVictims(m, at, nil, func(victim int, above bool, h, p float64) {
+		e := &m.touch(spec.Bank, victim, &rows[victim]).exp
+		if above {
+			adds = append(adds, foldAdd{&e.HammerAbove, h}, foldAdd{&e.PressAbove, p})
+		} else {
+			adds = append(adds, foldAdd{&e.HammerBelow, h}, foldAdd{&e.PressBelow, p})
+		}
+	})
+	for range reps {
+		for _, a := range adds {
+			*a.f += a.v
+		}
+	}
+
+	// Aggressors: each restore left the exposure of the previous window's
+	// tail, which every window's tail repeats, so only the times move.
+	last := at + TimePS(reps-1)*period
+	for _, ag := range w.sched {
+		if ag.Acts > 0 {
+			m.row(spec.Bank, ag.Row).lastRestore = last + TimePS(ag.LastSlot)*w.slot
+		}
+	}
+	m.finishWindows(w, last, last+spec.TotalTime(m.Timing), reps)
+	return true
 }

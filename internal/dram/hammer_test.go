@@ -90,9 +90,9 @@ func TestHammerBatchEquivalence(t *testing.T) {
 			return false
 		}
 		for row := 0; row < ref.Geo.RowsPerBank; row++ {
-			if !expClose(ref.PendingExposure(spec.Bank, row), bat.PendingExposure(spec.Bank, row)) {
+			if !expClose(ref.View(spec.Bank, row).Exp, bat.View(spec.Bank, row).Exp) {
 				t.Logf("row %d: ref=%+v batch=%+v spec=%+v",
-					row, ref.PendingExposure(spec.Bank, row), bat.PendingExposure(spec.Bank, row), spec)
+					row, ref.View(spec.Bank, row).Exp, bat.View(spec.Bank, row).Exp, spec)
 				return false
 			}
 		}
@@ -133,8 +133,8 @@ func TestHammerBatchEquivalenceSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for row := 15; row < 30; row++ {
-		if !expClose(ref.PendingExposure(0, row), bat.PendingExposure(0, row)) {
-			t.Errorf("row %d: ref=%+v batch=%+v", row, ref.PendingExposure(0, row), bat.PendingExposure(0, row))
+		if !expClose(ref.View(0, row).Exp, bat.View(0, row).Exp) {
+			t.Errorf("row %d: ref=%+v batch=%+v", row, ref.View(0, row).Exp, bat.View(0, row).Exp)
 		}
 	}
 }
@@ -180,15 +180,15 @@ func TestHammerBlastRadiusReach(t *testing.T) {
 		t.Fatal(err)
 	}
 	for d := 1; d <= BlastRadius; d++ {
-		if m.PendingExposure(0, 30-d).IsZero() || m.PendingExposure(0, 30+d).IsZero() {
+		if m.View(0, 30-d).Exp.IsZero() || m.View(0, 30+d).Exp.IsZero() {
 			t.Errorf("victim at distance %d received no exposure", d)
 		}
 	}
-	if !m.PendingExposure(0, 30-BlastRadius-1).IsZero() {
+	if !m.View(0, 30-BlastRadius-1).Exp.IsZero() {
 		t.Error("exposure beyond blast radius")
 	}
 	// Aggressor's own exposure must be clear (it was activated).
-	if !m.PendingExposure(0, 30).IsZero() {
+	if !m.View(0, 30).Exp.IsZero() {
 		t.Error("aggressor retained exposure")
 	}
 }
@@ -198,8 +198,8 @@ func TestHammerSidedness(t *testing.T) {
 	if _, err := m.HammerBatch(0, HammerSpec{Bank: 0, Rows: []int{30}, Count: 10, OnTime: 36 * Nanosecond}); err != nil {
 		t.Fatal(err)
 	}
-	below := m.PendingExposure(0, 29) // aggressor above it
-	above := m.PendingExposure(0, 31) // aggressor below it
+	below := m.View(0, 29).Exp // aggressor above it
+	above := m.View(0, 31).Exp // aggressor below it
 	if below.HammerAbove == 0 || below.HammerBelow != 0 {
 		t.Errorf("row 29 sides wrong: %+v", below)
 	}
@@ -214,7 +214,7 @@ func TestRefreshResetsExposure(t *testing.T) {
 	if _, err := m.HammerBatch(0, HammerSpec{Bank: 0, Rows: []int{8}, Count: 10, OnTime: 36 * Nanosecond}); err != nil {
 		t.Fatal(err)
 	}
-	if m.PendingExposure(0, 7).IsZero() {
+	if m.View(0, 7).Exp.IsZero() {
 		t.Fatal("setup: no exposure")
 	}
 	// Refresh every row, as the REF commands of one window would.
@@ -225,7 +225,7 @@ func TestRefreshResetsExposure(t *testing.T) {
 		}
 	}
 	for row := 0; row < geo.RowsPerBank; row++ {
-		if !m.PendingExposure(0, row).IsZero() {
+		if !m.View(0, row).Exp.IsZero() {
 			t.Errorf("refresh did not clear the exposure of row %d", row)
 		}
 	}

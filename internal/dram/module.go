@@ -1,6 +1,9 @@
 package dram
 
-import "sort"
+import (
+	"bytes"
+	"sort"
+)
 
 // RecoveredOff is the row-off time assumed for an aggressor's first
 // activation (or any activation after a very long idle period): long enough
@@ -429,14 +432,28 @@ func (m *Module) FetchRow(at TimePS, bank, row int) ([]byte, TimePS, error) {
 	return out, preAt + m.Timing.TRP, nil
 }
 
-// PendingExposure returns the accumulated exposure of a row (test/analysis
-// introspection; does not modify state).
-func (m *Module) PendingExposure(bank, row int) Exposure {
+// RowView is a copy of one row's stored state.
+type RowView struct {
+	Data        []byte   // contents; nil for a never-written row
+	Exp         Exposure // pending exposure
+	LastRestore TimePS   // last charge restore
+	LastPre     TimePS   // last PRE instant, when Precharged
+	Precharged  bool     // the row has been closed at least once
+}
+
+// View returns a copy of (bank, row)'s stored state (test/analysis
+// introspection; does not modify state). A row outside the module, or
+// one the command path never touched, reads as the zero RowView.
+func (m *Module) View(bank, row int) RowView {
 	if bank < 0 || bank >= m.Geo.Banks || row < 0 || row >= m.Geo.RowsPerBank {
-		return Exposure{}
+		return RowView{}
 	}
-	if rs := m.peekRow(bank, row); rs != nil {
-		return rs.exp
+	rs := m.peekRow(bank, row)
+	if rs == nil {
+		return RowView{}
 	}
-	return Exposure{}
+	return RowView{
+		Data: bytes.Clone(rs.data), Exp: rs.exp, LastRestore: rs.lastRestore,
+		LastPre: rs.lastPreAt, Precharged: rs.lastPreSet,
+	}
 }

@@ -75,18 +75,7 @@ func TestRestoreRowErrors(t *testing.T) {
 
 // PeekRow returns the row's raw stored bytes without issuing commands and
 // without materializing pending disturbance.
-func (m *Module) PeekRow(bank, row int) []byte {
-	if bank < 0 || bank >= m.Geo.Banks || row < 0 || row >= m.Geo.RowsPerBank {
-		return nil
-	}
-	rs := m.peekRow(bank, row)
-	if rs == nil || rs.data == nil {
-		return nil
-	}
-	out := make([]byte, len(rs.data))
-	copy(out, rs.data)
-	return out
-}
+func (m *Module) PeekRow(bank, row int) []byte { return m.View(bank, row).Data }
 
 func TestPeekRowSafety(t *testing.T) {
 	m := testModule(nil)

@@ -1,0 +1,260 @@
+package dram
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+	"testing/quick"
+)
+
+// runDisturber is a FlipProber whose increments depend on on-time,
+// off-time and temperature, and whose retention depends on temperature,
+// so a fold that replayed the wrong window, or folded across a
+// temperature change, would show in the floats. Flips follow
+// thresholdDisturber's per-byte thresholds.
+type runDisturber struct{ probingThreshold }
+
+func (runDisturber) Increments(on, off TimePS, tempC float64) Increments {
+	var inc Increments
+	for d := 1; d <= BlastRadius; d++ {
+		inc.Hammer[d] = (1 + Seconds(off)*1e3) * tempC / float64(d*d) * 1e-3
+		inc.Press[d] = Seconds(on) * tempC / float64(d) * 10
+	}
+	return inc
+}
+
+func (runDisturber) RetentionAccel(tempC float64) float64 { return tempC / 50 }
+
+func newRunDisturber(threshold float64) runDisturber {
+	return runDisturber{probingThreshold{thresholdDisturber{threshold: threshold}}}
+}
+
+// runCase derives a random periodic run from seed: one to three
+// aggressors one to three rows apart, a window of 1–60 activations, up to
+// 40 windows, and a period from back-to-back to a few µs of idle.
+func runCase(seed uint64) (spec HammerSpec, period TimePS, reps int) {
+	h := func(i uint64) uint64 { return (seed ^ i*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9 >> 17 }
+	first, gap := 10+int(h(1)%5), 1+int(h(2)%3)
+	rows := []int{first}
+	for i := 1; i <= int(h(3)%3); i++ {
+		rows = append(rows, first+i*gap)
+	}
+	spec = HammerSpec{
+		Bank:     int(h(4) % 2),
+		Rows:     rows,
+		Count:    1 + int(h(5)%60),
+		OnTime:   36*Nanosecond + TimePS(h(6)%11)*100*Nanosecond,
+		ExtraOff: TimePS(h(7)%3) * 200 * Nanosecond,
+	}
+	period = spec.TotalTime(DDR4()) + TimePS(h(8)%4)*Microsecond
+	return spec, period, 1 + int(h(9)%40)
+}
+
+// runPair builds two identical modules ready for spec's run: rows filled,
+// and a prior loop on the row below the first aggressor, so the run
+// starts from a nontrivial history and its first restores can flip. It
+// returns the run's start time.
+func runPair(t *testing.T, dist Disturber, spec HammerSpec) (ref, got *Module, at TimePS) {
+	t.Helper()
+	prior := HammerSpec{Bank: spec.Bank, Rows: []int{spec.Rows[0] - 1}, Count: 150, OnTime: 36 * Nanosecond}
+	ref, got = testModule(dist), testModule(dist)
+	for _, m := range []*Module{ref, got} {
+		for row := 0; row < 32; row++ {
+			if err := m.InitRow(0, spec.Bank, row, 0x5A); err != nil {
+				t.Fatal(err)
+			}
+		}
+		end, err := m.HammerBatch(Microsecond, prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = end + 2*Microsecond
+	}
+	return ref, got, at
+}
+
+// sequentialRun is the reference a run is held against: one HammerBatch
+// per window.
+func sequentialRun(m *Module, at TimePS, spec HammerSpec, period TimePS, reps int) (TimePS, error) {
+	var end TimePS
+	for k := 0; k < reps; k++ {
+		var err error
+		if end, err = m.HammerBatch(at+TimePS(k)*period, spec); err != nil {
+			return 0, err
+		}
+	}
+	return end, nil
+}
+
+func expBits(e Exposure) [5]uint64 {
+	return [5]uint64{math.Float64bits(e.HammerAbove), math.Float64bits(e.HammerBelow),
+		math.Float64bits(e.PressAbove), math.Float64bits(e.PressBelow), math.Float64bits(e.Retention)}
+}
+
+// sameState reports the first difference between two modules' complete
+// state: every row field (exposure bit for bit), the banks, the counters,
+// the clock and the temperature schedule.
+func sameState(a, b *Module) error {
+	if a.acts != b.acts || a.pres != b.pres || a.lastCmdAt != b.lastCmdAt {
+		return fmt.Errorf("counters/clock %d/%d@%d vs %d/%d@%d", a.acts, a.pres, a.lastCmdAt, b.acts, b.pres, b.lastCmdAt)
+	}
+	if !slices.Equal(a.banks, b.banks) {
+		return fmt.Errorf("banks %+v vs %+v", a.banks, b.banks)
+	}
+	if !slices.Equal(a.temps, b.temps) {
+		return fmt.Errorf("temperature schedules differ")
+	}
+	for bank := range a.rows {
+		ra, rb := a.rows[bank], b.rows[bank]
+		if (ra == nil) != (rb == nil) {
+			return fmt.Errorf("bank %d touched on one module only", bank)
+		}
+		for row := range ra {
+			x, y := &ra[row], &rb[row]
+			if !bytes.Equal(x.data, y.data) || expBits(x.exp) != expBits(y.exp) ||
+				x.lastRestore != y.lastRestore || x.lastPreAt != y.lastPreAt || x.lastPreSet != y.lastPreSet ||
+				x.present != y.present || x.shared != y.shared || x.epoch != y.epoch {
+				return fmt.Errorf("bank %d row %d: exp %+v restore %d pre %d/%v vs exp %+v restore %d pre %d/%v",
+					bank, row, x.exp, x.lastRestore, x.lastPreAt, x.lastPreSet, y.exp, y.lastRestore, y.lastPreAt, y.lastPreSet)
+			}
+		}
+	}
+	return nil
+}
+
+// checkRun plays one run folded on got and window by window on ref,
+// requires equal end times and equal state, and returns how many
+// windows the run folded.
+func checkRun(t *testing.T, ref, got *Module, at TimePS, spec HammerSpec, period TimePS, reps int) (int, bool) {
+	t.Helper()
+	want, err := sequentialRun(ref, at, spec, period, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end, folded, err := got.hammerRun(at, spec, period, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != want {
+		t.Logf("spec %+v period %d reps %d: end %d, sequential %d", spec, period, reps, end, want)
+		return folded, false
+	}
+	if err := sameState(got, ref); err != nil {
+		t.Logf("spec %+v period %d reps %d (%d folded): %v", spec, period, reps, folded, err)
+		return folded, false
+	}
+	return folded, true
+}
+
+// TestHammerRunMatchesSequentialBatches is the run primitive's property
+// test: on random specs, periods and window counts, HammerRun leaves
+// exactly the state of one HammerBatch per window. Most runs longer than
+// two windows fold, so the fold itself is what is being checked.
+func TestHammerRunMatchesSequentialBatches(t *testing.T) {
+	dist := newRunDisturber(2)
+	runs, folds := 0, 0
+	f := func(seed uint64) bool {
+		spec, period, reps := runCase(seed)
+		ref, got, at := runPair(t, dist, spec)
+		folded, ok := checkRun(t, ref, got, at, spec, period, reps)
+		runs++
+		if folded > 0 {
+			folds++
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if folds < runs/2 {
+		t.Fatalf("only %d of %d runs folded: the test no longer exercises the fold", folds, runs)
+	}
+}
+
+// TestHammerRunFallsBackWhenAggressorsFlip: a disturber that flips every
+// restore's cells defeats the proof in every window, so the run plays
+// window by window and still matches.
+func TestHammerRunFallsBackWhenAggressorsFlip(t *testing.T) {
+	dist := newRunDisturber(0)
+	f := func(seed uint64) bool {
+		spec, period, reps := runCase(seed)
+		ref, got, at := runPair(t, dist, spec)
+		folded, ok := checkRun(t, ref, got, at, spec, period, reps)
+		if folded != 0 {
+			t.Logf("spec %+v: folded %d windows whose aggressor restores flip", spec, folded)
+			return false
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHammerRunFallsBackAcrossTemperatureChange: a temperature change
+// scheduled inside the run keeps the fold from starting until two windows
+// after it, and the run still matches.
+func TestHammerRunFallsBackAcrossTemperatureChange(t *testing.T) {
+	dist := newRunDisturber(2)
+	f := func(seed uint64) bool {
+		spec, period, reps := runCase(seed)
+		ref, got, at := runPair(t, dist, spec)
+		kT := int(seed>>40) % reps
+		for _, m := range []*Module{ref, got} {
+			m.SetTemperature(at+TimePS(kT)*period+period/2, 80)
+		}
+		folded, ok := checkRun(t, ref, got, at, spec, period, reps)
+		if folded > max(0, reps-kT-2) {
+			t.Logf("spec %+v: folded %d of %d windows across a change in window %d", spec, folded, reps, kT)
+			return false
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHammerRunFallsBackUnderCheckpoint: with a checkpoint armed the run
+// plays window by window, so the journal sees every touched row; it
+// matches, and rolls back to the same state.
+func TestHammerRunFallsBackUnderCheckpoint(t *testing.T) {
+	dist := newRunDisturber(2)
+	f := func(seed uint64) bool {
+		spec, period, reps := runCase(seed)
+		ref, got, at := runPair(t, dist, spec)
+		ref.Checkpoint()
+		got.Checkpoint()
+		folded, ok := checkRun(t, ref, got, at, spec, period, reps)
+		if folded != 0 {
+			t.Logf("spec %+v: folded %d windows under a checkpoint", spec, folded)
+			return false
+		}
+		ref.Rollback()
+		got.Rollback()
+		if err := sameState(got, ref); err != nil {
+			t.Logf("after rollback: %v", err)
+			return false
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestHammerRunValidation(t *testing.T) {
+	m := testModule(NopDisturber{})
+	spec := HammerSpec{Bank: 0, Rows: []int{10, 12}, Count: 8, OnTime: 36 * Nanosecond}
+	if _, err := m.HammerRun(0, spec, spec.TotalTime(m.Timing), 0); err == nil {
+		t.Error("zero windows should fail")
+	}
+	if _, err := m.HammerRun(0, spec, spec.TotalTime(m.Timing)-1, 2); err == nil {
+		t.Error("a period shorter than the window should fail")
+	}
+	if _, err := m.HammerRun(0, spec, spec.TotalTime(m.Timing), 5); err != nil {
+		t.Errorf("back-to-back windows: %v", err)
+	}
+}

@@ -58,7 +58,7 @@ func captureState(m *Module) snapshotState {
 	s := snapshotState{ctrs: m.Counters(), now: m.Now()}
 	for bank := 0; bank < m.Geo.Banks; bank++ {
 		for row := 0; row < m.Geo.RowsPerBank; row++ {
-			s.exps = append(s.exps, m.PendingExposure(bank, row))
+			s.exps = append(s.exps, m.View(bank, row).Exp)
 			s.datas = append(s.datas, m.PeekRow(bank, row))
 		}
 	}

@@ -41,7 +41,7 @@ func TestPlayTraceMatchesHammer(t *testing.T) {
 		t.Fatalf("counters differ: hammer=%+v trace=%+v", ch, ct)
 	}
 	for row := 95; row < 108; row++ {
-		if eh, et := viaHammer.PendingExposure(1, row), viaTrace.PendingExposure(1, row); eh != et {
+		if eh, et := viaHammer.View(1, row).Exp, viaTrace.View(1, row).Exp; eh != et {
 			t.Fatalf("row %d exposure differs: hammer=%+v trace=%+v", row, eh, et)
 		}
 	}

@@ -34,7 +34,7 @@ func sumFloats(m map[string]float64) float64 {
 	return total
 }
 
-// Near miss: the collect-then-sort idiom (mixGroupNames style) is the
+// Near miss: the collect-then-sort idiom (keys gathered, then sorted) is the
 // blessed pattern and must pass.
 func collectSorted(m map[string]int) []string {
 	var keys []string

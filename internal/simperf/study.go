@@ -216,8 +216,12 @@ func MinOpenRowStudy(cfg Config, profiles []workload.Profile, seed uint64) ([]Mi
 	return out, nil
 }
 
-// HeterogeneousMixes builds the Appendix D category mixes (HHHH, HHHL,
-// HHLL, HLLL, LLLL), n of each, deterministically.
+// MixGroups names the Appendix D category mixes (Table 9): the letters
+// are each core's heavy or light workload. The list is sorted.
+var MixGroups = []string{"HHHH", "HHHL", "HHLL", "HLLL", "LLLL"}
+
+// HeterogeneousMixes builds the MixGroups category mixes, n of each,
+// deterministically.
 func HeterogeneousMixes(n int, seed uint64) map[string][][]workload.Profile {
 	heavy, light := workload.Heavy(), workload.Light()
 	rng := stats.NewRNG(seed)
@@ -225,7 +229,7 @@ func HeterogeneousMixes(n int, seed uint64) map[string][][]workload.Profile {
 		return pool[rng.Intn(len(pool))]
 	}
 	out := make(map[string][][]workload.Profile)
-	for _, group := range []string{"HHHH", "HHHL", "HHLL", "HLLL", "LLLL"} {
+	for _, group := range MixGroups {
 		for i := 0; i < n; i++ {
 			var mix []workload.Profile
 			for _, ch := range group {

@@ -71,7 +71,7 @@ func TestRowOpenTimeReachesModel(t *testing.T) {
 	if _, err := sys.AccessBlock(0, 900); err != nil {
 		t.Fatal(err)
 	}
-	shortExp := sys.Mod.PendingExposure(0, 501).PressBelow
+	shortExp := sys.Mod.View(0, 501).Exp.PressBelow
 
 	// Long open: many accesses keep row 500 open much longer.
 	sys2 := newSys(t)
@@ -87,7 +87,7 @@ func TestRowOpenTimeReachesModel(t *testing.T) {
 	if _, err := sys2.AccessBlock(0, 900); err != nil {
 		t.Fatal(err)
 	}
-	longExp := sys2.Mod.PendingExposure(0, 501).PressBelow
+	longExp := sys2.Mod.View(0, 501).Exp.PressBelow
 	if longExp <= shortExp {
 		t.Errorf("longer row-open time must press harder: %g vs %g", longExp, shortExp)
 	}
