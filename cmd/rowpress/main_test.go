@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -30,23 +31,23 @@ func TestMain(m *testing.M) {
 }
 
 // runMain runs main with args in a child process and returns its exit
-// code and stderr.
-func runMain(t *testing.T, args ...string) (int, string) {
+// code, stdout and stderr.
+func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), mainEnv+"=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
 	var ee *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stderr.String()
+		return 0, out.String(), errOut.String()
 	case errors.As(err, &ee):
-		return ee.ExitCode(), stderr.String()
+		return ee.ExitCode(), out.String(), errOut.String()
 	default:
 		t.Fatalf("rowpress %v: %v", args, err)
-		return -1, ""
+		return -1, "", ""
 	}
 }
 
@@ -68,7 +69,7 @@ func TestRejectsUnusedFlags(t *testing.T) {
 		{[]string{"loadtest", "-workers", "2"}, "-workers"},
 	}
 	for _, c := range cases {
-		code, stderr := runMain(t, c.args...)
+		code, _, stderr := runMain(t, c.args...)
 		if code != 2 {
 			t.Errorf("rowpress %v: exit %d, want 2 (stderr %q)", c.args, code, stderr)
 			continue
@@ -80,8 +81,55 @@ func TestRejectsUnusedFlags(t *testing.T) {
 }
 
 func TestScenariosCSV(t *testing.T) {
-	if code, stderr := runMain(t, "scenarios", "-format", "csv"); code != 0 {
+	if code, _, stderr := runMain(t, "scenarios", "-format", "csv"); code != 0 {
 		t.Fatalf("rowpress scenarios -format csv: exit %d (stderr %q)", code, stderr)
+	}
+}
+
+// TestLedgerDeterminismGate runs fig6 twice through one ledger and
+// disk cache. Every history record's tier split sums to its shards, the
+// second run answers from the disk cache, history serves every format,
+// and `compare -gate determinism` passes on matching doc hashes.
+func TestLedgerDeterminismGate(t *testing.T) {
+	led, cache := t.TempDir(), t.TempDir()
+	for i := 0; i < 2; i++ {
+		if code, _, stderr := runMain(t, "run", "fig6", "-scale", "0.05", "-ledger-dir", led, "-cache-dir", cache); code != 0 {
+			t.Fatalf("run %d: exit %d (stderr %q)", i, code, stderr)
+		}
+	}
+	code, out, stderr := runMain(t, "history", "-ledger-dir", led, "-format", "json")
+	if code != 0 {
+		t.Fatalf("history -format json: exit %d (stderr %q)", code, stderr)
+	}
+	var recs []ledger.Record
+	if err := json.Unmarshal([]byte(out), &recs); err != nil {
+		t.Fatalf("history -format json: %v", err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("history holds %d records, want 2", len(recs))
+	}
+	for _, r := range recs {
+		if r.Tiers.Total() != r.Shards {
+			t.Errorf("record %s: tiers %+v sum to %d, not its %d shards", r.ID, r.Tiers, r.Tiers.Total(), r.Shards)
+		}
+	}
+	if warm := recs[0]; warm.Experiment != "fig6" || warm.Shards == 0 || warm.Tiers.Miss != 0 {
+		t.Errorf("newest record %s %s: %d shards, tiers %+v; want a fig6 run with no misses",
+			warm.ID, warm.Experiment, warm.Shards, warm.Tiers)
+	}
+	for _, format := range []string{"text", "csv"} {
+		if code, _, stderr := runMain(t, "history", "-ledger-dir", led, "-format", format); code != 0 {
+			t.Errorf("history -format %s: exit %d (stderr %q)", format, code, stderr)
+		}
+	}
+	code, out, stderr = runMain(t, "compare", "fig6", "fig6", "-ledger-dir", led, "-gate", "determinism")
+	if code != 0 {
+		t.Fatalf("compare -gate determinism: exit %d (stderr %q)", code, stderr)
+	}
+	for _, want := range []string{"doc hashes match", "tier shift"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("compare output does not say %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -80,32 +80,92 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8271", "listen address")
-	workers := flag.Int("workers", 0, "concurrent shards (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache", engine.DefaultCacheEntries, "max cached shard results (in-memory tier)")
-	cacheDir := flag.String("cache-dir", "", "persistent shard-cache directory (warm-start across restarts)")
-	cacheDiskBytes := flag.Int64("cache-disk-bytes", engine.DefaultDiskCacheBytes, "disk-cache size bound in bytes")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound for in-flight requests")
-	ledgerDir := flag.String("ledger-dir", "", "persistent run-ledger directory (run history, /v1/history, /v1/compare)")
-	ledgerBytes := flag.Int64("ledger-bytes", 0, "run-ledger size bound in bytes (0 = default)")
-	warm := flag.Float64("warm", 0, "if > 0, pre-warm the cache by running every experiment at this scale before serving")
-	peers := flag.String("peers", "", "comma-separated peer URLs; enables fabric coordinator mode (consistent-hash shard dispatch)")
-	logLevel := flag.String("log-level", "info", "structured request-log floor: debug|info|warn|error|off")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	flag.Parse()
-
-	logger, err := buildLogger(*logLevel)
-	if err != nil {
+	d, err := newDaemon(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.As(err, new(usageError)):
 		fmt.Fprintf(os.Stderr, "rowpressd: %v\n", err)
 		os.Exit(2)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "rowpressd: %v\n", err)
+		os.Exit(1)
+	}
+	srv := &http.Server{Addr: d.addr, Handler: d.server, ReadHeaderTimeout: 10 * time.Second}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	log.Printf("rowpressd serving %d experiments on %s (%d workers, %d-entry cache)",
+		len(core.List()), d.addr, d.server.Engine().Workers(), d.cacheEntries)
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case err := <-errc:
+		log.Fatal(err)
+	case <-ctx.Done():
+	}
+	stop() // restore default signal behavior: a second signal kills immediately
+
+	d.server.SetDraining(true) // /v1/healthz readiness answers 503 from here on
+	log.Printf("shutting down: draining in-flight requests (up to %s)", d.drainTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), d.drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		log.Printf("shutdown: %v", err)
+	}
+	d.close()
+}
+
+// daemon is rowpressd assembled from its command line: everything but
+// the listener, the signals and the drain, which main owns.
+type daemon struct {
+	server       *serve.Server
+	addr         string
+	drainTimeout time.Duration
+	cacheEntries int
+	// close flushes the disk-cache index and closes the run ledger; call
+	// it once the server has stopped taking requests.
+	close func()
+}
+
+// usageError is a mistake in the command line itself: main exits 2 on
+// it, as on a flag the parser rejects, and 1 on any other setup error.
+type usageError struct{ error }
+
+// newDaemon parses args on its own FlagSet and builds the engine, disk
+// cache, -warm pass, fabric client, run ledger and server they describe.
+// Nothing listens yet. A bad flag or -log-level fails before anything
+// is opened.
+func newDaemon(args []string) (*daemon, error) {
+	fs := flag.NewFlagSet("rowpressd", flag.ContinueOnError)
+	addr := fs.String("addr", ":8271", "listen address")
+	workers := fs.Int("workers", 0, "concurrent shards (0 = GOMAXPROCS)")
+	cacheEntries := fs.Int("cache", engine.DefaultCacheEntries, "max cached shard results (in-memory tier)")
+	cacheDir := fs.String("cache-dir", "", "persistent shard-cache directory (warm-start across restarts)")
+	cacheDiskBytes := fs.Int64("cache-disk-bytes", engine.DefaultDiskCacheBytes, "disk-cache size bound in bytes")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound for in-flight requests")
+	ledgerDir := fs.String("ledger-dir", "", "persistent run-ledger directory (run history, /v1/history, /v1/compare)")
+	ledgerBytes := fs.Int64("ledger-bytes", 0, "run-ledger size bound in bytes (0 = default)")
+	warm := fs.Float64("warm", 0, "if > 0, pre-warm the cache by running every experiment at this scale before serving")
+	peers := fs.String("peers", "", "comma-separated peer URLs; enables fabric coordinator mode (consistent-hash shard dispatch)")
+	logLevel := fs.String("log-level", "info", "structured request-log floor: debug|info|warn|error|off")
+	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, usageError{err}
+	}
+	logger, err := buildLogger(*logLevel)
+	if err != nil {
+		return nil, usageError{err}
 	}
 
 	eng := engine.New(*workers, *cacheEntries)
 	if *cacheDir != "" {
 		dc, err := engine.OpenDiskCache(*cacheDir, *cacheDiskBytes)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpressd: -cache-dir: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("-cache-dir: %w", err)
 		}
 		eng.AttachDiskCache(dc)
 		st := dc.Stats()
@@ -116,8 +176,7 @@ func main() {
 		o.Scale = *warm
 		for _, e := range core.List() {
 			if _, err := core.RunWith(eng, e.ID, o); err != nil {
-				fmt.Fprintf(os.Stderr, "rowpressd: warm %s: %v\n", e.ID, err)
-				os.Exit(1)
+				return nil, fmt.Errorf("warm %s: %w", e.ID, err)
 			}
 		}
 		st := eng.Cache().Stats()
@@ -126,16 +185,9 @@ func main() {
 
 	sopts := []serve.Option{serve.WithLogger(logger)}
 	if *peers != "" {
-		var urls []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				urls = append(urls, p)
-			}
-		}
-		fc, err := fabric.New(fabric.Config{Peers: urls})
+		fc, err := fabric.New(fabric.Config{Peers: strings.Split(*peers, ",")})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rowpressd: -peers: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("-peers: %w", err)
 		}
 		eng.AttachRemote(fc)
 		sopts = append(sopts, serve.WithFabric(fc))
@@ -143,8 +195,7 @@ func main() {
 	}
 	led, err := ledger.Open(*ledgerDir, *ledgerBytes)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rowpressd: -ledger-dir: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("-ledger-dir: %w", err)
 	}
 	if *ledgerDir == "" {
 		log.Printf("run ledger in memory: the newest %d records of this process", ledger.MemoryRecords)
@@ -158,41 +209,28 @@ func main() {
 		sopts = append(sopts, serve.WithPprof())
 		log.Printf("pprof enabled on /debug/pprof/")
 	}
-	s := serve.New(eng, sopts...)
-	srv := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("rowpressd serving %d experiments on %s (%d workers, %d-entry cache)",
-		len(core.List()), *addr, eng.Workers(), *cacheEntries)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	stop() // restore default signal behavior: a second signal kills immediately
-
-	s.SetDraining(true) // /v1/healthz readiness answers 503 from here on
-	log.Printf("shutting down: draining in-flight requests (up to %s)", *drainTimeout)
-	sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("shutdown: %v", err)
-	}
-	if dc := eng.Disk(); dc != nil {
-		if err := dc.Flush(); err != nil {
-			log.Printf("disk-cache flush: %v", err)
+	closeFn := func() {
+		if dc := eng.Disk(); dc != nil {
+			if err := dc.Flush(); err != nil {
+				log.Printf("disk-cache flush: %v", err)
+			} else {
+				log.Printf("disk-cache index flushed (%d entries)", dc.Stats().Entries)
+			}
+		}
+		if err := led.Close(); err != nil {
+			log.Printf("ledger close: %v", err)
 		} else {
-			log.Printf("disk-cache index flushed (%d entries)", dc.Stats().Entries)
+			log.Printf("run ledger closed (%d records)", led.Stats().Records)
 		}
 	}
-	if err := led.Close(); err != nil {
-		log.Printf("ledger close: %v", err)
-	} else {
-		log.Printf("run ledger closed (%d records)", led.Stats().Records)
-	}
+	return &daemon{
+		server:       serve.New(eng, sopts...),
+		addr:         *addr,
+		drainTimeout: *drainTimeout,
+		cacheEntries: *cacheEntries,
+		close:        closeFn,
+	}, nil
 }
 
 // buildLogger maps -log-level onto a stderr slog text logger; "off"

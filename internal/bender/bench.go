@@ -29,48 +29,25 @@ type Bench struct {
 	Model   *disturb.Model
 	Thermal *thermal.Controller
 
-	now   dram.TimePS
-	bank  int // bank under test (the paper uses bank 1)
-	tempC float64
+	now  dram.TimePS
+	bank int // bank under test (the paper uses bank 1)
 }
 
-// Option configures a Bench.
-type Option func(*benchConfig)
-
-type benchConfig struct {
-	geo   dram.Geometry
-	bank  int
-	tempC float64
-}
-
-// WithGeometry overrides the module geometry.
-func WithGeometry(geo dram.Geometry) Option { return func(c *benchConfig) { c.geo = geo } }
-
-// WithBank selects the bank under test.
-func WithBank(bank int) Option { return func(c *benchConfig) { c.bank = bank } }
-
-// WithTemperature sets the initial target temperature (°C).
-func WithTemperature(t float64) Option { return func(c *benchConfig) { c.tempC = t } }
-
-// New builds a bench for the given module spec.
-func New(spec chipgen.ModuleSpec, opts ...Option) (*Bench, error) {
-	cfg := benchConfig{geo: dram.DefaultGeometry(), bank: 1, tempC: 50}
-	for _, o := range opts {
-		o(&cfg)
+// New builds a bench for the given module spec on geometry geo, testing
+// bank at an initial target temperature of tempC °C.
+func New(spec chipgen.ModuleSpec, geo dram.Geometry, bank int, tempC float64) (*Bench, error) {
+	if bank < 0 || bank >= geo.Banks {
+		return nil, fmt.Errorf("bender: bank %d outside geometry with %d banks", bank, geo.Banks)
 	}
-	if cfg.bank < 0 || cfg.bank >= cfg.geo.Banks {
-		return nil, fmt.Errorf("bender: bank %d outside geometry with %d banks", cfg.bank, cfg.geo.Banks)
-	}
-	mod, model := spec.NewModule(cfg.geo, cfg.tempC)
+	mod, model := spec.NewModule(geo, tempC)
 	b := &Bench{
 		Spec:    spec,
 		Mod:     mod,
 		Model:   model,
 		Thermal: thermal.NewController(),
-		bank:    cfg.bank,
-		tempC:   cfg.tempC,
+		bank:    bank,
 	}
-	if _, err := b.Thermal.Settle(cfg.tempC, 0.5, 5); err != nil {
+	if _, err := b.Thermal.Settle(tempC, 0.5, 5); err != nil {
 		return nil, fmt.Errorf("bender: initial thermal settle: %w", err)
 	}
 	return b, nil
@@ -81,9 +58,6 @@ func (b *Bench) Now() dram.TimePS { return b.now }
 
 // Bank returns the bank under test.
 func (b *Bench) Bank() int { return b.bank }
-
-// Temperature returns the current chip temperature.
-func (b *Bench) Temperature() float64 { return b.tempC }
 
 // Advance moves the bench clock forward by d.
 func (b *Bench) Advance(d dram.TimePS) {
@@ -100,7 +74,6 @@ func (b *Bench) SetTemperature(target float64) error {
 		return err
 	}
 	b.now += dram.FromSeconds(settle)
-	b.tempC = target
 	b.Mod.SetTemperature(b.now, target)
 	b.Model.SetEvalTemperature(target)
 	return nil

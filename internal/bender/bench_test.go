@@ -14,7 +14,7 @@ func newTestBench(t *testing.T, id string) *Bench {
 		t.Fatalf("unknown module %s", id)
 	}
 	geo := dram.Geometry{Banks: 2, RowsPerBank: 1024, RowBytes: 8192}
-	b, err := New(spec, WithGeometry(geo), WithBank(1), WithTemperature(50))
+	b, err := New(spec, geo, 1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +30,6 @@ func TestBenchSetTemperatureAdvancesClockAndModule(t *testing.T) {
 	if b.Now() <= before {
 		t.Error("thermal settling should take simulated time")
 	}
-	if b.Temperature() != 80 {
-		t.Errorf("bench temp = %v", b.Temperature())
-	}
 	if got := b.Mod.TemperatureAt(b.Now()); got != 80 {
 		t.Errorf("module temp = %v", got)
 	}
@@ -40,7 +37,7 @@ func TestBenchSetTemperatureAdvancesClockAndModule(t *testing.T) {
 
 func TestBenchRejectsBadBank(t *testing.T) {
 	spec, _ := chipgen.ByID("S0")
-	_, err := New(spec, WithBank(99))
+	_, err := New(spec, dram.DefaultGeometry(), 99, 50)
 	if err == nil {
 		t.Fatal("bank 99 should fail")
 	}

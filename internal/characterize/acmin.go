@@ -132,11 +132,7 @@ func NewBench(spec chipgen.ModuleSpec, cfg Config, tempC float64) (*bender.Bench
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return bender.New(spec,
-		bender.WithGeometry(cfg.Geometry),
-		bender.WithBank(cfg.Bank),
-		bender.WithTemperature(tempC),
-	)
+	return bender.New(spec, cfg.Geometry, cfg.Bank, tempC)
 }
 
 // ACminSweep measures the ACmin distribution of one module over the given

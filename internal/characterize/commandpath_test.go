@@ -221,7 +221,7 @@ func TestOverlapFlowsMatchCommandPath(t *testing.T) {
 func newPhysicsBench(t *testing.T, id string) *bender.Bench {
 	t.Helper()
 	geo := dram.Geometry{Banks: 2, RowsPerBank: 1024, RowBytes: 8192}
-	b, err := bender.New(mustSpec(t, id), bender.WithGeometry(geo), bender.WithBank(1), bender.WithTemperature(50))
+	b, err := bender.New(mustSpec(t, id), geo, 1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

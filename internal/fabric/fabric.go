@@ -40,37 +40,26 @@ import (
 // the shared-cache property working — separately from remote compute.
 const TierHeader = "X-Fabric-Tier"
 
-// Config parameterizes a coordinator's fabric client. The zero value
-// of every knob selects the documented default.
+// Config parameterizes a coordinator's fabric client.
 type Config struct {
-	Peers        []string      // peer base URLs, e.g. http://10.0.0.2:8080
-	Retries      int           // extra attempts per peer after the first (default 1; < 0 means none)
-	FailureLimit int           // consecutive failures opening a peer's circuit (default 3)
-	Cooldown     time.Duration // circuit-open duration before a retrial (default 5s)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.FailureLimit <= 0 {
-		c.FailureLimit = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Second
-	}
-	return c
+	Peers []string // peer base URLs, e.g. http://10.0.0.2:8080; blank entries are skipped
+	// Retries is the extra attempts per peer after the first: 0 selects
+	// the default of 1, < 0 means none. Tests that feed a peer bad
+	// answers set it < 0, so a failing attempt does not add a
+	// retryBackoff sleep per retry.
+	Retries int
 }
 
 // Fixed dispatch tuning: ring points per member, the first retry delay
-// (doubling per retry), the peer-latency quantile that arms the hedge
-// timer and its floor, the per-attempt HTTP timeout, and the concurrent
-// dispatch bound per peer.
+// (doubling per retry), the consecutive failures that open a peer's
+// circuit and how long it stays open before a retrial, the
+// peer-latency quantile that arms the hedge timer and its floor, the
+// per-attempt HTTP timeout, and the concurrent dispatch bound per peer.
 const (
 	virtualNodes    = 64
 	retryBackoff    = 25 * time.Millisecond
+	failureLimit    = 3
+	cooldown        = 5 * time.Second
 	hedgeQuantile   = 0.95
 	hedgeMin        = 20 * time.Millisecond
 	attemptTimeout  = 2 * time.Minute
@@ -113,11 +102,11 @@ func (p *peer) up(now time.Time) bool {
 	return !now.Before(p.downUntil)
 }
 
-func (p *peer) fail(now time.Time, limit int, cooldown time.Duration) {
+func (p *peer) fail(now time.Time) {
 	p.mu.Lock()
 	p.errors++
 	p.consecFails++
-	if p.consecFails >= limit {
+	if p.consecFails >= failureLimit {
 		p.downUntil = now.Add(cooldown)
 	}
 	p.mu.Unlock()
@@ -126,39 +115,41 @@ func (p *peer) fail(now time.Time, limit int, cooldown time.Duration) {
 // Client is the coordinator side of the fabric. It is safe for
 // concurrent use and implements engine.RemoteTier.
 type Client struct {
-	cfg   Config
-	ring  *ring
-	peers []*peer
-	http  *http.Client
-	sem   chan struct{}
+	retries int
+	ring    *ring
+	peers   []*peer
+	http    *http.Client
+	sem     chan struct{}
 }
 
 // New builds a client over the configured peer set. At least one peer
 // is required — a fabric of one process is just a local engine.
 func New(cfg Config) (*Client, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Peers) == 0 {
-		return nil, errors.New("fabric: no peers configured")
-	}
-	urls := make([]string, len(cfg.Peers))
-	peers := make([]*peer, len(cfg.Peers))
-	for i, u := range cfg.Peers {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if u == "" {
-			return nil, fmt.Errorf("fabric: empty peer URL at index %d", i)
+	var urls []string
+	var peers []*peer
+	for _, u := range cfg.Peers {
+		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u == "" {
+			continue
 		}
 		if !strings.Contains(u, "://") {
 			u = "http://" + u
 		}
-		urls[i] = u
-		peers[i] = &peer{url: u, hist: obs.NewLatencyHistogram()}
+		urls = append(urls, u)
+		peers = append(peers, &peer{url: u, hist: obs.NewLatencyHistogram()})
+	}
+	if len(peers) == 0 {
+		return nil, errors.New("fabric: no peers configured")
+	}
+	retries := max(cfg.Retries, 0)
+	if cfg.Retries == 0 {
+		retries = 1
 	}
 	return &Client{
-		cfg:   cfg,
-		ring:  newRing(urls, virtualNodes),
-		peers: peers,
-		http:  &http.Client{Timeout: attemptTimeout},
-		sem:   make(chan struct{}, inFlightPerPeer*len(peers)),
+		retries: retries,
+		ring:    newRing(urls, virtualNodes),
+		peers:   peers,
+		http:    &http.Client{Timeout: attemptTimeout},
+		sem:     make(chan struct{}, inFlightPerPeer*len(peers)),
 	}, nil
 }
 
@@ -298,7 +289,7 @@ func (c *Client) nextUp(owner int) *peer {
 // attempt runs the bounded retry loop against one peer.
 func (c *Client) attempt(pr *peer, body []byte) attemptResult {
 	var lastErr error
-	for try := 0; try <= c.cfg.Retries; try++ {
+	for try := 0; try <= c.retries; try++ {
 		if try > 0 {
 			pr.mu.Lock()
 			pr.retries++
@@ -322,7 +313,7 @@ func (c *Client) attempt(pr *peer, body []byte) attemptResult {
 			return attemptResult{v: v, peer: pr}
 		}
 		lastErr = err
-		pr.fail(time.Now(), c.cfg.FailureLimit, c.cfg.Cooldown)
+		pr.fail(time.Now())
 		if errors.Is(err, errPermanent) || !pr.up(time.Now()) {
 			break
 		}

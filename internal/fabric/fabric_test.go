@@ -142,10 +142,8 @@ func TestFabricPeerDeathFallback(t *testing.T) {
 	}
 	p1, p2 := newPeer(t, nil), newPeer(t, dieAfter)
 	eng, fc := newCoordinator(t, fabric.Config{
-		Peers:        []string{p1.URL, p2.URL},
-		Retries:      -1, // clamp to 0: fail fast, the fallback path is under test
-		FailureLimit: 1,
-		Cooldown:     time.Hour, // stays dead for the whole test
+		Peers:   []string{p1.URL, p2.URL},
+		Retries: -1, // clamp to 0: fail fast, the fallback path is under test
 	})
 
 	doc, err := core.RunWith(eng, "fig6", testOpts)
