@@ -211,12 +211,17 @@ func BenchmarkAttackCold(b *testing.B) { benchColdGolden(b, attackBenchIDs...) }
 // unsynchronized ones whose TRR catches split the run into stretches.
 func BenchmarkAttackGridCold(b *testing.B) { benchColdGolden(b, "fig23", "fig49") }
 
-// Scenario benchmark: scenario-grid — every catalog scenario against every
-// module, each site a full-budget play with its minimum-exposure search
-// folded in — regenerated on a fresh engine per iteration, so every
-// iteration pays the per-slot command path, and checked against its
-// golden report.
-func BenchmarkScenarioGridCold(b *testing.B) { benchColdGolden(b, "scenario-grid") }
+// Scenario benchmarks, each regenerated on a fresh engine per iteration
+// and checked against its golden report. scenario-grid plays every
+// catalog scenario against every module unmitigated, each site a
+// full-budget play with its minimum-exposure search folded in; the plays
+// fold their periodic stretches (dram.Module.TraceRun), so an iteration
+// pays the per-slot command path only around each pause.
+// scenario-mitigation plays every scenario under every mitigation
+// without the search: its none column folds the same way, while PARA,
+// TRR, Graphene and ImPress play every slot through the command path.
+func BenchmarkScenarioGridCold(b *testing.B)       { benchColdGolden(b, "scenario-grid") }
+func BenchmarkScenarioMitigationCold(b *testing.B) { benchColdGolden(b, "scenario-mitigation") }
 
 // benchColdGolden regenerates ids at the golden options on a fresh engine
 // per iteration, so no shard is ever a cache hit, and fails on any report

@@ -123,16 +123,21 @@ func metrics(t *testing.T, ts *httptest.Server) serve.MetricsResponse {
 }
 
 // settled returns the coordinator's metrics once every dispatch it
-// started has been answered or has failed. A hedged duplicate that lost
-// its race may still be executing on a peer when the run it served has
-// returned; until it is answered, that peer's shard count can still
-// move.
-func settled(t *testing.T, coord *httptest.Server) serve.MetricsResponse {
+// started has been answered, has failed or was cancelled, and no peer is
+// still serving a /v1/shard request. A hedged duplicate that lost its
+// race is cancelled when the run it served returns, but its peer still
+// finishes a shard it had begun; until then, that peer's shard count can
+// still move.
+func settled(t *testing.T, coord *httptest.Server, peers ...*httptest.Server) serve.MetricsResponse {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		m := metrics(t, coord)
-		if f := m.Fabric; f == nil || f.Dispatches == f.Hits+f.Errors {
+		idle := true
+		for _, p := range peers {
+			idle = idle && metrics(t, p).Endpoints["/v1/shard"].InFlight == 0
+		}
+		if f := m.Fabric; idle && (f == nil || f.Dispatches == f.Hits+f.Errors+f.Cancelled) {
 			return m
 		}
 		if time.Now().After(deadline) {
@@ -168,7 +173,7 @@ func TestFleet(t *testing.T) {
 	for _, exp := range fleetExps {
 		cold[exp] = string(get(t, coord.URL+runText(exp, 1)))
 	}
-	before := []serve.MetricsResponse{settled(t, coord), metrics(t, p1), metrics(t, p2)}
+	before := []serve.MetricsResponse{settled(t, coord, p1, p2), metrics(t, p1), metrics(t, p2)}
 	if before[0].RemoteHits == 0 {
 		t.Errorf("cold runs: coordinator has no remote hits")
 	}
@@ -184,7 +189,7 @@ func TestFleet(t *testing.T) {
 			t.Errorf("warm %s renders different text:\n--- warm ---\n%s\n--- cold ---\n%s", exp, warm, cold[exp])
 		}
 	}
-	settled(t, coord)
+	settled(t, coord, p1, p2)
 	for i, ts := range []*httptest.Server{coord, p1, p2} {
 		if d := metrics(t, ts).ShardsExecuted - before[i].ShardsExecuted; d != 0 {
 			t.Errorf("warm runs executed %d shards on %s", d, ts.URL)

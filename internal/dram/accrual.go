@@ -21,10 +21,10 @@ import "slices"
 // order is what lets the golden-report tests demand byte equality
 // between the per-command path and the closed form.
 //
-// A run of windows folds one level further (hammer.go): once a run is in
+// A run of windows folds one level further (run.go): once a run is in
 // steady state every window hands every row the same increments, and a
-// FlipProber check of one window's aggressor restores proves the rest
-// flip-free, so HammerRun replays that window's victim adds — repeated,
+// FlipProber check of one window's restores proves the rest flip-free,
+// so HammerRun and TraceRun replay that window's victim adds — repeated,
 // not multiplied, to keep the floats bit-identical — instead of
 // executing each window.
 
@@ -119,11 +119,12 @@ type VictimExposure struct {
 // history); nil falls back to the module's recorded per-row PRE state.
 // Results are sorted by row.
 func (m *Module) HammerExposures(at TimePS, spec HammerSpec, firstOff func(row int, firstActAt TimePS) TimePS) []VictimExposure {
-	var buf [4]AggSchedule
-	w := newHammerWindow(spec, m.Timing, buf[:0])
+	var sched [4]AggSchedule
+	var acts [4]actRow
+	w := newHammerWindow(spec, m.Timing, sched[:0], acts[:0])
 	// A loop reaches at most 2×BlastRadius victims per aggressor, so the
 	// deltas live in a short slice found by linear scan.
-	out := make([]VictimExposure, 0, 2*BlastRadius*len(w.aggs))
+	out := make([]VictimExposure, 0, 2*BlastRadius*len(w.skip))
 	w.accrueVictims(m, at, firstOff, func(victim int, above bool, h, p float64) {
 		i := slices.IndexFunc(out, func(ve VictimExposure) bool { return ve.Row == victim })
 		if i < 0 {

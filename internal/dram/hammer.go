@@ -81,19 +81,16 @@ func (m *Module) HammerBatch(at TimePS, spec HammerSpec) (TimePS, error) {
 // at + k×period, and returns the completion time of the last window. The
 // effect is exactly that of reps HammerBatch calls at those times, bit
 // for bit, but the spec is validated and scheduled once, and a run in
-// steady state accrues as float adds instead of commands.
+// steady state accrues as float adds instead of commands (run.go).
 //
 // From the third window on, every window sees the same aggressor
 // off-times, the same aggressor exposure (the previous window's tail) and
-// the same retention interval, so it hands every row the same increments
-// with the same inputs. If that window's aggressor restores flip nothing
-// (FlipProber.WouldFlip), no later one can either: nothing changes the
-// rows' contents. The rest of the run then replays that window's victim
-// adds once per window, in executor order, and sets the aggressors'
-// restore and PRE times, the counters, the bank and the clock in closed
-// form. A window that cannot be proved flip-free — a restore would flip,
-// the disturber has no WouldFlip, a temperature change lies ahead, or a
-// checkpoint is armed — is played, and the next window tries again.
+// the same retention interval. The proof that the rest of the run is
+// flip-free is a FlipProber.WouldFlip check of that window's aggressor
+// restores. A window that cannot be proved flip-free — a restore would
+// flip, the disturber has no WouldFlip, or a temperature change lies
+// ahead — is played, and the next window tries again. An armed checkpoint
+// journals a fold like any played window.
 func (m *Module) HammerRun(at TimePS, spec HammerSpec, period TimePS, reps int) (TimePS, error) {
 	end, _, err := m.hammerRun(at, spec, period, reps)
 	return end, err
@@ -120,12 +117,15 @@ func (m *Module) hammerRun(at TimePS, spec HammerSpec, period TimePS, reps int) 
 	if m.banks[spec.Bank].open {
 		return at, 0, timingErr("ACT", spec.Bank, "bank must be precharged before hammering")
 	}
-	var buf [4]AggSchedule // double-sided and few-sided loops fit
-	w := newHammerWindow(spec, m.Timing, buf[:0])
+	// Double-sided and few-sided loops fit the buffers.
+	var sched [4]AggSchedule
+	var acts [4]actRow
+	w := newHammerWindow(spec, m.Timing, sched[:0], acts[:0])
 	for k := 0; k < reps; k++ {
 		start := at + TimePS(k)*period
-		if k >= steadyWindow && reps-k > 1 && m.foldRun(&w, start, period, reps-k) {
-			return start + TimePS(reps-1-k)*period + spec.TotalTime(m.Timing), reps - k, nil
+		if k >= steadyWindow && reps-k > 1 && m.foldable(start, period) && w.flipFree(m, start) {
+			m.foldRun(&w.windowFrame, w.victimAdds(m, start, m.scratch().adds[:0]), start, period, reps-k)
+			return start + TimePS(reps-1-k)*period + w.length, reps - k, nil
 		}
 		end = w.play(m, start)
 	}
@@ -134,18 +134,57 @@ func (m *Module) hammerRun(at TimePS, spec HammerSpec, period TimePS, reps int) 
 
 // hammerWindow is one HammerSpec loop's constants, built once per run.
 type hammerWindow struct {
+	windowFrame
 	spec      HammerSpec
 	sched     []AggSchedule
-	aggs      []int // rows with ≥1 activation: the accrual skip set
 	slot      TimePS
 	steadyOff TimePS
 }
 
-// newHammerWindow builds spec's window, appending its schedule to buf so
-// a caller with a small array at hand allocates nothing.
-func newHammerWindow(spec HammerSpec, t Timing, buf []AggSchedule) hammerWindow {
-	return hammerWindow{spec: spec, sched: spec.appendSchedule(buf), aggs: spec.activeRows(),
+// newHammerWindow builds spec's window, appending its schedule and its
+// activated rows to the given buffers so a caller with small arrays at
+// hand allocates nothing.
+func newHammerWindow(spec HammerSpec, t Timing, sched []AggSchedule, acts []actRow) hammerWindow {
+	w := hammerWindow{spec: spec, sched: spec.appendSchedule(sched),
 		slot: spec.SlotTime(t), steadyOff: spec.SteadyOff(t)}
+	for _, ag := range w.sched {
+		if ag.Acts > 0 {
+			lastAct := TimePS(ag.LastSlot) * w.slot
+			acts = append(acts, actRow{row: ag.Row, acts: ag.Acts, lastAct: lastAct, lastPre: lastAct + spec.OnTime})
+		}
+	}
+	length := spec.TotalTime(t)
+	w.windowFrame = windowFrame{bank: spec.Bank, acts: acts, skip: spec.activeRows(), length: length,
+		lastPre: length - t.TRP - spec.ExtraOff, clock: length, lastOpen: -1}
+	return w
+}
+
+// flipFree is the proof of a steady window (k ≥ steadyWindow): its
+// aggressor restores flip nothing. Their inputs repeat in every later
+// window, and no row's contents change.
+func (w *hammerWindow) flipFree(m *Module, at TimePS) bool {
+	for idx, ag := range w.sched {
+		if ag.Acts == 0 {
+			continue
+		}
+		rs := m.peekRow(w.bank, ag.Row)
+		exp := rs.exp
+		exp.Retention = m.retentionStress(rs.lastRestore, at+TimePS(idx)*w.slot)
+		if rs.data != nil && !exp.IsZero() &&
+			m.flipLands(w.bank, ag.Row, rs.data, m.neighborData(w.bank, ag.Row), exp) {
+			return false
+		}
+	}
+	return true
+}
+
+// victimAdds appends the float adds of the window starting at at to
+// adds, in executor order.
+func (w *hammerWindow) victimAdds(m *Module, at TimePS, adds []foldAdd) []foldAdd {
+	w.accrueVictims(m, at, nil, func(victim int, above bool, h, p float64) {
+		adds = m.appendFoldAdds(adds, w.bank, victim, above, h, p)
+	})
+	return adds
 }
 
 // accrueVictims walks the window starting at at through the shared
@@ -167,9 +206,9 @@ func (w *hammerWindow) accrueVictims(m *Module, at TimePS, firstOff func(row int
 		} else {
 			off = m.prevOff(spec.Bank, ag.Row, actAt)
 		}
-		accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, off, tempC, 1, w.aggs, add)
+		accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, off, tempC, 1, w.skip, add)
 		if ag.Acts > 1 {
-			accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, w.steadyOff, tempC, ag.Acts-1, w.aggs, add)
+			accrueSpec(m.dist, m.Geo.RowsPerBank, ag.Row, spec.OnTime, w.steadyOff, tempC, ag.Acts-1, w.skip, add)
 		}
 	}
 }
@@ -248,87 +287,6 @@ func (w *hammerWindow) play(m *Module, at TimePS) TimePS {
 	}
 
 	// Phase 4: bookkeeping — last PRE time per aggressor, counters, clock.
-	end := at + TimePS(spec.Count)*slot
-	m.finishWindows(w, at, end, 1)
-	return end
-}
-
-// finishWindows records the PRE bookkeeping of reps windows whose last
-// one runs from last to end: each aggressor's last PRE, the command
-// counters, the bank's last PRE and the clock.
-func (m *Module) finishWindows(w *hammerWindow, last, end TimePS, reps int) {
-	spec := w.spec
-	for _, ag := range w.sched {
-		if ag.Acts == 0 {
-			continue
-		}
-		m.recordPre(spec.Bank, ag.Row, last+TimePS(ag.LastSlot)*w.slot+spec.OnTime)
-		m.acts += uint64(reps * ag.Acts)
-		m.pres += uint64(reps * ag.Acts)
-	}
-	m.banks[spec.Bank].hasPre = true
-	m.banks[spec.Bank].lastPreAt = end - m.Timing.TRP - spec.ExtraOff // last PRE instant
-	m.advance(end)
-}
-
-// foldAdd is one float add of a folded window: *f += v.
-type foldAdd struct {
-	f *float64
-	v float64
-}
-
-// foldRun executes the reps windows starting at at, period apart, in
-// closed form and reports true — or reports false, having changed
-// nothing, when it cannot prove them flip-free. The window before at
-// must already have been played (see steadyWindow).
-func (m *Module) foldRun(w *hammerWindow, at, period TimePS, reps int) bool {
-	spec := w.spec
-	// The retention intervals and temperatures of every window from the
-	// previous one on must lie in the schedule's last segment, and a
-	// checkpoint must journal every touched row, which a fold skips.
-	if m.journal.active || m.temps[len(m.temps)-1].at > at-period {
-		return false
-	}
-	// The proof: this window's aggressor restores flip nothing. Their
-	// inputs repeat in every later window, and no row's contents change.
-	for idx, ag := range w.sched {
-		if ag.Acts == 0 {
-			continue
-		}
-		rs := m.peekRow(spec.Bank, ag.Row)
-		exp := rs.exp
-		exp.Retention = m.retentionStress(rs.lastRestore, at+TimePS(idx)*w.slot)
-		if rs.data != nil && !exp.IsZero() &&
-			m.flipLands(spec.Bank, ag.Row, rs.data, m.neighborData(spec.Bank, ag.Row), exp) {
-			return false
-		}
-	}
-
-	// Victims: every window repeats this window's adds, in executor order.
-	rows := m.bankRows(spec.Bank)
-	adds := make([]foldAdd, 0, 4*BlastRadius*len(w.aggs))
-	w.accrueVictims(m, at, nil, func(victim int, above bool, h, p float64) {
-		e := &m.touch(spec.Bank, victim, &rows[victim]).exp
-		if above {
-			adds = append(adds, foldAdd{&e.HammerAbove, h}, foldAdd{&e.PressAbove, p})
-		} else {
-			adds = append(adds, foldAdd{&e.HammerBelow, h}, foldAdd{&e.PressBelow, p})
-		}
-	})
-	for range reps {
-		for _, a := range adds {
-			*a.f += a.v
-		}
-	}
-
-	// Aggressors: each restore left the exposure of the previous window's
-	// tail, which every window's tail repeats, so only the times move.
-	last := at + TimePS(reps-1)*period
-	for _, ag := range w.sched {
-		if ag.Acts > 0 {
-			m.row(spec.Bank, ag.Row).lastRestore = last + TimePS(ag.LastSlot)*w.slot
-		}
-	}
-	m.finishWindows(w, last, last+spec.TotalTime(m.Timing), reps)
-	return true
+	m.finishWindows(&w.windowFrame, at, 1)
+	return at + w.length
 }

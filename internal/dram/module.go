@@ -77,6 +77,8 @@ type Module struct {
 
 	journal journal // active checkpoint state (see snapshot.go)
 
+	fold *foldScratch // run folding's buffers, made by the first fold (run.go)
+
 	// Stats counters, exported via Counters().
 	acts, pres uint64
 }

@@ -3,7 +3,6 @@ package dram
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -86,11 +85,6 @@ func sequentialRun(m *Module, at TimePS, spec HammerSpec, period TimePS, reps in
 		}
 	}
 	return end, nil
-}
-
-func expBits(e Exposure) [5]uint64 {
-	return [5]uint64{math.Float64bits(e.HammerAbove), math.Float64bits(e.HammerBelow),
-		math.Float64bits(e.PressAbove), math.Float64bits(e.PressBelow), math.Float64bits(e.Retention)}
 }
 
 // sameState reports the first difference between two modules' complete
@@ -217,33 +211,235 @@ func TestHammerRunFallsBackAcrossTemperatureChange(t *testing.T) {
 	}
 }
 
-// TestHammerRunFallsBackUnderCheckpoint: with a checkpoint armed the run
-// plays window by window, so the journal sees every touched row; it
-// matches, and rolls back to the same state.
-func TestHammerRunFallsBackUnderCheckpoint(t *testing.T) {
+// TestHammerRunFoldsUnderCheckpoint: with a checkpoint armed the run
+// still folds, and still matches the window-by-window reference; a
+// Rollback then returns the module bit for bit to its pre-run state, so
+// the fold journaled every row it wrote.
+func TestHammerRunFoldsUnderCheckpoint(t *testing.T) {
 	dist := newRunDisturber(2)
+	runs, folds := 0, 0
 	f := func(seed uint64) bool {
 		spec, period, reps := runCase(seed)
 		ref, got, at := runPair(t, dist, spec)
+		pristine, _, _ := runPair(t, dist, spec)
 		ref.Checkpoint()
 		got.Checkpoint()
 		folded, ok := checkRun(t, ref, got, at, spec, period, reps)
-		if folded != 0 {
-			t.Logf("spec %+v: folded %d windows under a checkpoint", spec, folded)
-			return false
+		runs++
+		if folded > 0 {
+			folds++
 		}
-		ref.Rollback()
 		got.Rollback()
-		if err := sameState(got, ref); err != nil {
-			t.Logf("after rollback: %v", err)
+		if err := sameState(got, pristine); err != nil {
+			t.Logf("spec %+v, %d of %d windows folded: after rollback: %v", spec, folded, reps, err)
 			return false
 		}
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if folds < runs/2 {
+		t.Fatalf("only %d of %d runs folded under a checkpoint", folds, runs)
+	}
+}
+
+// traceCase derives a random periodic trace from seed: a window of one
+// to twelve slots over up to four rows one to three apart, each slot open
+// from tRAS to a few µs and off for up to 600 ns extra, the number of
+// windows to run, and how many windows already ran before the run.
+func traceCase(seed uint64) (bank int, window []Slot, reps, before int) {
+	h := func(i uint64) uint64 { return (seed ^ i*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9 >> 17 }
+	first, gap := 10+int(h(1)%5), 1+int(h(2)%3)
+	rows := 1 + int(h(3)%4)
+	n := 1 + int(h(4)%12)
+	for i := range n {
+		x := h(uint64(10 + i))
+		window = append(window, Slot{
+			Row:      first + gap*int(x%uint64(rows)),
+			OnTime:   36*Nanosecond + TimePS(x>>8%4)*TimePS(x>>12%1000)*Nanosecond,
+			ExtraOff: TimePS(x>>24%4) * 200 * Nanosecond,
+		})
+	}
+	return int(h(5) % 2), window, int(h(6) % 40), int(h(7) % 3)
+}
+
+// traceRef is the reference a trace run is held against: PlayTrace over
+// the concatenated windows.
+func traceRef(m *Module, at TimePS, bank int, window []Slot, reps int) (TimePS, error) {
+	return m.PlayTrace(at, bank, reps*len(window), func(i int) Slot { return window[i%len(window)] }, nil)
+}
+
+// tracePair builds two identical modules ready for a trace run on bank:
+// rows filled, a prior loop on row 9, and — when before > 0 — that many
+// windows already played, so some runs start in steady state. It returns
+// the run's start time.
+func tracePair(t *testing.T, dist Disturber, bank int, window []Slot, before int) (ref, got *Module, at TimePS) {
+	t.Helper()
+	prior := HammerSpec{Bank: bank, Rows: []int{9}, Count: 150, OnTime: 36 * Nanosecond}
+	ref, got = testModule(dist), testModule(dist)
+	for _, m := range []*Module{ref, got} {
+		for row := 0; row < 32; row++ {
+			if err := m.InitRow(0, bank, row, 0x5A); err != nil {
+				t.Fatal(err)
+			}
+		}
+		end, err := m.HammerBatch(Microsecond, prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at, err = traceRef(m, end+2*Microsecond, bank, window, before); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref, got, at
+}
+
+// checkTraceRun runs one trace folded on got and slot by slot on ref,
+// requires equal end times and equal state, and returns how many windows
+// the run folded.
+func checkTraceRun(t *testing.T, ref, got *Module, at TimePS, bank int, window []Slot, reps int) (int, bool) {
+	t.Helper()
+	want, err := traceRef(ref, at, bank, window, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end, folded, err := got.TraceRun(at, bank, window, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != want {
+		t.Logf("window %+v reps %d: end %d, slot by slot %d", window, reps, end, want)
+		return folded, false
+	}
+	if err := sameState(got, ref); err != nil {
+		t.Logf("window %+v reps %d (%d folded): %v", window, reps, folded, err)
+		return folded, false
+	}
+	return folded, true
+}
+
+// TestTraceRunMatchesPlayTrace is the slot-window fold's property test:
+// on random windows, histories and window counts, TraceRun leaves exactly
+// the state of PlayTrace over the same slots — banks and every row field
+// bit for bit — with and without an armed checkpoint, and a Rollback
+// after a folded run is exact. Most runs of four or more windows fold.
+func TestTraceRunMatchesPlayTrace(t *testing.T) {
+	dist := newRunDisturber(2)
+	for _, armed := range []bool{false, true} {
+		runs, folds := 0, 0
+		f := func(seed uint64) bool {
+			bank, window, reps, before := traceCase(seed)
+			ref, got, at := tracePair(t, dist, bank, window, before)
+			pristine, _, _ := tracePair(t, dist, bank, window, before)
+			if armed {
+				ref.Checkpoint()
+				got.Checkpoint()
+			}
+			folded, ok := checkTraceRun(t, ref, got, at, bank, window, reps)
+			if reps >= 4 {
+				runs++
+				if folded > 0 {
+					folds++
+				}
+			}
+			if armed {
+				got.Rollback()
+				if err := sameState(got, pristine); err != nil {
+					t.Logf("window %+v, %d of %d windows folded: after rollback: %v", window, folded, reps, err)
+					return false
+				}
+			}
+			return ok
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("checkpoint armed %v: %v", armed, err)
+		}
+		if folds < runs/2 {
+			t.Fatalf("checkpoint armed %v: only %d of %d runs folded", armed, folds, runs)
+		}
+	}
+}
+
+// TestTraceRunFoldsFromSteadyHistory: a run whose history already repeats
+// the window twice folds from its first window. This window's first
+// steady one is the third: the tail row 12 carries out of a window is
+// row 14's activation, whose off time in the first window follows the
+// foreign history.
+func TestTraceRunFoldsFromSteadyHistory(t *testing.T) {
+	dist := newRunDisturber(2)
+	window := []Slot{{Row: 12, OnTime: 36 * Nanosecond}, {Row: 12, OnTime: 2 * Microsecond, ExtraOff: 100 * Nanosecond},
+		{Row: 14, OnTime: 36 * Nanosecond}}
+	for _, tc := range []struct{ before, folded int }{{0, 8}, {1, 9}, {2, 10}, {5, 10}} {
+		ref, got, at := tracePair(t, dist, 0, window, tc.before)
+		folded, ok := checkTraceRun(t, ref, got, at, 0, window, 10)
+		if !ok || folded != tc.folded {
+			t.Fatalf("%d windows before: folded %d of 10 (want %d), state equal %v", tc.before, folded, tc.folded, ok)
+		}
+	}
+}
+
+// TestTraceRunFallsBack: restores that flip, and a temperature change
+// inside the run, keep the windows they touch from folding, and the run
+// still matches.
+func TestTraceRunFallsBack(t *testing.T) {
+	f := func(seed uint64) bool {
+		bank, window, reps, before := traceCase(seed)
+		ref, got, at := tracePair(t, newRunDisturber(0), bank, window, before)
+		if folded, ok := checkTraceRun(t, ref, got, at, bank, window, reps); !ok || folded != 0 {
+			t.Logf("window %+v: %d windows folded whose restores flip, state equal %v", window, folded, ok)
+			return false
+		}
+		ref, got, at = tracePair(t, newRunDisturber(2), bank, window, before)
+		var length TimePS
+		for _, s := range window {
+			length += s.Duration(DDR4())
+		}
+		kT := int(seed>>40) % max(reps, 1)
+		for _, m := range []*Module{ref, got} {
+			m.SetTemperature(at+TimePS(kT)*length+length/2, 80)
+		}
+		folded, ok := checkTraceRun(t, ref, got, at, bank, window, reps)
+		if folded > max(0, reps-kT-2) {
+			t.Logf("window %+v: folded %d of %d windows across a change in window %d", window, folded, reps, kT)
+			return false
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
+
+func TestTraceRunValidation(t *testing.T) {
+	m := testModule(NopDisturber{})
+	ok := Slot{Row: 10, OnTime: 36 * Nanosecond}
+	for name, tc := range map[string]struct {
+		bank   int
+		window []Slot
+		reps   int
+	}{
+		"bank":      {bank: 5, window: []Slot{ok}, reps: 1},
+		"reps":      {window: []Slot{ok}, reps: -1},
+		"empty":     {reps: 1},
+		"row":       {window: []Slot{ok, {Row: 64, OnTime: 36 * Nanosecond}}, reps: 1},
+		"tRAS":      {window: []Slot{{Row: 10, OnTime: 35 * Nanosecond}}, reps: 1},
+		"extra off": {window: []Slot{{Row: 10, OnTime: 36 * Nanosecond, ExtraOff: -1}}, reps: 1},
+	} {
+		if _, _, err := m.TraceRun(0, tc.bank, tc.window, tc.reps); err == nil {
+			t.Errorf("%s: TraceRun accepted an invalid run", name)
+		}
+	}
+	if end, _, err := m.TraceRun(0, 0, []Slot{ok}, 3); err != nil || end != 3*ok.Duration(m.Timing) {
+		t.Fatalf("valid run: end %d, err %v", end, err)
+	}
+	if _, _, err := m.TraceRun(end0(m)-1, 0, []Slot{ok}, 1); err == nil {
+		t.Error("a run starting inside tRP of the last PRE should fail")
+	}
+}
+
+// end0 returns the instant the bank-0 history of m allows the next ACT.
+func end0(m *Module) TimePS { return m.banks[0].lastPreAt + m.Timing.TRP }
 
 func TestHammerRunValidation(t *testing.T) {
 	m := testModule(NopDisturber{})

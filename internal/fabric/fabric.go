@@ -20,6 +20,7 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -91,6 +92,7 @@ type peer struct {
 	hits       uint64 // successful answers
 	warmHits   uint64 // answers served from the peer's mem/disk tiers
 	errors     uint64 // failed attempts
+	cancelled  uint64 // attempts abandoned: the dispatch was answered elsewhere
 	retries    uint64 // attempts beyond the first per dispatch
 	hedges     uint64 // speculative duplicates fired against this peer's slowness
 	hedgeWins  uint64 // dispatches where the hedge answered first
@@ -177,6 +179,9 @@ type attemptResult struct {
 // returning ok=false (execute locally) when the key is locally owned
 // or the owner's circuit is open. A non-nil error means every
 // attempted peer failed; the engine counts it and executes locally.
+// Returning cancels the attempt still in flight, if any: a hedged
+// duplicate's request ends with the run it lost, and the cancellation
+// is not counted against its peer.
 func (c *Client) Resolve(key string, req engine.RemoteRequest) (v any, peerURL string, ok bool, err error) {
 	o, isOpts := req.Meta.(core.Options)
 	if !isOpts {
@@ -207,8 +212,10 @@ func (c *Client) Resolve(key string, req engine.RemoteRequest) (v any, peerURL s
 		return nil, "", false, merr
 	}
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	results := make(chan attemptResult, 2) // buffered: a late loser never leaks its goroutine
-	go func() { results <- c.attempt(pr, body) }()
+	go func() { results <- c.attempt(ctx, pr, body) }()
 
 	timer := time.NewTimer(c.hedgeDelay(pr))
 	defer timer.Stop()
@@ -222,7 +229,7 @@ func (c *Client) Resolve(key string, req engine.RemoteRequest) (v any, peerURL s
 		pr.hedges++
 		pr.mu.Unlock()
 		go func() {
-			r := c.attempt(alt, body)
+			r := c.attempt(ctx, alt, body)
 			r.hedge = true
 			results <- r
 		}()
@@ -286,21 +293,30 @@ func (c *Client) nextUp(owner int) *peer {
 	return nil
 }
 
-// attempt runs the bounded retry loop against one peer.
-func (c *Client) attempt(pr *peer, body []byte) attemptResult {
+// attempt runs the bounded retry loop against one peer until it
+// answers, fails for good, or ctx is cancelled. A cancelled attempt
+// lost a race the dispatch already won elsewhere: it is not the peer's
+// failure.
+func (c *Client) attempt(ctx context.Context, pr *peer, body []byte) attemptResult {
 	var lastErr error
 	for try := 0; try <= c.retries; try++ {
 		if try > 0 {
 			pr.mu.Lock()
 			pr.retries++
 			pr.mu.Unlock()
-			time.Sleep(retryBackoff << (try - 1))
+			backoff := time.NewTimer(retryBackoff << (try - 1))
+			select {
+			case <-ctx.Done():
+				backoff.Stop()
+				return attemptResult{peer: pr, err: ctx.Err()}
+			case <-backoff.C:
+			}
 		}
 		pr.mu.Lock()
 		pr.dispatches++
 		pr.mu.Unlock()
 		t0 := time.Now()
-		v, tier, err := c.post(pr.url, body)
+		v, tier, err := c.post(ctx, pr.url, body)
 		if err == nil {
 			pr.hist.Observe(time.Since(t0))
 			pr.mu.Lock()
@@ -312,6 +328,12 @@ func (c *Client) attempt(pr *peer, body []byte) attemptResult {
 			pr.mu.Unlock()
 			return attemptResult{v: v, peer: pr}
 		}
+		if ctx.Err() != nil {
+			pr.mu.Lock()
+			pr.cancelled++
+			pr.mu.Unlock()
+			return attemptResult{peer: pr, err: ctx.Err()}
+		}
 		lastErr = err
 		pr.fail(time.Now())
 		if errors.Is(err, errPermanent) || !pr.up(time.Now()) {
@@ -321,9 +343,15 @@ func (c *Client) attempt(pr *peer, body []byte) attemptResult {
 	return attemptResult{peer: pr, err: lastErr}
 }
 
-// post performs one /v1/shard round trip.
-func (c *Client) post(base string, body []byte) (v any, tier string, err error) {
-	resp, err := c.http.Post(base+"/v1/shard", "application/json", bytes.NewReader(body))
+// post performs one /v1/shard round trip, abandoned when ctx is
+// cancelled.
+func (c *Client) post(ctx context.Context, base string, body []byte) (v any, tier string, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/shard", bytes.NewReader(body))
+	if err != nil {
+		return nil, "", err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, "", err
 	}
@@ -388,13 +416,15 @@ func (c *Client) Status(timeout time.Duration) []PeerStatus {
 	return out
 }
 
-// PeerMetrics is the cumulative client-side view of one peer.
+// PeerMetrics is the cumulative client-side view of one peer. Every
+// dispatch ends as exactly one of Hits, Errors and Cancelled.
 type PeerMetrics struct {
 	URL         string  `json:"url"`
 	Dispatches  uint64  `json:"dispatches"`
 	Hits        uint64  `json:"hits"`
 	WarmHits    uint64  `json:"warm_hits"`
 	Errors      uint64  `json:"errors"`
+	Cancelled   uint64  `json:"cancelled"`
 	Retries     uint64  `json:"retries"`
 	Hedges      uint64  `json:"hedges"`
 	HedgeWins   uint64  `json:"hedge_wins"`
@@ -410,6 +440,7 @@ type Metrics struct {
 	Hits       uint64        `json:"hits"`
 	WarmHits   uint64        `json:"warm_hits"`
 	Errors     uint64        `json:"errors"`
+	Cancelled  uint64        `json:"cancelled"`
 	Retries    uint64        `json:"retries"`
 	Hedges     uint64        `json:"hedges"`
 	HedgeWins  uint64        `json:"hedge_wins"`
@@ -429,6 +460,7 @@ func (c *Client) Metrics() Metrics {
 			Hits:        p.hits,
 			WarmHits:    p.warmHits,
 			Errors:      p.errors,
+			Cancelled:   p.cancelled,
 			Retries:     p.retries,
 			Hedges:      p.hedges,
 			HedgeWins:   p.hedgeWins,
@@ -442,6 +474,7 @@ func (c *Client) Metrics() Metrics {
 		m.Hits += pm.Hits
 		m.WarmHits += pm.WarmHits
 		m.Errors += pm.Errors
+		m.Cancelled += pm.Cancelled
 		m.Retries += pm.Retries
 		m.Hedges += pm.Hedges
 		m.HedgeWins += pm.HedgeWins

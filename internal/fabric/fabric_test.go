@@ -6,6 +6,7 @@
 package fabric_test
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -21,14 +22,40 @@ import (
 
 var testOpts = core.Options{Scale: 0.05, Seed: 1}
 
-// goldenText renders the all-local reference document once per test.
-func goldenText(t *testing.T) string {
+// testExperiments are the experiments the fleet tests run: fig6, and
+// fig40, whose document depends on the seed, so a peer answering for
+// other options than the coordinator asked for cannot pass unnoticed.
+var testExperiments = []string{"fig6", "fig40"}
+
+// goldenTexts renders the all-local reference document of every test
+// experiment.
+func goldenTexts(t *testing.T) map[string]string {
 	t.Helper()
-	doc, err := core.RunWith(engine.New(2, 0), "fig6", testOpts)
-	if err != nil {
-		t.Fatalf("golden run: %v", err)
+	out := make(map[string]string, len(testExperiments))
+	for _, id := range testExperiments {
+		doc, err := core.RunWith(engine.New(2, 0), id, testOpts)
+		if err != nil {
+			t.Fatalf("golden %s run: %v", id, err)
+		}
+		out[id] = report.Text(doc)
 	}
-	return report.Text(doc)
+	return out
+}
+
+// runAll runs every test experiment on eng and requires each document
+// to match its golden.
+func runAll(t *testing.T, eng *engine.Engine, golden map[string]string, what string) {
+	t.Helper()
+	for _, id := range testExperiments {
+		doc, err := core.RunWith(eng, id, testOpts)
+		if err != nil {
+			t.Fatalf("%s %s run: %v", what, id, err)
+		}
+		if got := report.Text(doc); got != golden[id] {
+			t.Fatalf("%s %s document differs from single-process golden:\n--- fabric ---\n%s\n--- golden ---\n%s",
+				what, id, got, golden[id])
+		}
+	}
 }
 
 // newPeer starts one peer daemon, optionally behind a middleware.
@@ -62,17 +89,11 @@ func newCoordinator(t *testing.T, cfg fabric.Config) (*engine.Engine, *fabric.Cl
 // tiers (so a warm re-run touches neither the fleet nor the pool), and
 // the remote tier's accounting shows the dispatches happened.
 func TestFabricDocsByteIdentical(t *testing.T) {
-	golden := goldenText(t)
+	golden := goldenTexts(t)
 	p1, p2 := newPeer(t, nil), newPeer(t, nil)
 	eng, fc := newCoordinator(t, fabric.Config{Peers: []string{p1.URL, p2.URL}})
 
-	doc, err := core.RunWith(eng, "fig6", testOpts)
-	if err != nil {
-		t.Fatalf("fabric run: %v", err)
-	}
-	if got := report.Text(doc); got != golden {
-		t.Fatalf("fabric document differs from single-process golden:\n--- fabric ---\n%s\n--- golden ---\n%s", got, golden)
-	}
+	runAll(t, eng, golden, "fabric")
 	cold := eng.Metrics()
 	if cold.RemoteLookup.Count == 0 || fc.Metrics().Hits == 0 {
 		t.Fatalf("no shard was answered remotely (remote lookups %d, fabric hits %d) — the fabric was not exercised",
@@ -81,13 +102,7 @@ func TestFabricDocsByteIdentical(t *testing.T) {
 
 	// Warm re-run: every shard answers from the coordinator's mem tier;
 	// nothing executes and nothing crosses the wire.
-	doc2, err := core.RunWith(eng, "fig6", testOpts)
-	if err != nil {
-		t.Fatalf("warm fabric run: %v", err)
-	}
-	if got := report.Text(doc2); got != golden {
-		t.Fatal("warm fabric document differs from golden")
-	}
+	runAll(t, eng, golden, "warm fabric")
 	warm := eng.Metrics()
 	if warm.ShardsExecuted != cold.ShardsExecuted {
 		t.Fatalf("warm run executed %d shards locally", warm.ShardsExecuted-cold.ShardsExecuted)
@@ -101,7 +116,7 @@ func TestFabricDocsByteIdentical(t *testing.T) {
 // answers land in an order unrelated to dispatch order; the merged
 // document must not care.
 func TestFabricOutOfOrderAnswers(t *testing.T) {
-	golden := goldenText(t)
+	golden := goldenTexts(t)
 	var n atomic.Int64
 	scramble := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -113,14 +128,7 @@ func TestFabricOutOfOrderAnswers(t *testing.T) {
 	}
 	p1, p2 := newPeer(t, scramble), newPeer(t, scramble)
 	eng, _ := newCoordinator(t, fabric.Config{Peers: []string{p1.URL, p2.URL}})
-
-	doc, err := core.RunWith(eng, "fig6", testOpts)
-	if err != nil {
-		t.Fatalf("fabric run: %v", err)
-	}
-	if got := report.Text(doc); got != golden {
-		t.Fatal("out-of-order peer answers changed the rendered document")
-	}
+	runAll(t, eng, golden, "out-of-order")
 }
 
 // TestFabricPeerDeathFallback kills one peer after its second answer:
@@ -129,7 +137,7 @@ func TestFabricOutOfOrderAnswers(t *testing.T) {
 // with output byte-identical to the all-local golden. A degraded fleet
 // is slower, never wrong.
 func TestFabricPeerDeathFallback(t *testing.T) {
-	golden := goldenText(t)
+	golden := goldenTexts(t)
 	var served atomic.Int64
 	dieAfter := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -146,13 +154,7 @@ func TestFabricPeerDeathFallback(t *testing.T) {
 		Retries: -1, // clamp to 0: fail fast, the fallback path is under test
 	})
 
-	doc, err := core.RunWith(eng, "fig6", testOpts)
-	if err != nil {
-		t.Fatalf("fabric run with dead peer: %v", err)
-	}
-	if got := report.Text(doc); got != golden {
-		t.Fatal("peer death changed the rendered document")
-	}
+	runAll(t, eng, golden, "dead-peer")
 	m := fc.Metrics()
 	if m.PerPeer[1].Dispatches > 2 && m.PerPeer[1].Errors == 0 {
 		t.Fatalf("dead peer took %d dispatches but recorded no errors: %+v", m.PerPeer[1].Dispatches, m.PerPeer[1])
@@ -206,4 +208,59 @@ func TestFabricHedgeRace(t *testing.T) {
 		}
 	}
 	t.Fatalf("no hedge won across 5 seeds: %+v", fc.Metrics())
+}
+
+// TestFabricHedgeLoserCancelled pins the end of a hedge race: the
+// owning peer never answers — its handler waits for its request's
+// context — so the hedge to the next peer wins, and returning from
+// Resolve must cancel the owner's request rather than leave it running
+// for the rest of the attempt timeout. The cancelled attempt is not a
+// failure of the owner: no error counted, circuit closed.
+func TestFabricHedgeLoserCancelled(t *testing.T) {
+	var started, released atomic.Int64
+	stop := make(chan struct{})
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		started.Add(1)
+		// Read the request as /v1/shard does; only then does the server
+		// watch the connection and cancel the context when it closes.
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done():
+			released.Add(1)
+		case <-stop: // the test ended without the request being cancelled
+		}
+	}))
+	t.Cleanup(owner.Close)
+	t.Cleanup(func() { close(stop) }) // runs before owner.Close
+	fastEng := engine.New(1, 0)
+	hedge := httptest.NewServer(serve.New(fastEng))
+	t.Cleanup(hedge.Close)
+	_, fc := newCoordinator(t, fabric.Config{Peers: []string{owner.URL, hedge.URL}})
+
+	p, err := core.PlanFor("fig6", testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RunWith(fastEng, "fig6", testOpts); err != nil {
+		t.Fatal(err) // warm the hedge target
+	}
+	for _, s := range p.Shards {
+		key := engine.Key(p.Experiment, p.Fingerprint, s.Key)
+		if _, _, _, err := fc.Resolve(key, engine.RemoteRequest{Experiment: "fig6", Meta: p.Remote, Shard: s.Key}); err != nil {
+			t.Fatalf("resolve %s: %v", s.Key, err)
+		}
+	}
+	if started.Load() == 0 {
+		t.Fatal("the blocking peer owned no fig6 shard: the hedge race was not exercised")
+	}
+	for deadline := time.Now().Add(5 * time.Second); released.Load() < started.Load(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d losing requests still running after their runs returned", started.Load()-released.Load(), started.Load())
+		}
+	}
+	m := fc.Metrics().PerPeer[0]
+	if m.HedgeWins == 0 || m.Errors != 0 || m.CircuitOpen || m.Cancelled != uint64(started.Load()) {
+		t.Fatalf("owner after %d lost races: %+v (want hedge wins, each loss cancelled, no errors, circuit closed)",
+			started.Load(), m)
+	}
 }

@@ -20,6 +20,14 @@ import (
 // first n slots of any longer play) is what makes pausing equivalent to
 // replaying; the scenario test suite holds the player against a
 // replay-from-scratch reference.
+//
+// Between pauses an unmitigated play has no state event, and its slot
+// stream is periodic: the generator's state recurs (slotGen.period). Such
+// a play hands each stretch of whole periods to dram.Module.TraceRun,
+// which folds it into float adds once it is steady, and sets its own
+// counters, schedule and REF clock in closed form; only the slots around
+// a pause play one at a time, with the observer. A mitigated play always
+// plays slot by slot (foldEligible).
 
 // slotGen generates the deterministic slot schedule of one (spec, site)
 // play: aggressor slots round-robin the ring; decoy bursts run either
@@ -110,6 +118,64 @@ func (g *slotGen) next() dram.Slot {
 	return s
 }
 
+// genKey is the part of a slotGen's state that its future slots depend
+// on: the ring and burst-cycle positions, the decoy burst in progress
+// and, with decoys, the aggressor slots since the last burst and the
+// distance to the next REF boundary. Every other field only grows.
+type genKey struct {
+	ring, cycle, decoy, burstLeft, sinceBurst int
+	burstPad, toBoundary                      dram.TimePS
+}
+
+func (g *slotGen) key() genKey {
+	k := genKey{ring: g.aggSlot % len(g.site.aggressors), burstLeft: g.burstLeft, burstPad: g.burstPad}
+	if g.spec.Kind == Combined {
+		k.cycle = g.aggSlot % (g.spec.Burst + 1) // as aggressorOnTime reads it
+	}
+	if g.spec.DecoyRows > 0 {
+		k.decoy = g.decoyIdx % len(g.decoys)
+		k.sinceBurst = g.sinceBurst
+		if g.spec.DecoyEvery == 0 {
+			k.toBoundary = g.burstBoundary - g.genNow
+		}
+	}
+	return k
+}
+
+// maxPeriodSlots bounds the search for a slot stream's period; a stream
+// whose state does not recur that soon plays slot by slot.
+const maxPeriodSlots = 1 << 12
+
+// period finds where g's slot stream turns periodic: from slot from on,
+// slot i+slots is slot i. That is lcm(Sides, Burst+1[, DecoyEvery])
+// aggressor slots from slot 0 for fixed-count decoys, and one REF
+// boundary-to-boundary recurrence after a short lead for REF-synced
+// ones. slots is 0 when no state recurs within maxPeriodSlots. g is a
+// copy; the caller's generator does not move.
+func (g slotGen) period() (from, slots int) {
+	seen := make(map[genKey]int)
+	for i := 0; i <= maxPeriodSlots; i++ {
+		k := g.key()
+		if j, ok := seen[k]; ok {
+			return j, i - j
+		}
+		seen[k] = i
+		g.next()
+	}
+	return 0, 0
+}
+
+// skip moves g over n periods, given next, g one period on: the fields
+// of genKey are equal in both, and the growing ones grow by the same
+// amount every period.
+func (g *slotGen) skip(next *slotGen, n int) {
+	g.genNow += dram.TimePS(n) * (next.genNow - g.genNow)
+	g.burstBoundary += dram.TimePS(n) * (next.burstBoundary - g.burstBoundary)
+	g.aggSlot += n * (next.aggSlot - g.aggSlot)
+	g.decoyIdx += n * (next.decoyIdx - g.decoyIdx)
+	g.sinceBurst += n * (next.sinceBurst - g.sinceBurst)
+}
+
 // player drives one (module, spec, site, mitigation) play incrementally.
 type player struct {
 	cfg  Config
@@ -128,7 +194,24 @@ type player struct {
 	rf       refresher
 	hasREF   bool
 
+	// The slot stream's period when the play may fold (see foldTo):
+	// periodic from slot periodFrom on, periodSlots slots per period; 0
+	// slots plays slot by slot. window is foldTo's buffer, and
+	// slotsFolded counts the slots TraceRun folded over the player's life.
+	periodFrom, periodSlots int
+	window                  []dram.Slot
+	slotsFolded             int
+
 	cp playerCheckpoint
+}
+
+// foldEligible reports whether a play under mit may fold its periodic
+// stretches: only when the mitigation does nothing per activation or per
+// REF. PARA draws its RNG on every ACT, and TRR, Graphene and ImPress
+// track activations and refresh rows, so their plays stay slot by slot.
+func foldEligible(mit mitigate.Mitigation) bool {
+	_, ok := mit.(mitigate.None)
+	return ok
 }
 
 // playerCheckpoint captures the player's scalar state alongside the
@@ -173,6 +256,9 @@ func (c Config) newPlayer(module chipgen.ModuleSpec, spec Spec, site sitePlan, m
 		nextWin: t.TREFW,
 	}
 	p.rf, p.hasREF = mit.(refresher)
+	if foldEligible(mit) {
+		p.periodFrom, p.periodSlots = p.gen.period()
+	}
 	return p, nil
 }
 
@@ -196,11 +282,31 @@ func (p *player) refreshRows(rows []int, now dram.TimePS) error {
 // That holds at the budget edge too: the activation budget (MaxActs)
 // outranks the time budget, as in an uninterrupted play, but a pause
 // below it yields to the time budget, so a play never pauses on a slot
-// where the uninterrupted play stops.
+// where the uninterrupted play stops. A play that may fold plays its
+// aperiodic lead slot by slot, folds the whole periods before the stop,
+// and plays the rest slot by slot.
 func (p *player) playTo(targetAgg int) error {
 	if p.out.TimeCapped || p.out.AggActs >= targetAgg {
 		return nil
 	}
+	if p.periodSlots > 0 {
+		if lead := p.periodFrom - p.out.TotalActs; lead > 0 {
+			if stopped, err := p.playSlots(targetAgg, lead); err != nil || stopped {
+				return err
+			}
+		}
+		if err := p.foldTo(targetAgg); err != nil {
+			return err
+		}
+	}
+	_, err := p.playSlots(targetAgg, -1)
+	return err
+}
+
+// playSlots plays slot by slot through PlayTrace, every activation seen
+// by the observer, until the target, a budget, or — with n ≥ 0 — n slots
+// stop it; stopped reports the first two.
+func (p *player) playSlots(targetAgg, n int) (stopped bool, err error) {
 	t := p.mod.Timing
 	observe := func(i int, s dram.Slot, now dram.TimePS) error {
 		p.out.TotalActs++
@@ -246,19 +352,76 @@ func (p *player) playTo(targetAgg int) error {
 	}
 	// Upper bound on slots to the target; the observer aborts first.
 	slots := (targetAgg-p.out.AggActs)*(p.spec.DecoyRows+1) + p.spec.DecoyRows + 1
+	if n >= 0 {
+		slots = min(slots, n)
+	}
 	end, err := p.mod.PlayTrace(p.resumeAt, p.cfg.Bank, slots, func(int) dram.Slot { return p.gen.next() }, observe)
 	switch {
 	case errors.Is(err, errTimeBudget), errors.Is(err, errActBudget):
 		// A budget abort stops at the last slot's PRE instant; let that
 		// slot's own off phase elapse before any check stream issues ACTs.
 		p.stopAt = end + p.lastOff
+		stopped = true
 	case err != nil:
-		return err
+		return false, err
 	default:
 		p.stopAt = end
 	}
 	p.resumeAt = p.gen.genNow
 	p.out.Elapsed = p.stopAt
+	return stopped, nil
+}
+
+// foldTo plays every whole period of the slot stream that fits before
+// the play's next stop — the pause at targetAgg, MaxActs or MaxTime — as
+// one dram.TraceRun, so the slot that stops the play is still played by
+// playSlots. No observer sees the run's slots: the outcome counters, the
+// generator and the REF clock advance in closed form. The play must be
+// at or past its periodic lead.
+func (p *player) foldTo(targetAgg int) error {
+	t := p.mod.Timing
+	g := p.gen
+	p.window = p.window[:0]
+	for range p.periodSlots {
+		p.window = append(p.window, g.next())
+	}
+	// A period holds at least one aggressor slot: a decoy burst cannot
+	// recur within itself, since burstLeft counts down.
+	aggPer := g.aggSlot - p.gen.aggSlot
+	length := g.genNow - p.gen.genNow
+	lastOff := t.TRP + p.window[len(p.window)-1].ExtraOff
+	// Every folded slot must leave AggActs below the stop and PRE before
+	// MaxTime; the last slot of the last period is the latest of both.
+	reps := (min(targetAgg, p.cfg.MaxActs) - 1 - p.out.AggActs) / aggPer
+	if room := p.cfg.MaxTime - p.resumeAt - (length - lastOff); room <= 0 {
+		reps = 0
+	} else {
+		reps = min(reps, int((room-1)/length)+1)
+	}
+	if reps < 1 {
+		return nil
+	}
+	end, folded, err := p.mod.TraceRun(p.resumeAt, p.cfg.Bank, p.window, reps)
+	if err != nil {
+		return err
+	}
+	p.slotsFolded += folded * len(p.window)
+	p.gen.skip(&g, reps)
+	p.out.TotalActs += reps * len(p.window)
+	p.out.AggActs += reps * aggPer
+	p.lastOff = lastOff
+	p.resumeAt, p.stopAt, p.out.Elapsed = end, end, end
+	// Every REF due by the run's end has fired, and every tREFW window
+	// boundary a REF reached has reset the mitigation's tracking.
+	if p.nextRef <= end {
+		n := (end-p.nextRef)/t.TREFI + 1
+		last := p.nextRef + (n-1)*t.TREFI
+		for p.nextWin <= last {
+			p.mit.OnRefreshWindow()
+			p.nextWin += t.TREFW
+		}
+		p.nextRef += n * t.TREFI
+	}
 	return nil
 }
 

@@ -301,6 +301,8 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 			func(pm fabric.PeerMetrics) uint64 { return pm.WarmHits })
 		peerCounter("rowpress_fabric_errors_total", "Failed dispatch attempts per peer.",
 			func(pm fabric.PeerMetrics) uint64 { return pm.Errors })
+		peerCounter("rowpress_fabric_cancelled_total", "Dispatch attempts per peer abandoned because another peer answered first.",
+			func(pm fabric.PeerMetrics) uint64 { return pm.Cancelled })
 		peerCounter("rowpress_fabric_retries_total", "Retry attempts per peer.",
 			func(pm fabric.PeerMetrics) uint64 { return pm.Retries })
 		peerCounter("rowpress_fabric_hedges_total", "Hedged dispatches fired because this peer was slow.",
