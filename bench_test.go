@@ -81,14 +81,6 @@ func BenchmarkFig49Algorithm2(b *testing.B)       { benchOther(b, "fig49") }
 func BenchmarkFig25ECCWords(b *testing.B)     { benchChar(b, "fig25") }
 func BenchmarkFig26ECCWords70us(b *testing.B) { benchChar(b, "fig26") }
 
-// Mitigation study (§7.3, §7.4, Appendix D).
-
-func BenchmarkTable03Mitigation(b *testing.B)   { benchOther(b, "table3") }
-func BenchmarkFig38RowACTIncrease(b *testing.B) { benchOther(b, "fig38") }
-func BenchmarkFig39MinOpenIPC(b *testing.B)     { benchOther(b, "fig39") }
-func BenchmarkFig40SingleCore(b *testing.B)     { benchOther(b, "fig40") }
-func BenchmarkFig41MultiCore(b *testing.B)      { benchOther(b, "fig41") }
-
 // Inventory tables.
 
 func BenchmarkTable01Inventory(b *testing.B)  { benchOther(b, "table1") }
@@ -222,6 +214,13 @@ func BenchmarkAttackGridCold(b *testing.B) { benchColdGolden(b, "fig23", "fig49"
 // TRR, Graphene and ImPress play every slot through the command path.
 func BenchmarkScenarioGridCold(b *testing.B)       { benchColdGolden(b, "scenario-grid") }
 func BenchmarkScenarioMitigationCold(b *testing.B) { benchColdGolden(b, "scenario-mitigation") }
+
+// Mitigation-study benchmark (§7.3, §7.4, Appendix D): Table 3 and
+// Figs. 38–41, every simperf simulation of them on a fresh engine per
+// iteration, checked against their golden reports.
+func BenchmarkSimperfCold(b *testing.B) {
+	benchColdGolden(b, "table3", "fig38", "fig39", "fig40", "fig41")
+}
 
 // benchColdGolden regenerates ids at the golden options on a fresh engine
 // per iteration, so no shard is ever a cache hit, and fails on any report

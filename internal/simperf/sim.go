@@ -8,6 +8,7 @@ package simperf
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -80,7 +81,9 @@ type Result struct {
 	PreventiveRefreshes uint64
 	Activations         uint64
 	// MaxRowACTsPerWindow is the largest per-row activation count observed
-	// in any tREFW window (Fig. 38's metric).
+	// in any tREFW window (Fig. 38's metric). At every catalog scale a
+	// simulation ends inside its first 64 ms window (the longest, at scale
+	// 1, ends by ~13 ms simulated), so there it is the whole-run maximum.
 	MaxRowACTsPerWindow int
 }
 
@@ -99,10 +102,10 @@ func (r Result) WeightedSpeedup(alone []float64) float64 {
 type core struct {
 	gen      *workload.Generator
 	stats    CoreStats
-	pending  *workload.Request
+	pending  workload.Request
+	waiting  bool        // pending holds a request not yet served
 	readyAt  dram.TimePS // when the pending request reaches the controller
 	doneInst int
-	finished bool
 }
 
 // Sim is the simulator instance.
@@ -113,10 +116,10 @@ type Sim struct {
 	mits   []mitigate.Mitigation
 	cores  []*core
 
-	now       dram.TimePS
-	nextREF   dram.TimePS
-	refCount  int
-	actCounts map[int64]int // (bank,row) -> ACTs in the current tREFW window
+	now      dram.TimePS
+	nextREF  dram.TimePS
+	refCount int
+	acts     actCounter // ACTs per bank*RowsPerBank+row in the current tREFW window
 
 	result Result
 }
@@ -126,12 +129,14 @@ func New(cfg Config, profiles []workload.Profile, seed uint64) (*Sim, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("simperf: need at least one workload")
 	}
+	if cfg.RowsPerBank > 0 && cfg.Banks > maxRowKeys/cfg.RowsPerBank {
+		return nil, fmt.Errorf("simperf: %d banks × %d rows overflow the ACT counter's key", cfg.Banks, cfg.RowsPerBank)
+	}
 	s := &Sim{
-		cfg:       cfg,
-		timing:    dram.DDR4(),
-		banks:     make([]memctrl.BankState, cfg.Banks),
-		nextREF:   dram.DDR4().TREFI,
-		actCounts: make(map[int64]int),
+		cfg:     cfg,
+		timing:  dram.DDR4(),
+		banks:   make([]memctrl.BankState, cfg.Banks),
+		nextREF: dram.DDR4().TREFI,
 	}
 	if cfg.NewMitigation != nil {
 		s.mits = make([]mitigate.Mitigation, cfg.Banks)
@@ -154,15 +159,14 @@ func New(cfg Config, profiles []workload.Profile, seed uint64) (*Sim, error) {
 // fetch loads the next request of a core and schedules its arrival.
 func (s *Sim) fetch(c *core, from dram.TimePS) {
 	if c.doneInst >= s.cfg.InstrPerCore {
-		c.finished = true
 		c.stats.Instructions = c.doneInst
 		c.stats.Cycles = int64((from / instrPS)) // cycles at 4 GHz
 		return
 	}
-	req := c.gen.Next()
-	c.pending = &req
-	c.readyAt = from + dram.TimePS(req.InstrGap)*instrPS/retireWidth
-	c.doneInst += req.InstrGap
+	c.pending = c.gen.Next()
+	c.waiting = true
+	c.readyAt = from + dram.TimePS(c.pending.InstrGap)*instrPS/retireWidth
+	c.doneInst += c.pending.InstrGap
 }
 
 // Run executes the simulation to completion.
@@ -190,7 +194,7 @@ func (s *Sim) pickNext() *core {
 	var best *core
 	bestHit := false
 	for _, c := range s.cores {
-		if c.finished || c.pending == nil {
+		if !c.waiting {
 			continue
 		}
 		if best == nil {
@@ -224,8 +228,8 @@ func (s *Sim) isHit(c *core) bool {
 
 // serve processes one request end to end.
 func (s *Sim) serve(c *core) {
-	req := *c.pending
-	c.pending = nil
+	req := c.pending
+	c.waiting = false
 	start := c.readyAt
 	if start < s.now {
 		start = s.now
@@ -275,14 +279,87 @@ func (s *Sim) processRefreshes(t dram.TimePS) {
 	}
 }
 
-func (s *Sim) countACT(bank, row int) {
-	key := int64(bank)<<32 | int64(row)
-	s.actCounts[key]++
-	if s.actCounts[key] > s.result.MaxRowACTsPerWindow {
-		s.result.MaxRowACTsPerWindow = s.actCounts[key]
+// countACT counts one activation of (bank, row) in the current tREFW
+// window, raises MaxRowACTsPerWindow to the row's count if it exceeds it,
+// and returns that count. No catalog simulation reaches the end of its
+// first window, so there the maximum covers the whole run.
+func (s *Sim) countACT(bank, row int) int {
+	n := s.acts.add(uint32(bank*s.cfg.RowsPerBank + row))
+	if n > s.result.MaxRowACTsPerWindow {
+		s.result.MaxRowACTsPerWindow = n
 	}
+	return n
 }
 
 func (s *Sim) flushACTWindow() {
-	clear(s.actCounts)
+	s.acts.reset()
+}
+
+// maxRowKeys bounds Banks×RowsPerBank: a row key is bank*RowsPerBank+row,
+// stored plus one in a uint32 slot.
+const maxRowKeys = math.MaxUint32
+
+// actCounter counts activations per row key: an open-addressed table with
+// linear probing, so an ACT costs one probe and no allocation. It starts
+// at actCounterMinSlots slots, doubles when half full, and reset clears it
+// in place, keeping its capacity for the next window.
+type actCounter struct {
+	slots []actSlot // len is zero or a power of two
+	used  int
+}
+
+// actSlot holds one row's count; key is the row key plus one, so a zero
+// slot is empty.
+type actSlot struct{ key, n uint32 }
+
+const actCounterMinSlots = 16
+
+// add counts one activation of key and returns its count.
+func (t *actCounter) add(key uint32) int {
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow()
+	}
+	sl := t.slot(key + 1)
+	if sl.key == 0 {
+		sl.key = key + 1
+		t.used++
+	}
+	sl.n++
+	return int(sl.n)
+}
+
+// slot returns the slot holding stored key k, or the empty slot where
+// linear probing from k's hash ends.
+func (t *actCounter) slot(k uint32) *actSlot {
+	mask := uint32(len(t.slots) - 1)
+	i := actHash(k) & mask
+	for t.slots[i].key != k && t.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	return &t.slots[i]
+}
+
+// grow doubles the table (or allocates its first slots) and reinserts
+// every counted key.
+func (t *actCounter) grow() {
+	old := t.slots
+	t.slots = make([]actSlot, max(2*len(old), actCounterMinSlots))
+	for _, sl := range old {
+		if sl.key != 0 {
+			*t.slot(sl.key) = sl
+		}
+	}
+}
+
+func (t *actCounter) reset() {
+	clear(t.slots)
+	t.used = 0
+}
+
+// actHash spreads row keys, which are strided multiples of a bank's hot-row
+// spacing, over the table: a Fibonacci multiply folded so the low bits see
+// the high ones.
+func actHash(key uint32) uint32 {
+	h := key * 0x9E3779B9
+	return h ^ h>>16
 }
