@@ -56,18 +56,23 @@ func RetentionTest(b *bender.Bench, locs []int, cfg Config, holdSeconds float64)
 	if err := b.SetTemperature(80); err != nil {
 		return nil, err
 	}
-	p := newProber(b, cfg)
+	return newProber(b, cfg).retention(locs, holdSeconds), nil
+}
+
+// retention is RetentionTest on the prober: prepare every location's
+// site, hold, then check every site.
+func (p *prober) retention(locs []int, holdSeconds float64) map[CellKey]bool {
 	sites := make([]site, len(locs))
 	for i, loc := range locs {
-		sites[i] = siteFor(loc, cfg.Sided)
+		sites[i] = siteFor(loc, p.cfg.Sided)
 		p.prepare(sites[i])
 	}
-	b.Advance(dram.FromSeconds(holdSeconds))
+	p.b.Advance(dram.FromSeconds(holdSeconds))
 	set := make(map[CellKey]bool)
 	for _, s := range sites {
 		AddCells(set, p.check(s))
 	}
-	return set, nil
+	return set
 }
 
 // OverlapSweep runs the Fig. 10 experiment for one module: for each

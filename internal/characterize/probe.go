@@ -1,7 +1,7 @@
 package characterize
 
 import (
-	"encoding/binary"
+	"slices"
 
 	"repro/internal/bender"
 	"repro/internal/dram"
@@ -30,6 +30,17 @@ import (
 // golden-report suite and the differential tests against the command-path
 // reference (commandpath_test.go) enforce that equivalence.
 //
+// Neither a probe's prepare nor its check scans a row: the model logs the
+// byte offset of every flip it commits (disturb.Model.ApplyFlipsLog) into
+// the row's record, so a row is its fill byte outside its logged bytes,
+// check diffs only those, and prepare resets only those.
+//
+// The records live in rows, keyed by physical row. Every row a probe
+// touches lies within siteReach of the site's location, so the prober
+// resolves that window of records into win once per site and each of the
+// probe's row lookups is an array index; rows is consulted again only
+// when the site changes or for a row outside the window.
+//
 // A prober owns its site rows' virtual state for the lifetime of a flow,
 // starting from a fresh bench: rows the module itself has touched would
 // fork history. Each flow creates one prober on its own bench and routes
@@ -40,7 +51,19 @@ type prober struct {
 
 	rows  map[int]*rowState
 	epoch uint64 // current probe; bumped by prepare
+
+	winLo int                        // physical row of win[0]
+	win   [2*siteReach + 1]*rowState // rows[winLo+i], or nil until it exists
+
+	// checked, when set, sees every check's site and flips as check
+	// returns; tests hang their row-state assertions on it.
+	checked func(s site, flips []bender.Flip)
 }
+
+// siteReach bounds the rows a probe touches around its site's location:
+// double-sided victims reach loc±(BlastRadius+1), their fetches disturb
+// BlastRadius rows further out, and the window keeps one row of slack.
+const siteReach = 2*dram.BlastRadius + 2
 
 // rowState is the prober's view of one row. Its zero value is the state of
 // a row the prober has never touched: never precharged (fully recovered),
@@ -48,10 +71,16 @@ type prober struct {
 // neighbour data), and no pending exposure.
 type rowState struct {
 	hasPre      bool
+	fill        byte        // see data
 	lastPre     dram.TimePS // last PRE instant, if hasPre
 	lastRestore dram.TimePS // last charge restore
-	data        []byte      // current contents
-	fill        int         // fill byte in data, -1 once flipped
+
+	// data is the row's current contents: every byte equals fill except
+	// possibly those at the offsets in dirty, which lists every byte a
+	// flip has touched since data was last reset to fill (unsorted, with
+	// repeats, until check normalizes it).
+	data  []byte
+	dirty []int32
 
 	exp      dram.Exposure // pending exposure within probe expEpoch
 	expEpoch uint64
@@ -61,12 +90,33 @@ func newProber(b *bender.Bench, cfg Config) *prober {
 	return &prober{b: b, cfg: cfg, rows: make(map[int]*rowState)}
 }
 
+// focus points the row window at the site around loc. The window holds
+// the records rows has for it; row fills in the others as it creates
+// them.
+func (p *prober) focus(loc int) {
+	lo := loc - siteReach
+	if lo == p.winLo {
+		return
+	}
+	p.winLo = lo
+	for i := range p.win {
+		p.win[i] = p.rows[lo+i]
+	}
+}
+
 // row returns the row's state record, creating it at the zero state.
 func (p *prober) row(r int) *rowState {
+	i := uint(r - p.winLo)
+	if i < uint(len(p.win)) && p.win[i] != nil {
+		return p.win[i]
+	}
 	rs := p.rows[r]
 	if rs == nil {
 		rs = &rowState{}
 		p.rows[r] = rs
+	}
+	if i < uint(len(p.win)) {
+		p.win[i] = rs
 	}
 	return rs
 }
@@ -85,8 +135,8 @@ func (p *prober) pending(rs *rowState) *dram.Exposure {
 // history: time since the row's last precharge, capped at the fully
 // recovered bound; a row never precharged starts fully recovered.
 func (p *prober) prevOff(row int, actAt dram.TimePS) dram.TimePS {
-	rs := p.rows[row]
-	if rs == nil || !rs.hasPre {
+	rs := p.row(row)
+	if !rs.hasPre {
 		return dram.RecoveredOff
 	}
 	return min(actAt-rs.lastPre, dram.RecoveredOff)
@@ -94,18 +144,24 @@ func (p *prober) prevOff(row int, actAt dram.TimePS) dram.TimePS {
 
 // initRow is the virtual InitRow: contents reset to the fill byte and
 // retention window restarted (prepare's epoch bump has already cleared the
-// pending exposure). The buffer is refilled only when its current contents
-// differ — the common no-flip probe leaves it untouched, which is where
-// the prepare phase's 8 KiB-per-row cost goes away.
+// pending exposure). Only the bytes flips have dirtied are rewritten —
+// the common no-flip probe leaves the buffer untouched, which is where
+// the prepare phase's 8 KiB-per-row cost goes away — unless the fill
+// byte itself changes.
 func (p *prober) initRow(row int, fillByte byte) {
 	rs := p.row(row)
 	if rs.data == nil {
-		rs.data = make([]byte, p.b.Mod.Geo.RowBytes)
+		rs.data = make([]byte, p.b.Mod.Geo.RowBytes) // zeroed: fill 0
 	}
-	if rs.fill != int(fillByte) {
+	if rs.fill != fillByte {
 		dram.Fill(rs.data, fillByte)
-		rs.fill = int(fillByte)
+		rs.fill = fillByte
+	} else {
+		for _, c := range rs.dirty {
+			rs.data[c] = fillByte
+		}
 	}
+	rs.dirty = rs.dirty[:0]
 	rs.lastRestore = p.b.Now()
 	p.b.Advance(dram.Microsecond) // the command path's per-row setup time
 }
@@ -114,6 +170,7 @@ func (p *prober) initRow(row int, fillByte byte) {
 // the command path does, and starts a new probe: every pending exposure
 // is stale.
 func (p *prober) prepare(s site) {
+	p.focus(s.loc)
 	p.epoch++
 	for _, v := range s.victims {
 		p.initRow(v, p.cfg.Pattern.VictimByte())
@@ -126,7 +183,8 @@ func (p *prober) prepare(s site) {
 // restore is the virtual charge restore (the module's restoreRow): pending
 // exposure plus the retention accumulated since the last restore
 // materializes into the scratch contents through the model's own flip
-// evaluation, then resets.
+// evaluation, which appends the bytes it flips to the row's dirty list;
+// the pending exposure then resets.
 func (p *prober) restore(row int, at dram.TimePS) {
 	rs := p.row(row)
 	pe := p.pending(rs)
@@ -134,9 +192,7 @@ func (p *prober) restore(row int, at dram.TimePS) {
 	e.Retention = p.b.Mod.RetentionStress(rs.lastRestore, at)
 	if rs.data != nil && (!e.IsZero() || e.Retention > 0) {
 		nb := dram.NeighborData{Above: p.row(row + 1).data, Below: p.row(row - 1).data}
-		if p.b.Model.ApplyFlips(p.b.Bank(), row, rs.data, nb, e) > 0 {
-			rs.fill = -1
-		}
+		_, rs.dirty = p.b.Model.ApplyFlipsLog(p.b.Bank(), row, rs.data, nb, e, rs.dirty)
 	}
 	*pe = dram.Exposure{}
 	rs.lastRestore = at
@@ -156,7 +212,8 @@ func (p *prober) hammer(s site, count int, onTime, extraOff dram.TimePS) error {
 	}
 	at := p.b.Now()
 	slot := spec.SlotTime(p.b.Mod.Timing)
-	sched := spec.Schedule()
+	var buf [2]dram.AggSchedule // a site has at most two aggressors
+	sched := spec.AppendSchedule(buf[:0])
 
 	for idx, ag := range sched {
 		if ag.Acts > 0 {
@@ -189,6 +246,7 @@ func (p *prober) hammer(s site, count int, onTime, extraOff dram.TimePS) error {
 // real check stream's ACT/PRE pairs cause, which later-checked victims
 // observe.
 func (p *prober) check(s site) []bender.Flip {
+	p.focus(s.loc)
 	t := p.b.Mod.Timing
 	expect := p.cfg.Pattern.VictimByte()
 	var all []bender.Flip
@@ -196,11 +254,7 @@ func (p *prober) check(s site) []bender.Flip {
 		now := p.b.Now()
 		p.restore(v, now)
 		rs := p.row(v)
-		// A row still holding its expected fill byte cannot diff; only rows
-		// whose scratch was dirtied by materialized flips need the scan.
-		if rs.fill != int(expect) {
-			all = appendDiff(all, v, rs.data, expect)
-		}
+		all = rs.appendDiff(all, v, expect)
 		// The fetch's PRE delivers one tRAS activation's disturbance,
 		// through the shared accrual walk (dram/accrual.go).
 		preAt := now + t.TRAS
@@ -219,25 +273,30 @@ func (p *prober) check(s site) []bender.Flip {
 		rs.hasPre, rs.lastPre = true, preAt
 		p.b.Advance(t.TRAS + t.TRP)
 	}
+	if p.checked != nil {
+		p.checked(s, all)
+	}
 	return all
 }
 
-// appendDiff appends a flip for every bit of row's contents that differs
-// from the expected fill byte, in (byte, bit) order. It compares eight
-// bytes at a time and scans bytes only inside a mismatching word.
-func appendDiff(all []bender.Flip, row int, data []byte, expect byte) []bender.Flip {
-	word := uint64(expect) * 0x0101010101010101
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		if binary.LittleEndian.Uint64(data[i:]) == word {
-			continue
+// appendDiff appends a flip for every bit of the row's contents that
+// differs from the expected fill byte, in (byte, bit) order. Only the
+// logged bytes can differ from the row's own fill, so when that fill is
+// the expected byte it sorts and de-duplicates the log and diffs those
+// bytes alone; a byte a flip dirtied and a later flip restored diffs to
+// nothing. A row holding another fill (another site's prepare refilled
+// it) is diffed byte by byte.
+func (rs *rowState) appendDiff(all []bender.Flip, row int, expect byte) []bender.Flip {
+	if rs.fill != expect {
+		for i, got := range rs.data {
+			all = appendByteDiff(all, row, i, got, expect)
 		}
-		for j := i; j < i+8; j++ {
-			all = appendByteDiff(all, row, j, data[j], expect)
-		}
+		return all
 	}
-	for ; i < len(data); i++ {
-		all = appendByteDiff(all, row, i, data[i], expect)
+	slices.Sort(rs.dirty)
+	rs.dirty = slices.Compact(rs.dirty)
+	for _, c := range rs.dirty {
+		all = appendByteDiff(all, row, int(c), rs.data[c], expect)
 	}
 	return all
 }

@@ -1,6 +1,7 @@
 package characterize
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -190,8 +191,30 @@ func TestProberPrepareClearsPendingExposure(t *testing.T) {
 	}
 }
 
-// TestAppendDiffMatchesByteScan pins the word-wise victim diff to a plain
-// byte-by-byte scan, for lengths with and without a partial last word and
+// appendDiff is the full-row victim diff the prober ran before flips were
+// logged, kept as the reference its logged diff is checked against: it
+// appends a flip for every bit of row's contents that differs from the
+// expected fill byte, in (byte, bit) order, comparing eight bytes at a
+// time and scanning bytes only inside a mismatching word.
+func appendDiff(all []bender.Flip, row int, data []byte, expect byte) []bender.Flip {
+	word := uint64(expect) * 0x0101010101010101
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		if binary.LittleEndian.Uint64(data[i:]) == word {
+			continue
+		}
+		for j := i; j < i+8; j++ {
+			all = appendByteDiff(all, row, j, data[j], expect)
+		}
+	}
+	for ; i < len(data); i++ {
+		all = appendByteDiff(all, row, i, data[i], expect)
+	}
+	return all
+}
+
+// TestAppendDiffMatchesByteScan pins the word-wise reference diff to a
+// plain byte-by-byte scan, for lengths with and without a partial last word and
 // for flips in the first, a middle and the last byte.
 func TestAppendDiffMatchesByteScan(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 17, 8192} {
@@ -221,4 +244,114 @@ func TestAppendDiffMatchesByteScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProberFlipLogMatchesFullScan holds the prober's logged rows to the
+// full-row scan they replace. An ACmin search, a BER measurement and a
+// retention test run on a few dies and data patterns; after every check,
+// every row the prober holds must equal its fill byte outside its dirty
+// offsets (so prepare's partial reset and check's partial diff see every
+// changed byte), the row window must agree with the row map, and the
+// flips check returned must equal a word-wise scan of the victims.
+func TestProberFlipLogMatchesFullScan(t *testing.T) {
+	taggons := []dram.TimePS{36 * dram.Nanosecond, 7800 * dram.Nanosecond, 6 * dram.Millisecond}
+	checks, flips, multiBit := 0, 0, 0
+	for _, id := range []string{"S3", "H0", "M3"} {
+		for _, pat := range []dram.DataPattern{dram.RowStripe, dram.CheckerBoard} {
+			for _, sided := range []Sidedness{SingleSided, DoubleSided} {
+				cfg := quickConfig(3)
+				cfg.Sided = sided
+				cfg.Pattern = pat
+				where := fmt.Sprintf("%s %s %s", id, pat, sided)
+				watch := func(p *prober) {
+					p.checked = func(s site, got []bender.Flip) {
+						checks++
+						flips += len(got)
+						multiBit += checkProberRows(t, where, p, s, got)
+					}
+				}
+
+				b, err := NewBench(mustSpec(t, id), cfg, 50)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := newProber(b, cfg)
+				watch(p)
+				locs := testedLocations(cfg.Geometry, cfg.RowsToTest)
+				for _, on := range taggons {
+					for _, loc := range locs {
+						if _, err := searchACminTrials(p, siteFor(loc, sided), on); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, loc := range locs {
+					if _, err := measureBERProbed(p, siteFor(loc, sided), 7800*dram.Nanosecond, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				bret, err := NewBench(mustSpec(t, id), cfg, 50)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := bret.SetTemperature(80); err != nil {
+					t.Fatal(err)
+				}
+				pret := newProber(bret, cfg)
+				watch(pret)
+				// The extra location's site overlaps the first one's and
+				// is prepared after it, so the first check meets a victim
+				// holding the aggressor fill: the byte-by-byte diff.
+				pret.retention(append(locs, locs[0]+1), 4)
+			}
+		}
+	}
+	// The logged diff de-duplicates a byte two flips share; a run without
+	// such a byte would leave that step unchecked.
+	if flips == 0 || multiBit == 0 {
+		t.Fatalf("%d checks returned %d flips, %d bytes with more than one; the check is vacuous", checks, flips, multiBit)
+	}
+}
+
+// checkProberRows asserts the prober's row invariants after a check of s
+// that returned got, and returns how many of got's flips share their
+// byte with the flip before them in a victim holding the expected fill.
+func checkProberRows(t *testing.T, where string, p *prober, s site, got []bender.Flip) int {
+	t.Helper()
+	for r, rs := range p.rows {
+		logged := make(map[int32]bool, len(rs.dirty))
+		for _, c := range rs.dirty {
+			logged[c] = true
+		}
+		for i, v := range rs.data {
+			if v != rs.fill && !logged[int32(i)] {
+				t.Fatalf("%s loc %d: row %d byte %d is %#02x, fill %#02x, but not in its dirty log", where, s.loc, r, i, v, rs.fill)
+			}
+		}
+	}
+	for i, rs := range p.win {
+		if rs != nil && rs != p.rows[p.winLo+i] {
+			t.Fatalf("%s loc %d: window slot %d is not row %d's record", where, s.loc, i, p.winLo+i)
+		}
+	}
+	expect := p.cfg.Pattern.VictimByte()
+	var want []bender.Flip
+	for _, v := range s.victims {
+		want = appendDiff(want, v, p.rows[v].data, expect)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s loc %d: check returned %d flips, a full scan finds %d", where, s.loc, len(got), len(want))
+	}
+	multiBit := 0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s loc %d: flip %d is %+v, a full scan has %+v", where, s.loc, i, got[i], want[i])
+		}
+		same := i > 0 && want[i].Byte == want[i-1].Byte && want[i].LogicalRow == want[i-1].LogicalRow
+		if same && p.rows[want[i].LogicalRow].fill == expect {
+			multiBit++
+		}
+	}
+	return multiBit
 }

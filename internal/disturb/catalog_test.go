@@ -28,3 +28,19 @@ func TestLazyMatchesEagerCatalog(t *testing.T) {
 		t.Fatalf("%d flips, %d gated populations across %d dies; the check is vacuous", flips, gated, len(dies))
 	}
 }
+
+// TestFlipLogCoversChangedBytes holds ApplyFlipsLog's log to the bytes
+// the evaluation changes, and unlogged ApplyFlips to the same bytes, on
+// every calibrated die revision at three module seeds.
+func TestFlipLogCoversChangedBytes(t *testing.T) {
+	flips, flipBacks := 0, 0
+	for _, die := range chipgen.DieRevisions() {
+		for _, seed := range []uint64{1, 7, 42} {
+			f, b := disturb.CheckFlipLogCoversChangedBytes(t, die.Params, seed)
+			flips, flipBacks = flips+f, flipBacks+b
+		}
+	}
+	if flips == 0 || flipBacks == 0 {
+		t.Fatalf("%d flips, %d press flips undone by hammer; the check is vacuous", flips, flipBacks)
+	}
+}

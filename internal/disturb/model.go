@@ -12,7 +12,10 @@ import (
 // and retention populations are each sampled the first time an evaluation
 // with a nonzero exposure of that mechanism reaches the row, and sorted
 // the first time such an exposure reaches the population's weakest cell;
-// most restores stay below it and never pay for the sort. Not safe for
+// most restores stay below it and never pay for the sort. One committing
+// evaluation serves ApplyFlips and ApplyFlipsLog; the latter also hands
+// the caller the byte offset of every flip, so a caller that tracks a
+// row as a fill byte plus touched bytes never scans the row. Not safe for
 // concurrent use (each module owns its model): the row-profile cache, the
 // sampling bitset and the increment memo are unlocked.
 type Model struct {
@@ -87,6 +90,14 @@ func setBit(data []byte, col int32, bit uint8, v bool) {
 	}
 }
 
+// logFlip appends a committed flip's byte offset to *log, if there is a
+// log.
+func logFlip(log *[]int32, col int32) {
+	if log != nil {
+		*log = append(*log, col)
+	}
+}
+
 // neighborBit reads the same-column bit of a neighbor row; ok is false when
 // the neighbor's contents are unknown.
 func neighborBit(nb []byte, col int32, bit uint8) (val, ok bool) {
@@ -98,15 +109,36 @@ func neighborBit(nb []byte, col int32, bit uint8) (val, ok bool) {
 
 // ApplyFlips implements dram.Disturber. It evaluates the three mechanisms
 // against the row's vulnerable-cell populations and mutates data in place.
+// It is ApplyFlipsLog without a log, and allocates nothing once the
+// populations it reaches are sampled.
 func (m *Model) ApplyFlips(bank, row int, data []byte, nb dram.NeighborData, exp dram.Exposure) int {
+	return m.applyFlips(bank, row, data, nb, exp, nil)
+}
+
+// ApplyFlipsLog is ApplyFlips that also appends the byte offset of every
+// flip it commits to log, in commit order, and returns the extended log.
+// An offset can repeat: two flips in one byte, or a press flip that a
+// hammer flip of the same cell undoes (the byte then holds its old value
+// again). Every byte the call changes is in the log; a caller that knows
+// a row's contents up to the logged bytes can diff or reset it without
+// scanning the row.
+func (m *Model) ApplyFlipsLog(bank, row int, data []byte, nb dram.NeighborData, exp dram.Exposure, log []int32) (int, []int32) {
+	n := m.applyFlips(bank, row, data, nb, exp, &log)
+	return n, log
+}
+
+// applyFlips is the one committing evaluation: press, then hammer, then
+// retention, each appending its flips' offsets to *log when log is
+// non-nil.
+func (m *Model) applyFlips(bank, row int, data []byte, nb dram.NeighborData, exp dram.Exposure, log *[]int32) int {
 	if data == nil {
 		return 0
 	}
 	prof := m.profile(bank, row)
 	flips := 0
-	flips += m.applyPress(prof, data, nb, exp, true)
-	flips += m.applyHammer(prof, data, nb, exp, true)
-	flips += m.applyRetention(prof, data, exp, true)
+	flips += m.applyPress(prof, data, nb, exp, true, log)
+	flips += m.applyHammer(prof, data, nb, exp, true, log)
+	flips += m.applyRetention(prof, data, exp, true, log)
 	return flips
 }
 
@@ -122,17 +154,18 @@ func (m *Model) WouldFlip(bank, row int, data []byte, nb dram.NeighborData, exp 
 		return false
 	}
 	prof := m.profile(bank, row)
-	return m.applyPress(prof, data, nb, exp, false) > 0 ||
-		m.applyHammer(prof, data, nb, exp, false) > 0 ||
-		m.applyRetention(prof, data, exp, false) > 0
+	return m.applyPress(prof, data, nb, exp, false, nil) > 0 ||
+		m.applyHammer(prof, data, nb, exp, false, nil) > 0 ||
+		m.applyRetention(prof, data, exp, false, nil) > 0
 }
 
 // applyPress flips charged cells whose accumulated press exposure crosses
 // their threshold. RowPress pulls electrons out of the victim (concurrent
 // Samsung work, footnote 14), so flips discharge the cell: 1→0 on true
 // cells — the opposite direction of RowHammer (Obsv. 8). With commit
-// false it only probes: no mutation, early exit at the first flip.
-func (m *Model) applyPress(prof *rowProfile, data []byte, nb dram.NeighborData, exp dram.Exposure, commit bool) int {
+// false it only probes: no mutation, early exit at the first flip. A
+// committed flip appends its byte offset to *log when log is non-nil.
+func (m *Model) applyPress(prof *rowProfile, data []byte, nb dram.NeighborData, exp dram.Exposure, commit bool, log *[]int32) int {
 	pa, pb := exp.PressAbove, exp.PressBelow
 	if pa == 0 && pb == 0 {
 		return 0
@@ -164,6 +197,7 @@ func (m *Model) applyPress(prof *rowProfile, data []byte, nb dram.NeighborData, 
 				return 1
 			}
 			setBit(data, c.col, c.bit, !c.trueCell) // discharge
+			logFlip(log, c.col)
 			flips++
 		}
 	}
@@ -172,7 +206,7 @@ func (m *Model) applyPress(prof *rowProfile, data []byte, nb dram.NeighborData, 
 
 // applyHammer flips discharged cells: hammering injects electrons into the
 // victim, charging it up (0→1 on true cells).
-func (m *Model) applyHammer(prof *rowProfile, data []byte, nb dram.NeighborData, exp dram.Exposure, commit bool) int {
+func (m *Model) applyHammer(prof *rowProfile, data []byte, nb dram.NeighborData, exp dram.Exposure, commit bool, log *[]int32) int {
 	ha, hb := exp.HammerAbove, exp.HammerBelow
 	if ha == 0 && hb == 0 {
 		return 0
@@ -205,6 +239,7 @@ func (m *Model) applyHammer(prof *rowProfile, data []byte, nb dram.NeighborData,
 				return 1
 			}
 			setBit(data, c.col, c.bit, c.trueCell) // charge up
+			logFlip(log, c.col)
 			flips++
 		}
 	}
@@ -213,7 +248,7 @@ func (m *Model) applyHammer(prof *rowProfile, data []byte, nb dram.NeighborData,
 
 // applyRetention discharges charged cells whose retention threshold (in
 // stress-seconds) has been exceeded since the last charge restore.
-func (m *Model) applyRetention(prof *rowProfile, data []byte, exp dram.Exposure, commit bool) int {
+func (m *Model) applyRetention(prof *rowProfile, data []byte, exp dram.Exposure, commit bool, log *[]int32) int {
 	if exp.Retention <= 0 {
 		return 0
 	}
@@ -234,6 +269,7 @@ func (m *Model) applyRetention(prof *rowProfile, data []byte, exp dram.Exposure,
 				return 1
 			}
 			setBit(data, c.col, c.bit, !c.trueCell)
+			logFlip(log, c.col)
 			flips++
 		}
 	}

@@ -36,11 +36,10 @@ type AggSchedule struct {
 	LastSlot int // global slot index of this row's last activation
 }
 
-// Schedule returns the per-aggressor activation schedule of the loop.
-func (s HammerSpec) Schedule() []AggSchedule { return s.appendSchedule(nil) }
-
-// appendSchedule appends the loop's schedule to dst.
-func (s HammerSpec) appendSchedule(dst []AggSchedule) []AggSchedule {
+// AppendSchedule appends the loop's per-aggressor activation schedule to
+// dst, one entry per spec row in order; a caller with a small array for
+// dst schedules without allocating.
+func (s HammerSpec) AppendSchedule(dst []AggSchedule) []AggSchedule {
 	n := len(s.Rows)
 	for idx, r := range s.Rows {
 		acts := s.Count / n

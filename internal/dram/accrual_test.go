@@ -40,7 +40,7 @@ func TestHammerExposuresMatchesBatch(t *testing.T) {
 			byRow[d.Row] = d.Exp
 		}
 		isAgg := make(map[int]bool)
-		for _, ag := range spec.Schedule() {
+		for _, ag := range spec.AppendSchedule(nil) {
 			if ag.Acts > 0 {
 				isAgg[ag.Row] = true
 			}

@@ -145,7 +145,7 @@ type hammerWindow struct {
 // activated rows to the given buffers so a caller with small arrays at
 // hand allocates nothing.
 func newHammerWindow(spec HammerSpec, t Timing, sched []AggSchedule, acts []actRow) hammerWindow {
-	w := hammerWindow{spec: spec, sched: spec.appendSchedule(sched),
+	w := hammerWindow{spec: spec, sched: spec.AppendSchedule(sched),
 		slot: spec.SlotTime(t), steadyOff: spec.SteadyOff(t)}
 	for _, ag := range w.sched {
 		if ag.Acts > 0 {
