@@ -2,6 +2,7 @@ package characterize
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bender"
 	"repro/internal/chipgen"
@@ -80,7 +81,10 @@ func maxActivations(budget dram.TimePS, slot dram.TimePS, aggressors int) int {
 // searchACmin runs the doubling-free probe(hi) + bisection of §4.1 on the
 // replay-free prober: every probe is a closed-form exposure evaluation
 // plus a pure flip check, so the search costs O(site × log N) cell
-// evaluations instead of O(N log N) simulated commands.
+// evaluations instead of O(N log N) simulated commands. A probe's flips
+// live in the prober's buffer, so the search copies those of the lowest
+// flipping count it has seen into its own best list, which a later, lower
+// count overwrites in place.
 func (p *prober) searchACmin(s site, onTime dram.TimePS) (RowResult, error) {
 	slot := onTime + p.b.Mod.Timing.TRP
 	hi := maxActivations(p.cfg.TimeBudget, slot, len(s.aggressors))
@@ -93,7 +97,7 @@ func (p *prober) searchACmin(s site, onTime dram.TimePS) (RowResult, error) {
 		return RowResult{Loc: s.loc}, nil
 	}
 	lo := 0
-	best := flips
+	best := slices.Clone(flips)
 	for hi-lo > 1 && float64(hi-lo) > p.cfg.Accuracy*float64(hi) {
 		mid := lo + (hi-lo)/2
 		flips, err := p.probe(s, mid, onTime, 0)
@@ -101,7 +105,7 @@ func (p *prober) searchACmin(s site, onTime dram.TimePS) (RowResult, error) {
 			return RowResult{}, fmt.Errorf("characterize: probe(%d): %w", mid, err)
 		}
 		if len(flips) > 0 {
-			hi, best = mid, flips
+			hi, best = mid, append(best[:0], flips...)
 		} else {
 			lo = mid
 		}

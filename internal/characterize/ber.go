@@ -1,7 +1,7 @@
 package characterize
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/chipgen"
 	"repro/internal/dram"
@@ -36,6 +36,10 @@ func measureBERProbed(p *prober, s site, onTime, extraOff dram.TimePS) (BERResul
 		Count:   count,
 	}
 	var bers []float64
+	// A trial flips at most the site's victims, and a check lists each
+	// victim's flips together: the per-row counts fit a small array, and
+	// the scan for a flip's row usually stops at the last entry.
+	var perRow [2*dram.BlastRadius + 1]rowFlips
 	for trial := 1; trial <= p.cfg.Trials; trial++ {
 		p.b.SetTrial(uint64(trial))
 		flips, err := p.probe(s, count, onTime, extraOff)
@@ -43,21 +47,25 @@ func measureBERProbed(p *prober, s site, onTime, extraOff dram.TimePS) (BERResul
 			return BERResult{}, err
 		}
 		res.AllFlips += len(flips)
-		perRow := make(map[int]int)
+		rows := perRow[:0]
 		for _, f := range flips {
-			perRow[f.LogicalRow]++
+			i := len(rows) - 1
+			for i >= 0 && rows[i].row != f.LogicalRow {
+				i--
+			}
+			if i < 0 {
+				rows = append(rows, rowFlips{row: f.LogicalRow})
+				i = len(rows) - 1
+			}
+			rows[i].n++
 		}
 		// Row-order accumulation: MeanBER is a float sum over bers and
 		// float addition is not associative.
-		rows := make([]int, 0, len(perRow))
-		for r := range perRow {
-			rows = append(rows, r)
-		}
-		sort.Ints(rows)
+		slices.SortFunc(rows, func(a, b rowFlips) int { return a.row - b.row })
 		for _, r := range rows {
-			bers = append(bers, float64(perRow[r])/bitsPerRow)
+			bers = append(bers, float64(r.n)/bitsPerRow)
 		}
-		if len(perRow) == 0 {
+		if len(rows) == 0 {
 			bers = append(bers, 0)
 		}
 	}
@@ -71,6 +79,9 @@ func measureBERProbed(p *prober, s site, onTime, extraOff dram.TimePS) (BERResul
 	res.MeanBER /= float64(len(bers))
 	return res, nil
 }
+
+// rowFlips is one victim row's flip count in a BER trial.
+type rowFlips struct{ row, n int }
 
 // BERGrid measures BER at every (tAggON, location) cell — tAggON outer,
 // location inner, one prober threaded through the whole grid, matching

@@ -23,12 +23,13 @@ import (
 // last precharge instant (the off time preceding its next first
 // activation) and its last charge restore (its retention window), next to
 // the bench clock. Victim exposure comes from the closed form
-// (dram.HammerExposures) plus the check stream's own self-disturbance, and
-// flips materialize through the very same Disturber evaluation the module
-// would run — so a probe's outcome is bit-identical to executing the
-// commands, at O(site) cost independent of the activation count. The
-// golden-report suite and the differential tests against the command-path
-// reference (commandpath_test.go) enforce that equivalence.
+// (dram.AppendHammerExposures) plus the check stream's own
+// self-disturbance, and flips materialize through the very same Disturber
+// evaluation the module would run — so a probe's outcome is bit-identical
+// to executing the commands, at O(site) cost independent of the
+// activation count. The golden-report suite and the differential tests
+// against the command-path reference (commandpath_test.go) enforce that
+// equivalence.
 //
 // Neither a probe's prepare nor its check scans a row: the model logs the
 // byte offset of every flip it commits (disturb.Model.ApplyFlipsLog) into
@@ -54,6 +55,11 @@ type prober struct {
 
 	winLo int                        // physical row of win[0]
 	win   [2*siteReach + 1]*rowState // rows[winLo+i], or nil until it exists
+
+	// exps and flips are the buffers hammer's exposure deltas and
+	// check's flip list reuse from probe to probe.
+	exps  []dram.VictimExposure
+	flips []bender.Flip
 
 	// checked, when set, sees every check's site and flips as check
 	// returns; tests hang their row-state assertions on it.
@@ -220,10 +226,11 @@ func (p *prober) hammer(s site, count int, onTime, extraOff dram.TimePS) error {
 			p.restore(ag.Row, at+dram.TimePS(idx)*slot)
 		}
 	}
-	for _, ve := range p.b.Mod.HammerExposures(at, spec, p.prevOff) {
+	p.exps = p.b.Mod.AppendHammerExposures(p.exps[:0], at, spec, p.prevOff)
+	for _, ve := range p.exps {
 		// Victim exposure is zero after prepare, so the closed-form delta —
-		// accumulated inside HammerExposures in executor order — is the
-		// row's exposure, bit for bit.
+		// accumulated inside AppendHammerExposures in executor order — is
+		// the row's exposure, bit for bit.
 		*p.pending(p.row(ve.Row)) = ve.Exp
 	}
 	for _, ag := range sched {
@@ -244,12 +251,14 @@ func (p *prober) hammer(s site, count int, onTime, extraOff dram.TimePS) error {
 // disturbance, diff against the expected fill, and deliver the fetch's own
 // activation disturbance to the neighborhood — the self-disturbance the
 // real check stream's ACT/PRE pairs cause, which later-checked victims
-// observe.
+// observe. The flips, grouped by victim in check order, live in the
+// prober's buffer: they are valid until the next check, and a caller
+// that keeps them clones them.
 func (p *prober) check(s site) []bender.Flip {
 	p.focus(s.loc)
 	t := p.b.Mod.Timing
 	expect := p.cfg.Pattern.VictimByte()
-	var all []bender.Flip
+	all := p.flips[:0]
 	for _, v := range s.victims {
 		now := p.b.Now()
 		p.restore(v, now)
@@ -273,6 +282,7 @@ func (p *prober) check(s site) []bender.Flip {
 		rs.hasPre, rs.lastPre = true, preAt
 		p.b.Advance(t.TRAS + t.TRP)
 	}
+	p.flips = all
 	if p.checked != nil {
 		p.checked(s, all)
 	}
@@ -318,7 +328,8 @@ func appendByteDiff(all []bender.Flip, row, i int, got, expect byte) []bender.Fl
 	return all
 }
 
-// probe runs one full prepare → hammer → check measurement.
+// probe runs one full prepare → hammer → check measurement. Its flips
+// are check's: valid until the next probe.
 func (p *prober) probe(s site, count int, onTime, extraOff dram.TimePS) ([]bender.Flip, error) {
 	p.prepare(s)
 	if err := p.hammer(s, count, onTime, extraOff); err != nil {

@@ -44,3 +44,21 @@ func TestFlipLogCoversChangedBytes(t *testing.T) {
 		t.Fatalf("%d flips, %d press flips undone by hammer; the check is vacuous", flips, flipBacks)
 	}
 }
+
+// TestWeakestBoundBelowSampled holds the population bound below the
+// sampled weakest threshold on every calibrated die revision at three
+// module seeds, for all three mechanisms over 256 rows, and requires it
+// to stay informative.
+func TestWeakestBoundBelowSampled(t *testing.T) {
+	checked := 0
+	var gaps []float64
+	for _, die := range chipgen.DieRevisions() {
+		for _, seed := range []uint64{1, 7, 42} {
+			n, g := disturb.CheckWeakestBound(t, die.Params, seed)
+			checked, gaps = checked+n, append(gaps, g...)
+		}
+		disturb.CheckMillisecondRetentionUnsampled(t, die.Params, 1)
+	}
+	disturb.RequireTightBound(t, gaps)
+	t.Logf("%d populations, %d nonempty", checked, len(gaps))
+}

@@ -2,6 +2,7 @@ package disturb
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/stats"
@@ -29,16 +30,36 @@ type vulnCell struct {
 	trueCell  bool    // charged state encodes logical 1
 }
 
-// population is one mechanism's vulnerable cells of a row. It is sampled
-// the first time an evaluation of that mechanism reaches the row, and
-// sorted by ascending threshold the first time an exposure reaches its
-// weakest cell; until then the cells stay in sampling order.
+// population is one mechanism's vulnerable cells of a row. It moves
+// through four states, each entered the first time an evaluation of that
+// mechanism needs it:
+//
+//   - unbounded: nothing is known; weakest is 0, a valid bound on any
+//     threshold.
+//   - bounded: weakest holds weakestBound's lower bound on the minimum
+//     threshold, and cells is still nil. Most exposures stay below it,
+//     and the population is never sampled.
+//   - sampled: cells holds the population in sampling order, and
+//     weakest is its exact minimum threshold (+Inf when empty).
+//   - sorted: cells is sorted by ascending threshold.
+//
+// In every state weakest never exceeds the true minimum, so one test of it
+// against an exposure's limit decides whether a state needs advancing.
 type population struct {
 	cells   []vulnCell
-	weakest float64 // minimum threshold; +Inf when empty
-	sampled bool
-	sorted  bool
+	weakest float64
+	state   popState
 }
+
+// popState is a population's progress; see population.
+type popState uint8
+
+const (
+	popUnbounded popState = iota
+	popBounded
+	popSampled
+	popSorted
+)
 
 // rowProfile caches one row's three vulnerable-cell populations, indexed
 // by stream - streamPress.
@@ -50,36 +71,45 @@ type rowProfile struct {
 // cells returns the stream's population of the profiled row, sorted
 // ascending by threshold, or nil when its weakest cell lies above limit.
 // A threshold-ordered scan that stops at the first cell above limit sees
-// no cell in that case, so the population need not be sorted for it.
+// no cell in that case, so the population need not be sampled, or
+// sorted, for it: each state is advanced only once weakest, a lower bound
+// in every state, fails to prove that.
 func (m *Model) cells(prof *rowProfile, stream uint64, limit float64) []vulnCell {
 	pop := &prof.pops[stream-streamPress]
-	if !pop.sampled {
-		m.samplePopulation(pop, prof.bank, prof.row, stream)
+	for {
+		if pop.weakest > limit {
+			return nil
+		}
+		switch pop.state {
+		case popUnbounded:
+			pop.weakest = m.weakestBound(prof.bank, prof.row, stream)
+			pop.state = popBounded
+		case popBounded:
+			m.samplePopulation(pop, prof.bank, prof.row, stream)
+		case popSampled:
+			slices.SortFunc(pop.cells, func(a, b vulnCell) int {
+				switch {
+				case a.threshold < b.threshold:
+					return -1
+				case a.threshold > b.threshold:
+					return 1
+				}
+				return 0
+			})
+			pop.state = popSorted
+		default:
+			return pop.cells
+		}
 	}
-	if pop.weakest > limit {
-		return nil
-	}
-	if !pop.sorted {
-		slices.SortFunc(pop.cells, func(a, b vulnCell) int {
-			switch {
-			case a.threshold < b.threshold:
-				return -1
-			case a.threshold > b.threshold:
-				return 1
-			}
-			return 0
-		})
-		pop.sorted = true
-	}
-	return pop.cells
 }
 
-// samplePopulation deterministically generates the stream's vulnerable
-// cells of (bank, row) from the model seed, in sampling order. The same
-// (seed, stream, bank, row) always yields the same cells.
-func (m *Model) samplePopulation(pop *population, bank, row int, stream uint64) {
+// draws returns what every draw of the stream's population of (bank,
+// row) derives from: the root of the per-cell hashes (see cellHash), the
+// Poisson cell count, and the log-normal threshold parameters. All are
+// pure in (seed, stream, bank, row).
+func (m *Model) draws(bank, row int, stream uint64) (h0 uint64, n int, logMedian, logSigma float64) {
 	scale := float64(m.rowBits) / ReferenceRowBits
-	var lambda, logMedian, logSigma float64
+	var lambda float64
 	switch stream {
 	case streamPress:
 		lambda, logMedian, logSigma = m.p.PressCellsPerRow*scale, m.p.PressLogMedian, m.p.PressLogSigma
@@ -88,11 +118,31 @@ func (m *Model) samplePopulation(pop *population, bank, row int, stream uint64) 
 	default:
 		lambda, logMedian, logSigma = m.p.RetCellsPerRow*scale, m.p.RetLogMedian, m.p.RetLogSigma
 	}
-	pop.sampled = true
-	pop.weakest = math.Inf(1)
 	base := stats.Combine(m.seed, stream, uint64(bank), uint64(row))
-	rng := stats.NewRNG(base)
-	n := rng.Poisson(lambda)
+	n = stats.NewRNG(base).Poisson(lambda)
+	// Combine(base, i) is Mix64(Combine(base) ^ i): the first mix is the
+	// same for every cell.
+	return stats.Combine(base), n, logMedian, logSigma
+}
+
+// cellHash is the identity hash of a population's i-th draw,
+// stats.Combine(base, i) with the loop-invariant first mix hoisted into
+// h0.
+func cellHash(h0 uint64, i int) uint64 { return stats.Mix64(h0 ^ uint64(i)) }
+
+// chained reports whether draw i > 0 with identity hash h joins the
+// previous draw's cluster (see samplePopulation).
+func (m *Model) chained(h uint64) bool {
+	return stats.UnitFromHash(stats.Mix64(h^0xC1)) < m.p.CellClusterProb
+}
+
+// samplePopulation deterministically generates the stream's vulnerable
+// cells of (bank, row) from the model seed, in sampling order. The same
+// (seed, stream, bank, row) always yields the same cells.
+func (m *Model) samplePopulation(pop *population, bank, row int, stream uint64) {
+	h0, n, logMedian, logSigma := m.draws(bank, row, stream)
+	pop.state = popSampled
+	pop.weakest = math.Inf(1)
 	if n == 0 {
 		return
 	}
@@ -100,7 +150,7 @@ func (m *Model) samplePopulation(pop *population, bank, row int, stream uint64) 
 	prevWord := -1
 	prevLogThreshold := 0.0
 	for i := 0; i < n; i++ {
-		h := stats.Combine(base, uint64(i))
+		h := cellHash(h0, i)
 		var col int
 		var logThreshold float64
 		// Weak cells cluster spatially (shared defects): with
@@ -108,7 +158,7 @@ func (m *Model) samplePopulation(pop *population, bank, row int, stream uint64) 
 		// the previous one AND inherits a correlated threshold, so whole
 		// clusters flip together — producing the multi-bit words of
 		// Fig. 25/26 that defeat SEC-DED and Chipkill.
-		if prevWord >= 0 && stats.UnitFromHash(stats.Mix64(h^0xC1)) < m.p.CellClusterProb {
+		if i > 0 && m.chained(h) {
 			col = prevWord + int(stats.Mix64(h^0xC2)%8)
 			logThreshold = prevLogThreshold + 0.25*logSigma*stats.NormalFromHash(stats.Mix64(h^0xC3))
 		} else {
@@ -140,6 +190,60 @@ func (m *Model) samplePopulation(pop *population, bank, row int, stream uint64) 
 		m.seen[key/64] &^= 1 << (key % 64)
 	}
 	pop.cells = cells
+}
+
+// weakestBound returns a lower bound on the minimum threshold of the
+// population samplePopulation would draw, at the cost of a few hashes
+// per draw: no log, exp, cos or sqrt per cell. It replays the sampler's
+// control flow draw for draw — the same count, identity hashes, cluster
+// decisions and chaining of the previous log-threshold — with each
+// standard normal replaced by normalFloor's bound below it. The result
+// bounds every draw, duplicates included, so it bounds the cells the
+// sampler keeps. A negative (or NaN) log-sigma turns the bound around;
+// the result is then -Inf, which bounds anything.
+func (m *Model) weakestBound(bank, row int, stream uint64) float64 {
+	h0, n, logMedian, logSigma := m.draws(bank, row, stream)
+	if !(logSigma >= 0) {
+		return math.Inf(-1)
+	}
+	lowest := math.Inf(1)
+	prev := 0.0
+	for i := 0; i < n; i++ {
+		h := cellHash(h0, i)
+		var lb float64
+		if i > 0 && m.chained(h) {
+			lb = prev + 0.25*logSigma*normalFloor(stats.Mix64(h^0xC3))
+		} else {
+			lb = logMedian + logSigma*normalFloor(h)
+		}
+		prev = lb
+		lowest = min(lowest, lb)
+	}
+	// Every step above and in the sampler rounds at most a few ulps of
+	// magnitudes below |logMedian| + logSigma·(normal range)·(1 + n), and
+	// the margin is 1e-9 of that: wide enough for any population of
+	// fewer than ~10^6 draws, narrow enough to turn away almost nothing.
+	margin := 1e-9 * (1 + math.Abs(logMedian) + logSigma*normalFloorTable[len(normalFloorTable)-1]*float64(1+n))
+	return expNat(lowest - margin)
+}
+
+// normalFloorTable[j] is √(2j·ln 2): the Box-Muller radius √(−2 ln u₁)
+// at u₁ = 2^−j.
+var normalFloorTable = func() (t [55]float64) {
+	for j := range t {
+		t[j] = math.Sqrt(2 * float64(j) * math.Ln2)
+	}
+	return t
+}()
+
+// normalFloor returns a lower bound on stats.NormalFromHash(h) =
+// √(−2 ln u₁)·cos(2π u₂) without a transcendental function: the cosine is
+// at least −1, and u₁ = UnitFromHash(h) is at least 2^−j, where j counts
+// the leading zeros of the 53-bit mantissa source h>>11 beyond the 11
+// its shift clears (j = 54 for the all-zero source, which UnitFromHash
+// maps to 2^−54).
+func normalFloor(h uint64) float64 {
+	return -normalFloorTable[bits.LeadingZeros64(h>>11)-10]
 }
 
 // cellIsTrue samples the true/anti-cell orientation of a cell. The layout

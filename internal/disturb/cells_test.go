@@ -100,7 +100,7 @@ func eagerModel(p Params, geo dram.Geometry, seed uint64) *Model {
 			ref := refSampleRow(m, bank, row)
 			prof := m.profile(bank, row)
 			for i, cells := range [][]vulnCell{ref.press, ref.hammer, ref.retention} {
-				prof.pops[i] = population{cells: cells, weakest: math.Inf(-1), sampled: true, sorted: true}
+				prof.pops[i] = population{cells: cells, weakest: math.Inf(-1), state: popSorted}
 			}
 		}
 	}
@@ -216,14 +216,15 @@ func CheckLazyMatchesEager(t *testing.T, p Params, seed uint64) (flips, gated in
 				}
 				flips += lazyN
 				// A population the exposure reached that is still
-				// unsorted was answered by the weakest-cell gate.
+				// unsorted was answered by the weakest-cell gate, on
+				// its bound or on its exact weakest cell.
 				reached := [...]bool{
 					exp.PressAbove+exp.PressBelow > 0,
 					exp.HammerAbove+exp.HammerBelow > 0,
 					exp.Retention > 0,
 				}
 				for i, pop := range lazy.profile(bank, row).pops {
-					if reached[i] && pop.sampled && !pop.sorted {
+					if reached[i] && pop.state != popSorted {
 						gated++
 					}
 				}

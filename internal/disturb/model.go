@@ -9,13 +9,15 @@ import (
 // Model implements dram.Disturber for one module. It is deterministic:
 // cell populations derive from (seed, stream, bank, row) hashes, and
 // evaluation is pure given the accumulated exposure. A row's press, hammer
-// and retention populations are each sampled the first time an evaluation
-// with a nonzero exposure of that mechanism reaches the row, and sorted
-// the first time such an exposure reaches the population's weakest cell;
-// most restores stay below it and never pay for the sort. One committing
-// evaluation serves ApplyFlips and ApplyFlipsLog; the latter also hands
-// the caller the byte offset of every flip, so a caller that tracks a
-// row as a fill byte plus touched bytes never scans the row. Not safe for
+// and retention populations are each bounded (a cheap floor under the
+// weakest threshold) the first time an evaluation with a nonzero exposure
+// of that mechanism reaches the row, sampled the first time such an
+// exposure reaches the floor, and sorted the first time one reaches the
+// population's weakest cell; most restores stay below the floor and never
+// pay for the sampling. One committing evaluation serves ApplyFlips and
+// ApplyFlipsLog; the latter also hands the caller the byte offset of
+// every flip, so a caller that tracks a row as a fill byte plus touched
+// bytes never scans the row. Not safe for
 // concurrent use (each module owns its model): the row-profile cache, the
 // sampling bitset and the increment memo are unlocked.
 type Model struct {

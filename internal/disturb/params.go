@@ -15,13 +15,19 @@
 // reproducing the paper's Obsv. 7 (< 0.013 % overlap with RowHammer,
 // < 0.34 % with retention failures).
 //
-// A Model samples a row's press, hammer or retention population the first
-// time an evaluation with a nonzero exposure of that mechanism reaches the
-// row, and sorts it by threshold the first time such an exposure reaches
-// its weakest cell. Sampling is pure in (seed, mechanism, bank, row), so
+// A Model builds a row's press, hammer or retention population in steps,
+// each taken only when an evaluation of that mechanism needs it. The first
+// nonzero exposure of the mechanism on the row bounds the population: a
+// replay of the sampler's draws with each normal variate replaced by a
+// table-read lower bound gives a floor under its weakest threshold, at a
+// few hashes per draw. An exposure that reaches the floor samples the
+// population in full, and one that reaches its exact weakest cell sorts
+// it by threshold. Sampling is pure in (seed, mechanism, bank, row), so
 // when a population is built never changes its cells or their order.
-// Laziness skips the sampling for mechanisms a row is never exposed to
-// and the sort for populations no exposure reaches.
+// Laziness skips the sampling for mechanisms a row is never exposed to or
+// whose exposures stay below the floor — such as a probe's milliseconds
+// of retention stress against thresholds of seconds — and the sort for
+// populations no exposure reaches.
 //
 // The press kernel is ≈ linear in tAggON beyond an onset knee, which yields
 // the paper's signature ACmin × tAggON ≈ const trend (log-log slope ≈ −1,

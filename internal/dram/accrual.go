@@ -13,13 +13,13 @@ import "slices"
 // temperature) thousands of times pay for the exp/pow once. This file is
 // the single source of truth for that closed form: the run executor
 // (HammerRun, with HammerBatch as its one-window case) and the
-// replay-free pure probe (HammerExposures, and internal/characterize's
-// search prober on top of it) both drive accrueSpec, so they perform
-// bit-identical floating-point operations in bit-identical order. The
-// per-command PRE path (Module.accrue) is the n = 1, no-skip case of the
-// same walk, unrolled so it pays no closure call per victim. That shared
-// order is what lets the golden-report tests demand byte equality
-// between the per-command path and the closed form.
+// replay-free pure probe (AppendHammerExposures, and
+// internal/characterize's search prober on top of it) both drive
+// accrueSpec, so they perform bit-identical floating-point operations in
+// bit-identical order. The per-command PRE path (Module.accrue) is the
+// n = 1, no-skip case of the same walk, unrolled so it pays no closure
+// call per victim. That shared order is what lets the golden-report tests
+// demand byte equality between the per-command path and the closed form.
 //
 // A run of windows folds one level further (run.go): once a run is in
 // steady state every window hands every row the same increments, and a
@@ -105,32 +105,36 @@ type VictimExposure struct {
 	Exp Exposure
 }
 
-// HammerExposures computes, without executing a single command, the
-// exposure deltas spec would deliver to every non-aggressor row — the
-// closed form of HammerBatch's bulk-accrual phase, accumulating per-victim
-// float sums in the exact order the executor does. Aggressor-row mutual
-// exposure is excluded: in the command path every aggressor activation
-// wipes its own accumulated exposure, so only post-tail residue remains
-// there (see HammerBatch), which no search observes.
+// AppendHammerExposures appends to dst, without executing a single
+// command, the exposure deltas spec would deliver to every non-aggressor
+// row — the closed form of HammerBatch's bulk-accrual phase,
+// accumulating per-victim float sums in the exact order the executor
+// does — and returns the extended slice. Aggressor-row mutual exposure is
+// excluded: in the command path every aggressor activation wipes its own
+// accumulated exposure, so only post-tail residue remains there (see
+// HammerBatch), which no search observes. A caller that passes the same
+// buffer back, truncated, appends without allocating once it has grown.
 //
 // firstOff supplies the row-off time preceding each aggressor's first
 // activation (the probe harness threads its own virtual precharge
 // history); nil falls back to the module's recorded per-row PRE state.
-// Results are sorted by row.
-func (m *Module) HammerExposures(at TimePS, spec HammerSpec, firstOff func(row int, firstActAt TimePS) TimePS) []VictimExposure {
+// The appended deltas are sorted by row.
+func (m *Module) AppendHammerExposures(dst []VictimExposure, at TimePS, spec HammerSpec, firstOff func(row int, firstActAt TimePS) TimePS) []VictimExposure {
 	var sched [4]AggSchedule
 	var acts [4]actRow
 	w := newHammerWindow(spec, m.Timing, sched[:0], acts[:0])
 	// A loop reaches at most 2×BlastRadius victims per aggressor, so the
-	// deltas live in a short slice found by linear scan.
-	out := make([]VictimExposure, 0, 2*BlastRadius*len(w.skip))
+	// deltas live in a short run found by linear scan.
+	start := len(dst)
 	w.accrueVictims(m, at, firstOff, func(victim int, above bool, h, p float64) {
-		i := slices.IndexFunc(out, func(ve VictimExposure) bool { return ve.Row == victim })
-		if i < 0 {
-			i = len(out)
-			out = append(out, VictimExposure{Row: victim})
+		i := start
+		for i < len(dst) && dst[i].Row != victim {
+			i++
 		}
-		e := &out[i].Exp
+		if i == len(dst) {
+			dst = append(dst, VictimExposure{Row: victim})
+		}
+		e := &dst[i].Exp
 		if above {
 			e.HammerAbove += h
 			e.PressAbove += p
@@ -139,6 +143,6 @@ func (m *Module) HammerExposures(at TimePS, spec HammerSpec, firstOff func(row i
 			e.PressBelow += p
 		}
 	})
-	slices.SortFunc(out, func(a, b VictimExposure) int { return a.Row - b.Row })
-	return out
+	slices.SortFunc(dst[start:], func(a, b VictimExposure) int { return a.Row - b.Row })
+	return dst
 }

@@ -21,7 +21,7 @@ func randSpec(s uint64) HammerSpec {
 }
 
 // TestHammerExposuresMatchesBatch pins the closed form to the executor
-// bit for bit: for random specs, the pure HammerExposures deltas must
+// bit for bit: for random specs, the pure AppendHammerExposures deltas must
 // equal exactly (not approximately) the exposure HammerBatch deposits on
 // every non-aggressor row — they share accrueSpec, so any divergence is
 // an ordering bug.
@@ -30,7 +30,7 @@ func TestHammerExposuresMatchesBatch(t *testing.T) {
 		spec := randSpec(seed)
 		pure := testModule(probeDisturber{})
 		exec := testModule(probeDisturber{})
-		deltas := pure.HammerExposures(0, spec, nil)
+		deltas := pure.AppendHammerExposures(nil, 0, spec, nil)
 		if _, err := exec.HammerBatch(0, spec); err != nil {
 			t.Logf("batch error: %v", err)
 			return false
@@ -57,7 +57,7 @@ func TestHammerExposuresMatchesBatch(t *testing.T) {
 		// The pure evaluation must not have touched the module.
 		for row := 0; row < pure.Geo.RowsPerBank; row++ {
 			if !pure.View(spec.Bank, row).Exp.IsZero() {
-				t.Logf("HammerExposures mutated row %d", row)
+				t.Logf("AppendHammerExposures mutated row %d", row)
 				return false
 			}
 		}
