@@ -135,16 +135,19 @@ func workFig40(o Options, i int, key string) ([]float64, error) {
 	kind := mitigationKinds[i/len(profiles)]
 	p := profiles[i%len(profiles)]
 	cfg := perfConfig(o)
-	mix := []workload.Profile{p}
+	tr, err := simperf.Record(cfg, []workload.Profile{p}, o.Seed)
+	if err != nil {
+		return nil, err
+	}
 	baseCfg := cfg
 	baseCfg.NewMitigation = simperf.BaselineFactory(kind, o.Seed)
-	base, err := simperf.RunMix(baseCfg, mix, o.Seed)
+	base, err := simperf.RunMix(baseCfg, tr)
 	if err != nil {
 		return nil, err
 	}
 	norms := make([]float64, 0, len(simperf.TmroLattice))
 	for _, tmro := range simperf.TmroLattice {
-		res, err := simperf.RunAdapted(kind, tmro, cfg, mix, o.Seed)
+		res, err := simperf.RunAdapted(kind, tmro, cfg, tr, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -204,20 +207,25 @@ func workFig41(o Options, i int, key string) ([]float64, error) {
 	g := names[i%len(names)]
 	cfg := perfConfig(o)
 	sums := make([]float64, len(simperf.TmroLattice))
+	aloneOf := make(map[workload.Profile]float64)
 	for _, mix := range groups[g] {
-		alone, err := simperf.AloneIPCs(cfg, mix, o.Seed)
+		alone, err := simperf.AloneIPCs(cfg, mix, o.Seed, aloneOf)
+		if err != nil {
+			return nil, err
+		}
+		tr, err := simperf.Record(cfg, mix, o.Seed)
 		if err != nil {
 			return nil, err
 		}
 		baseCfg := cfg
 		baseCfg.NewMitigation = simperf.BaselineFactory(kind, o.Seed)
-		base, err := simperf.RunMix(baseCfg, mix, o.Seed)
+		base, err := simperf.RunMix(baseCfg, tr)
 		if err != nil {
 			return nil, err
 		}
 		baseWS := base.WeightedSpeedup(alone)
 		for i, tmro := range simperf.TmroLattice {
-			res, err := simperf.RunAdapted(kind, tmro, cfg, mix, o.Seed)
+			res, err := simperf.RunAdapted(kind, tmro, cfg, tr, o.Seed)
 			if err != nil {
 				return nil, err
 			}

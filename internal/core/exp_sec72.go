@@ -44,15 +44,19 @@ func runSec72(o Options) (*report.Doc, error) {
 	// Part 2: performance parity with open-row.
 	cfg := perfConfig(o)
 	p, _ := workload.ByName("462.libquantum") // the most row-locality-bound workload
+	tr, err := simperf.Record(cfg, []workload.Profile{p}, o.Seed)
+	if err != nil {
+		return nil, err
+	}
 	open := cfg
 	open.Policy = memctrl.OpenRow()
-	ro, err := simperf.RunMix(open, []workload.Profile{p}, o.Seed)
+	ro, err := simperf.RunMix(open, tr)
 	if err != nil {
 		return nil, err
 	}
 	dec := cfg
 	dec.Policy = memctrl.Decoupled()
-	rd, err := simperf.RunMix(dec, []workload.Profile{p}, o.Seed)
+	rd, err := simperf.RunMix(dec, tr)
 	if err != nil {
 		return nil, err
 	}

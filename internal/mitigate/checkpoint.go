@@ -1,5 +1,7 @@
 package mitigate
 
+import "slices"
+
 // CheckpointState implements Mitigation. None carries no state.
 func (None) CheckpointState() any { return nil }
 
@@ -26,49 +28,23 @@ func (pa *PARA) RestoreState(st any) {
 
 // tableState snapshots a Misra-Gries tracker (Graphene, ImPress).
 type tableState struct {
-	counts    map[int]int
-	spillover int
-	refreshes uint64
-}
-
-func snapshotTable(counts map[int]int, spillover int, refreshes uint64) tableState {
-	// Audited for the maprange contract: a map-to-map copy is
-	// order-insensitive — the result is the same set of key/value pairs
-	// whatever order the source is walked in, and nothing here observes
-	// the walk itself.
-	cp := make(map[int]int, len(counts))
-	for r, c := range counts {
-		cp[r] = c
-	}
-	return tableState{counts: cp, spillover: spillover, refreshes: refreshes}
-}
-
-func (s tableState) restore(counts map[int]int) (map[int]int, int, uint64) {
-	clear(counts)
-	for r, c := range s.counts {
-		counts[r] = c
-	}
-	return counts, s.spillover, s.refreshes
+	rows, counts []int
+	spillover    int
+	refreshes    uint64
 }
 
 // CheckpointState implements Mitigation.
-func (g *Graphene) CheckpointState() any {
-	return snapshotTable(g.counts, g.spillover, g.refreshes)
+func (t *misraGries) CheckpointState() any {
+	return tableState{slices.Clone(t.rows), slices.Clone(t.counts), t.spillover, t.refreshes}
 }
 
 // RestoreState implements Mitigation.
-func (g *Graphene) RestoreState(st any) {
-	g.counts, g.spillover, g.refreshes = st.(tableState).restore(g.counts)
-}
-
-// CheckpointState implements Mitigation.
-func (im *ImPress) CheckpointState() any {
-	return snapshotTable(im.counts, im.spillover, im.refreshes)
-}
-
-// RestoreState implements Mitigation.
-func (im *ImPress) RestoreState(st any) {
-	im.counts, im.spillover, im.refreshes = st.(tableState).restore(im.counts)
+func (t *misraGries) RestoreState(st any) {
+	s := st.(tableState)
+	t.rows = append(t.rows[:0], s.rows...)
+	t.counts = append(t.counts[:0], s.counts...)
+	t.spillover, t.refreshes = s.spillover, s.refreshes
+	t.reindex()
 }
 
 type trrState struct {

@@ -23,13 +23,11 @@ import (
 // activation-count damage; DefaultImPressQuantum calibrates it against
 // this reproduction's disturbance model.
 type ImPress struct {
-	Threshold int // weighted estimate triggering a preventive refresh
-	TableSize int
+	Threshold int         // weighted estimate triggering a preventive refresh
+	TableSize int         // entries; fixed at construction, which sizes the table
 	Quantum   dram.TimePS // open time charged as one extra activation
 
-	counts    map[int]int
-	spillover int
-	refreshes uint64
+	misraGries
 }
 
 // DefaultImPressQuantum is the default open-time-to-activation exchange
@@ -47,10 +45,10 @@ func NewImPress(threshold, tableSize int, quantum dram.TimePS) *ImPress {
 			threshold, tableSize, quantum))
 	}
 	return &ImPress{
-		Threshold: threshold,
-		TableSize: tableSize,
-		Quantum:   quantum,
-		counts:    make(map[int]int, tableSize),
+		Threshold:  threshold,
+		TableSize:  tableSize,
+		Quantum:    quantum,
+		misraGries: newMisraGries(tableSize),
 	}
 }
 
@@ -73,52 +71,5 @@ func (im *ImPress) OnActivate(row int) []int { return im.OnActivateTimed(row, 0)
 // OnActivateTimed implements TimedMitigation with the weighted
 // Misra-Gries update rule.
 func (im *ImPress) OnActivateTimed(row int, openFor dram.TimePS) []int {
-	w := im.weight(openFor)
-	if c, ok := im.counts[row]; ok {
-		c += w
-		im.counts[row] = c
-		if c >= im.Threshold {
-			im.counts[row] = im.spillover
-			im.refreshes++
-			return victimsOf(row)
-		}
-		return nil
-	}
-	if len(im.counts) < im.TableSize {
-		im.counts[row] = im.spillover + w
-		if im.counts[row] >= im.Threshold {
-			im.counts[row] = im.spillover
-			im.refreshes++
-			return victimsOf(row)
-		}
-		return nil
-	}
-	// Table full: weighted Misra-Gries decrement — raise the spillover by
-	// the unmatched activation's full weight and evict entries that fall
-	// to it. This keeps the undercount bound proportional to total
-	// weighted activations, so long dwells cannot hide in the spillover.
-	im.spillover += w
-	for r, c := range im.counts {
-		if c <= im.spillover {
-			delete(im.counts, r)
-		}
-	}
-	return nil
-}
-
-// OnRefreshWindow implements Mitigation: counters reset every tREFW.
-func (im *ImPress) OnRefreshWindow() {
-	clear(im.counts)
-	im.spillover = 0
-}
-
-// PreventiveRefreshes returns the cumulative preventive refresh count.
-func (im *ImPress) PreventiveRefreshes() uint64 { return im.refreshes }
-
-// EstimatedCount returns the weighted Misra-Gries estimate for a row.
-func (im *ImPress) EstimatedCount(row int) int {
-	if c, ok := im.counts[row]; ok {
-		return c
-	}
-	return im.spillover
+	return im.add(row, im.weight(openFor), im.Threshold, im.TableSize)
 }

@@ -18,7 +18,9 @@ type Mitigation interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 	// OnActivate records an activation of row and returns the rows to
-	// preventively refresh right now (empty for most activations).
+	// preventively refresh right now (empty for most activations). The
+	// slice is the mechanism's own buffer, valid until its next call:
+	// callers consume it at once.
 	OnActivate(row int) []int
 	// OnRefreshWindow notifies that a refresh window (tREFW) completed;
 	// counter-based mechanisms reset here.
@@ -43,7 +45,8 @@ type Mitigation interface {
 type TimedMitigation interface {
 	Mitigation
 	// OnActivateTimed records an activation of row that kept it open for
-	// openFor and returns the rows to preventively refresh right now.
+	// openFor and returns the rows to preventively refresh right now, in
+	// a buffer valid until the mechanism's next call, as OnActivate.
 	OnActivateTimed(row int, openFor dram.TimePS) []int
 }
 
@@ -68,8 +71,9 @@ func (None) OnActivate(int) []int { return nil }
 // OnRefreshWindow implements Mitigation.
 func (None) OnRefreshWindow() {}
 
-// victimsOf returns the blast-radius-1..2 neighbors a preventive refresh
-// targets for an aggressor row.
-func victimsOf(row int) []int {
-	return []int{row - 2, row - 1, row + 1, row + 2}
+// victimsOf fills buf with the blast-radius-1..2 neighbors a preventive
+// refresh targets for an aggressor row and returns it as a slice.
+func victimsOf(buf *[4]int, row int) []int {
+	*buf = [4]int{row - 2, row - 1, row + 1, row + 2}
+	return buf[:]
 }

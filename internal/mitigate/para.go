@@ -15,6 +15,7 @@ type PARA struct {
 	rng *stats.RNG
 
 	refreshes uint64
+	victim    [1]int
 }
 
 // NewPARA builds a PARA instance with refresh probability p and a
@@ -35,10 +36,11 @@ func (pa *PARA) OnActivate(row int) []int {
 		return nil
 	}
 	pa.refreshes++
+	pa.victim[0] = row + 1
 	if pa.rng.Float64() < 0.5 {
-		return []int{row - 1}
+		pa.victim[0] = row - 1
 	}
-	return []int{row + 1}
+	return pa.victim[:]
 }
 
 // OnRefreshWindow implements Mitigation (PARA is stateless).

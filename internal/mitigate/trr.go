@@ -11,7 +11,8 @@ package mitigate
 type TRR struct {
 	Entries int // tracked rows (typical: 2–4)
 
-	recent []int // most recent distinct rows, newest last
+	recent  []int // most recent distinct rows, newest last
+	victims []int // OnRefresh's buffer
 }
 
 // NewTRR builds a sampler with the given table size.
@@ -42,15 +43,16 @@ func (t *TRR) OnActivate(row int) []int {
 }
 
 // OnRefresh is TRR's REF hook: it returns the victims of every tracked
-// row and clears the table. (This is distinct from OnRefreshWindow, which
-// fires once per tREFW.)
+// row, in a buffer valid until the next call, and clears the table. (This
+// is distinct from OnRefreshWindow, which fires once per tREFW.)
 func (t *TRR) OnRefresh() []int {
-	var out []int
+	t.victims = t.victims[:0]
+	var buf [4]int
 	for _, r := range t.recent {
-		out = append(out, victimsOf(r)...)
+		t.victims = append(t.victims, victimsOf(&buf, r)...)
 	}
 	t.recent = t.recent[:0]
-	return out
+	return t.victims
 }
 
 // OnRefreshWindow implements Mitigation.

@@ -1,18 +1,16 @@
 package simperf
 
 import (
-	"maps"
 	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/memctrl"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // mapACTCounter is the reference per-window ACT counter: one map entry per
-// (bank, row), as the simulator counted before actCounter.
+// (bank, row), as the simulator counted before it numbered rows densely.
 type mapACTCounter struct {
 	counts map[int64]int
 	max    int
@@ -29,66 +27,69 @@ func (m *mapACTCounter) count(bank, row int) int {
 
 func (m *mapACTCounter) flush() { clear(m.counts) }
 
-// tableContents lists actCounter's counts by (bank, row), in the reference's
-// key form.
-func tableContents(s *Sim) map[int64]int {
-	got := make(map[int64]int)
-	for _, sl := range s.acts.slots {
-		if sl.key == 0 {
-			continue
-		}
-		k := int(sl.key - 1)
-		got[int64(k/s.cfg.RowsPerBank)<<32|int64(k%s.cfg.RowsPerBank)] = int(sl.n)
-	}
-	return got
-}
-
-// TestACTCounterMatchesMap drives the simulator's counter and the map
-// reference with the same random (bank, row) streams: a few rows hammered
-// hard, up to 5000 distinct rows (ten doublings, to 16k slots), and a
-// window flush after each 20k ACTs, after which the same rows are counted
-// again.
+// TestACTCounterMatchesMap counts a recorded 4-core mix's requests, core
+// by core, through the simulator's dense counter and through the map
+// reference keyed by (bank, row), in three windows with a flush between
+// them. Each recorded request must be its core's generator draw, the
+// trace's row table must name each (bank, row) once, and every count, the
+// running maximum and each window's final counts must agree.
 func TestACTCounterMatchesMap(t *testing.T) {
 	cfg := DefaultConfig()
-	for i, distinct := range []int{40, 300, 5000} {
-		seed := uint64(i + 1)
-		s, err := New(cfg, []workload.Profile{prof(t, "429.mcf")}, seed)
+	cfg.InstrPerCore = 200_000
+	mix := []workload.Profile{prof(t, "429.mcf"), prof(t, "483.xalancbmk"), prof(t, "bfs_ny"), prof(t, "462.libquantum")}
+	for seed := uint64(1); seed <= 3; seed++ {
+		tr, err := Record(cfg, mix, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[bankRow]bool, len(tr.rows))
+		for id, br := range tr.rows {
+			if seen[br] {
+				t.Fatalf("seed %d: row id %d repeats (bank %d, row %d)", seed, id, br.bank, br.row)
+			}
+			seen[br] = true
+		}
+		s, err := New(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := &mapACTCounter{counts: make(map[int64]int)}
-		rng := stats.NewRNG(seed)
-		check := func(phase string) {
-			t.Helper()
-			if got := tableContents(s); !maps.Equal(got, ref.counts) {
-				t.Fatalf("%d rows %s: table holds %d rows, reference %d, or their counts differ",
-					distinct, phase, len(got), len(ref.counts))
+		for window, ct := range tr.cores[:3] {
+			gen, err := workload.NewGenerator(mix[window], cfg.Banks, cfg.RowsPerBank, cfg.BlocksRow, seed+uint64(window)*0x9E37)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for window := 0; window < 3; window++ {
-			for n := 0; n < 20_000; n++ {
-				k := rng.Intn(distinct)
-				if rng.Float64() < 0.3 {
-					k = rng.Intn(4)
+			for n, req := range ct.reqs {
+				br := tr.rows[req.id]
+				if g := gen.Next(); g != (workload.Request{Bank: int(br.bank), Row: int(br.row), Col: int(req.col), InstrGap: int(req.gap)}) {
+					t.Fatalf("seed %d, core %d, request %d: recorded (%d,%d) col %d gap %d, generator %+v",
+						seed, window, n, br.bank, br.row, req.col, req.gap, g)
 				}
-				bank, row := k%cfg.Banks, k/cfg.Banks*37%cfg.RowsPerBank
-				want := ref.count(bank, row)
-				if got := s.countACT(bank, row); got != want {
-					t.Fatalf("%d rows, window %d, ACT %d (%d,%d): count %d, want %d",
-						distinct, window, n, bank, row, got, want)
+				want := ref.count(int(br.bank), int(br.row))
+				if got := s.countACT(req.id); got != want {
+					t.Fatalf("seed %d, window %d, ACT %d (%d,%d): count %d, want %d",
+						seed, window, n, br.bank, br.row, got, want)
 				}
 				if s.result.MaxRowACTsPerWindow != ref.max {
-					t.Fatalf("%d rows, window %d, ACT %d: max %d, want %d",
-						distinct, window, n, s.result.MaxRowACTsPerWindow, ref.max)
+					t.Fatalf("seed %d, window %d, ACT %d: max %d, want %d",
+						seed, window, n, s.result.MaxRowACTsPerWindow, ref.max)
 				}
 			}
-			if len(s.acts.slots) < 2*len(ref.counts) {
-				t.Fatalf("%d rows: %d slots hold %d rows, past half load", distinct, len(s.acts.slots), len(ref.counts))
+			counted := 0
+			for id, n := range s.acts {
+				br := tr.rows[id]
+				if want := ref.counts[int64(br.bank)<<32|int64(br.row)]; int(n) != want {
+					t.Fatalf("seed %d, window %d: row (%d,%d) holds %d, want %d", seed, window, br.bank, br.row, n, want)
+				}
+				if n > 0 {
+					counted++
+				}
 			}
-			check("before flush")
-			s.flushACTWindow()
+			if counted != len(ref.counts) {
+				t.Fatalf("seed %d, window %d: %d rows counted, reference %d", seed, window, counted, len(ref.counts))
+			}
+			clear(s.acts)
 			ref.flush()
-			check("after flush")
 		}
 	}
 }
@@ -98,15 +99,8 @@ func TestACTCounterMatchesMap(t *testing.T) {
 // ACTs split across two windows, so the per-window maximum must fall short
 // of the run's total and cover the larger window.
 func TestMaxRowACTsResetsAtTREFW(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Banks, cfg.RowsPerBank = 1, 1
-	cfg.Policy = memctrl.ClosedRow()
-	cfg.InstrPerCore = 1_500_000_000 // ~94 ms at the 62.5 ps peak retire rate
-	sparse := workload.Profile{Name: "sparse", LLCMPKI: 0.001, RowHitRate: 0, HotRows: 1}
-	s, err := New(cfg, []workload.Profile{sparse}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, sparse := pastTREFW()
+	s := newSim(t, cfg, sparse, 1)
 	res := s.Run()
 	if s.now < s.timing.TREFW {
 		t.Fatalf("simulation ended at %d ps, before the first tREFW (%d ps)", s.now, s.timing.TREFW)
@@ -118,92 +112,61 @@ func TestMaxRowACTsResetsAtTREFW(t *testing.T) {
 	}
 }
 
-func TestNewRejectsRowKeyOverflow(t *testing.T) {
+// pastTREFW is a one-bank, one-row, closed-row system and a sparse
+// workload whose run ends past the first 64 ms refresh window.
+func pastTREFW() (Config, []workload.Profile) {
+	cfg := DefaultConfig()
+	cfg.Banks, cfg.RowsPerBank = 1, 1
+	cfg.Policy = memctrl.ClosedRow()
+	cfg.InstrPerCore = 1_500_000_000 // ~94 ms at the 62.5 ps peak retire rate
+	return cfg, []workload.Profile{{Name: "sparse", LLCMPKI: 0.001, RowHitRate: 0, HotRows: 1}}
+}
+
+func TestRecordRejectsRowKeyOverflow(t *testing.T) {
 	p := []workload.Profile{prof(t, "429.mcf")}
 	cfg := DefaultConfig()
+	cfg.InstrPerCore = 10_000
 	cfg.Banks, cfg.RowsPerBank = 3, math.MaxUint32/3 // exactly MaxUint32 rows
-	if _, err := New(cfg, p, 1); err != nil {
-		t.Fatalf("New rejected %d×%d rows: %v", cfg.Banks, cfg.RowsPerBank, err)
+	if _, err := Record(cfg, p, 1); err != nil {
+		t.Fatalf("Record rejected %d×%d rows: %v", cfg.Banks, cfg.RowsPerBank, err)
 	}
 	cfg.RowsPerBank++
-	if _, err := New(cfg, p, 1); err == nil {
-		t.Fatalf("New accepted %d×%d rows, past the counter's %d keys",
+	if _, err := Record(cfg, p, 1); err == nil {
+		t.Fatalf("Record accepted %d×%d rows, past the row id map's %d keys",
 			cfg.Banks, cfg.RowsPerBank, uint64(math.MaxUint32))
 	}
 }
 
-// TestSimAllocationsIndependentOfLength: a run's allocations do not grow
-// with its request count. Quadrupling 429.mcf's instruction budget may add
-// only the ACT counter's extra doublings.
+// TestSimAllocationsIndependentOfLength: replaying a recorded trace
+// (New+Run) allocates as often for 429.mcf's 400k-instruction stream as
+// for its 100k one.
 func TestSimAllocationsIndependentOfLength(t *testing.T) {
 	mcf := []workload.Profile{prof(t, "429.mcf")}
-	measure := func(instr int) (allocs float64, doublings int) {
+	measure := func(instr int) float64 {
 		cfg := DefaultConfig()
 		cfg.InstrPerCore = instr
-		run := func() *Sim {
-			s, err := New(cfg, mcf, 1)
+		tr, err := Record(cfg, mcf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			s, err := New(cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.Run()
-			return s
-		}
-		for n := len(run().acts.slots); n > actCounterMinSlots; n /= 2 {
-			doublings++
 		}
 		// The least of three measurements, each from a fresh GC cycle:
 		// the runtime and the test framework allocate now and then on
 		// their own.
-		allocs = math.Inf(1)
+		allocs := math.Inf(1)
 		for range 3 {
 			runtime.GC()
-			allocs = min(allocs, testing.AllocsPerRun(5, func() { run() }))
+			allocs = min(allocs, testing.AllocsPerRun(5, run))
 		}
-		return allocs, doublings
+		return allocs
 	}
-	a1, d1 := measure(100_000)
-	a4, d4 := measure(400_000)
-	if a4-a1 != float64(d4-d1) {
-		t.Fatalf("allocs/run: %v at 100k instructions, %v at 400k; counter doublings %d and %d",
-			a1, a4, d1, d4)
-	}
-}
-
-// TestACTCounterAllocatesNoMoreThanMap: filling the table with n distinct
-// rows allocates no more bytes, doublings included, than the map reference
-// filled with the same rows.
-func TestACTCounterAllocatesNoMoreThanMap(t *testing.T) {
-	// bytes is the least heap growth over five calls of f: the runtime
-	// and the test framework allocate now and then on their own.
-	bytes := func(f func()) uint64 {
-		least := uint64(math.MaxUint64)
-		for range 5 {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			f()
-			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		return least
-	}
-	for _, n := range []int{1, 8, 9, 33, 100, 1000, 3300, 4096, 20_000} {
-		var tab actCounter
-		ref := &mapACTCounter{}
-		tabBytes := bytes(func() {
-			tab = actCounter{}
-			for k := 0; k < n; k++ {
-				tab.add(uint32(k * 8))
-			}
-		})
-		mapBytes := bytes(func() {
-			ref.counts = make(map[int64]int)
-			for k := 0; k < n; k++ {
-				ref.count(k%8, k)
-			}
-		})
-		if tabBytes > mapBytes {
-			t.Errorf("%d rows: table allocated %d B, map %d B", n, tabBytes, mapBytes)
-		}
+	if a1, a4 := measure(100_000), measure(400_000); a1 != a4 {
+		t.Fatalf("allocs/run: %v at 100k instructions, %v at 400k", a1, a4)
 	}
 }

@@ -1,14 +1,17 @@
 // Package simperf is the trace-driven multi-core DRAM performance
 // simulator standing in for Ramulator in the paper's mitigation study
-// (§7.3, §7.4, Appendix D): cores replay synthetic workload traces through
-// an FR-FCFS single-channel memory controller with configurable row
+// (§7.3, §7.4, Appendix D): Record draws each core's synthetic workload
+// stream once into a compact Trace, and a Sim replays it through an
+// FR-FCFS single-channel memory controller with configurable row
 // policies, periodic refresh, and pluggable RowHammer/RowPress mitigation
-// mechanisms whose preventive refreshes cost real bank time.
+// mechanisms whose preventive refreshes cost real bank time. A study
+// records each mix once and replays it for every policy and mechanism.
 package simperf
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -33,7 +36,8 @@ type Config struct {
 	Policy      memctrl.RowPolicy
 	// NewMitigation builds a per-bank mitigation instance; nil = none.
 	NewMitigation func(bank int) mitigate.Mitigation
-	// InstrPerCore is the retirement target per core.
+	// InstrPerCore is the retirement target per core: Record ends each
+	// stream at the request that reaches it.
 	InstrPerCore int
 }
 
@@ -99,10 +103,92 @@ func (r Result) WeightedSpeedup(alone []float64) float64 {
 	return ws
 }
 
+// Trace is a mix's request streams, drawn once by Record and replayed by
+// every simulation of the mix: a stream depends only on its profile, the
+// seed, the core index and the shape, never on timing, so the baseline,
+// every tmro point and every row policy of one mix see the same requests.
+type Trace struct {
+	shape traceShape
+	cores []core    // each core at its first fetch: its requests and workload
+	rows  []bankRow // (bank, row) by dense row id
+}
+
+// traceShape is the part of a Config the streams depend on.
+type traceShape struct{ banks, rowsPerBank, blocksRow, instrPerCore int }
+
+func shapeOf(cfg Config) traceShape {
+	return traceShape{cfg.Banks, cfg.RowsPerBank, cfg.BlocksRow, cfg.InstrPerCore}
+}
+
+// request is one recorded memory request, 12 bytes.
+type request struct {
+	gap uint32 // instructions retired since the previous request
+	id  uint32 // dense row id: an index into Trace.rows
+	col uint16
+}
+
+// bankRow is a row's bank and row; Record's key check bounds both below
+// 2³².
+type bankRow struct{ bank, row uint32 }
+
+// Record draws each core's request stream once: core i's generator is
+// seeded seed+i*0x9E37, and its stream ends at the request whose gap sum
+// reaches InstrPerCore. Rows are numbered densely in order of first use
+// across the mix.
+func Record(cfg Config, profiles []workload.Profile, seed uint64) (*Trace, error) {
+	if len(profiles) == 0 {
+		return nil, fmt.Errorf("simperf: need at least one workload")
+	}
+	if cfg.RowsPerBank > 0 && cfg.Banks > math.MaxUint32/cfg.RowsPerBank {
+		return nil, fmt.Errorf("simperf: %d banks × %d rows overflow the row id map's key", cfg.Banks, cfg.RowsPerBank)
+	}
+	if cfg.BlocksRow > math.MaxUint16+1 {
+		return nil, fmt.Errorf("simperf: %d blocks per row overflow a recorded column", cfg.BlocksRow)
+	}
+	// Each stream holds about InstrPerCore·MPKI/1000 requests (a little
+	// more: gaps round down); the mix's distinct rows are about its
+	// largest working set, since the power-of-two hot-row sets nest.
+	expect := func(p workload.Profile) int {
+		n := int(float64(cfg.InstrPerCore) * p.LLCMPKI / 1000)
+		return n + n/16 + 64
+	}
+	idCap := 0
+	for _, p := range profiles {
+		idCap = max(idCap, min(expect(p), min(p.HotRows, cfg.RowsPerBank)*cfg.Banks))
+	}
+	ids := make(map[uint32]uint32, idCap)
+	tr := &Trace{shape: shapeOf(cfg), rows: make([]bankRow, 0, idCap)}
+	for i, p := range profiles {
+		gen, err := workload.NewGenerator(p, cfg.Banks, cfg.RowsPerBank, cfg.BlocksRow, seed+uint64(i)*0x9E37)
+		if err != nil {
+			return nil, err
+		}
+		reqs := make([]request, 0, max(expect(p), 0))
+		for done := 0; done < cfg.InstrPerCore; {
+			r := gen.Next()
+			if uint64(r.InstrGap) > math.MaxUint32 {
+				return nil, fmt.Errorf("simperf: %s: instruction gap %d overflows a recorded request", p.Name, r.InstrGap)
+			}
+			key := uint32(r.Bank*cfg.RowsPerBank + r.Row)
+			id, ok := ids[key]
+			if !ok {
+				id = uint32(len(tr.rows))
+				ids[key] = id
+				tr.rows = append(tr.rows, bankRow{uint32(r.Bank), uint32(r.Row)})
+			}
+			reqs = append(reqs, request{gap: uint32(r.InstrGap), id: id, col: uint16(r.Col)})
+			done += r.InstrGap
+		}
+		tr.cores = append(tr.cores, core{reqs: reqs, stats: CoreStats{Workload: p.Name}})
+	}
+	return tr, nil
+}
+
 type core struct {
-	gen      *workload.Generator
+	reqs     []request // the requests still to fetch
 	stats    CoreStats
-	pending  workload.Request
+	pending  bankRow     // the request fetched last
+	id       uint32      // pending's row id
 	waiting  bool        // pending holds a request not yet served
 	readyAt  dram.TimePS // when the pending request reaches the controller
 	doneInst int
@@ -114,28 +200,30 @@ type Sim struct {
 	timing dram.Timing
 	banks  []memctrl.BankState
 	mits   []mitigate.Mitigation
-	cores  []*core
+	cores  []core
+	rows   []bankRow // the trace's (bank, row) by row id
 
 	now      dram.TimePS
 	nextREF  dram.TimePS
 	refCount int
-	acts     actCounter // ACTs per bank*RowsPerBank+row in the current tREFW window
+	acts     []uint32 // ACTs per row id in the current tREFW window
 
 	result Result
 }
 
-// New builds a simulator for the given workloads (one per core).
-func New(cfg Config, profiles []workload.Profile, seed uint64) (*Sim, error) {
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("simperf: need at least one workload")
-	}
-	if cfg.RowsPerBank > 0 && cfg.Banks > maxRowKeys/cfg.RowsPerBank {
-		return nil, fmt.Errorf("simperf: %d banks × %d rows overflow the ACT counter's key", cfg.Banks, cfg.RowsPerBank)
+// New builds a simulator replaying tr, which must have been recorded for
+// cfg's shape (Banks, RowsPerBank, BlocksRow, InstrPerCore).
+func New(cfg Config, tr *Trace) (*Sim, error) {
+	if shapeOf(cfg) != tr.shape {
+		return nil, fmt.Errorf("simperf: config shape %+v differs from the trace's %+v", shapeOf(cfg), tr.shape)
 	}
 	s := &Sim{
 		cfg:     cfg,
 		timing:  dram.DDR4(),
 		banks:   make([]memctrl.BankState, cfg.Banks),
+		cores:   slices.Clone(tr.cores),
+		rows:    tr.rows,
+		acts:    make([]uint32, len(tr.rows)),
 		nextREF: dram.DDR4().TREFI,
 	}
 	if cfg.NewMitigation != nil {
@@ -144,35 +232,28 @@ func New(cfg Config, profiles []workload.Profile, seed uint64) (*Sim, error) {
 			s.mits[b] = cfg.NewMitigation(b)
 		}
 	}
-	for i, p := range profiles {
-		gen, err := workload.NewGenerator(p, cfg.Banks, cfg.RowsPerBank, cfg.BlocksRow, seed+uint64(i)*0x9E37)
-		if err != nil {
-			return nil, err
-		}
-		c := &core{gen: gen}
-		c.stats.Workload = p.Name
-		s.cores = append(s.cores, c)
-	}
 	return s, nil
 }
 
 // fetch loads the next request of a core and schedules its arrival.
 func (s *Sim) fetch(c *core, from dram.TimePS) {
-	if c.doneInst >= s.cfg.InstrPerCore {
+	if len(c.reqs) == 0 {
 		c.stats.Instructions = c.doneInst
 		c.stats.Cycles = int64((from / instrPS)) // cycles at 4 GHz
 		return
 	}
-	c.pending = c.gen.Next()
+	req := c.reqs[0]
+	c.reqs = c.reqs[1:]
+	c.pending, c.id = s.rows[req.id], req.id
 	c.waiting = true
-	c.readyAt = from + dram.TimePS(c.pending.InstrGap)*instrPS/retireWidth
-	c.doneInst += c.pending.InstrGap
+	c.readyAt = from + dram.TimePS(req.gap)*instrPS/retireWidth
+	c.doneInst += int(req.gap)
 }
 
 // Run executes the simulation to completion.
 func (s *Sim) Run() Result {
-	for _, c := range s.cores {
-		s.fetch(c, 0)
+	for i := range s.cores {
+		s.fetch(&s.cores[i], 0)
 	}
 	for {
 		c := s.pickNext()
@@ -181,8 +262,9 @@ func (s *Sim) Run() Result {
 		}
 		s.serve(c)
 	}
-	for _, c := range s.cores {
-		s.result.Cores = append(s.result.Cores, c.stats)
+	s.result.Cores = make([]CoreStats, len(s.cores))
+	for i := range s.cores {
+		s.result.Cores[i] = s.cores[i].stats
 	}
 	return s.result
 }
@@ -193,7 +275,8 @@ func (s *Sim) Run() Result {
 func (s *Sim) pickNext() *core {
 	var best *core
 	bestHit := false
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		if !c.waiting {
 			continue
 		}
@@ -218,12 +301,12 @@ func (s *Sim) pickNext() *core {
 }
 
 func (s *Sim) isHit(c *core) bool {
-	b := &s.banks[c.pending.Bank]
+	b := &s.banks[c.pending.bank]
 	at := c.readyAt
 	if at < s.now {
 		at = s.now
 	}
-	return b.RowOpenFor(c.pending.Row, at, s.cfg.Policy)
+	return b.RowOpenFor(int(c.pending.row), at, s.cfg.Policy)
 }
 
 // serve processes one request end to end.
@@ -236,14 +319,14 @@ func (s *Sim) serve(c *core) {
 	}
 	s.processRefreshes(start)
 
-	bank := &s.banks[req.Bank]
-	done, activated := bank.Access(start, req.Row, s.cfg.Policy, s.timing)
+	bank := &s.banks[req.bank]
+	done, activated := bank.Access(start, int(req.row), s.cfg.Policy, s.timing)
 	if activated {
 		c.stats.RowMisses++
 		s.result.Activations++
-		s.countACT(req.Bank, req.Row)
+		s.countACT(c.id)
 		if s.mits != nil {
-			victims := s.mits[req.Bank].OnActivate(req.Row)
+			victims := s.mits[req.bank].OnActivate(int(req.row))
 			if len(victims) > 0 {
 				// Preventive refreshes occupy the bank for tRC each and
 				// close the row buffer — this is the mitigation's cost.
@@ -273,93 +356,21 @@ func (s *Sim) processRefreshes(t dram.TimePS) {
 			for _, m := range s.mits {
 				m.OnRefreshWindow()
 			}
-			s.flushACTWindow()
+			clear(s.acts)
 		}
 		s.nextREF += s.timing.TREFI
 	}
 }
 
-// countACT counts one activation of (bank, row) in the current tREFW
-// window, raises MaxRowACTsPerWindow to the row's count if it exceeds it,
-// and returns that count. No catalog simulation reaches the end of its
-// first window, so there the maximum covers the whole run.
-func (s *Sim) countACT(bank, row int) int {
-	n := s.acts.add(uint32(bank*s.cfg.RowsPerBank + row))
+// countACT counts one activation of row id in the current tREFW window,
+// raises MaxRowACTsPerWindow to the row's count if it exceeds it, and
+// returns that count. No catalog simulation reaches the end of its first
+// window, so there the maximum covers the whole run.
+func (s *Sim) countACT(id uint32) int {
+	s.acts[id]++
+	n := int(s.acts[id])
 	if n > s.result.MaxRowACTsPerWindow {
 		s.result.MaxRowACTsPerWindow = n
 	}
 	return n
-}
-
-func (s *Sim) flushACTWindow() {
-	s.acts.reset()
-}
-
-// maxRowKeys bounds Banks×RowsPerBank: a row key is bank*RowsPerBank+row,
-// stored plus one in a uint32 slot.
-const maxRowKeys = math.MaxUint32
-
-// actCounter counts activations per row key: an open-addressed table with
-// linear probing, so an ACT costs one probe and no allocation. It starts
-// at actCounterMinSlots slots, doubles when half full, and reset clears it
-// in place, keeping its capacity for the next window.
-type actCounter struct {
-	slots []actSlot // len is zero or a power of two
-	used  int
-}
-
-// actSlot holds one row's count; key is the row key plus one, so a zero
-// slot is empty.
-type actSlot struct{ key, n uint32 }
-
-const actCounterMinSlots = 16
-
-// add counts one activation of key and returns its count.
-func (t *actCounter) add(key uint32) int {
-	if 2*(t.used+1) > len(t.slots) {
-		t.grow()
-	}
-	sl := t.slot(key + 1)
-	if sl.key == 0 {
-		sl.key = key + 1
-		t.used++
-	}
-	sl.n++
-	return int(sl.n)
-}
-
-// slot returns the slot holding stored key k, or the empty slot where
-// linear probing from k's hash ends.
-func (t *actCounter) slot(k uint32) *actSlot {
-	mask := uint32(len(t.slots) - 1)
-	i := actHash(k) & mask
-	for t.slots[i].key != k && t.slots[i].key != 0 {
-		i = (i + 1) & mask
-	}
-	return &t.slots[i]
-}
-
-// grow doubles the table (or allocates its first slots) and reinserts
-// every counted key.
-func (t *actCounter) grow() {
-	old := t.slots
-	t.slots = make([]actSlot, max(2*len(old), actCounterMinSlots))
-	for _, sl := range old {
-		if sl.key != 0 {
-			*t.slot(sl.key) = sl
-		}
-	}
-}
-
-func (t *actCounter) reset() {
-	clear(t.slots)
-	t.used = 0
-}
-
-// actHash spreads row keys, which are strided multiples of a bank's hot-row
-// spacing, over the table: a Fibonacci multiply folded so the low bits see
-// the high ones.
-func actHash(key uint32) uint32 {
-	h := key * 0x9E3779B9
-	return h ^ h>>16
 }

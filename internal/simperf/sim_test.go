@@ -15,7 +15,22 @@ func quickCfg() Config {
 	return cfg
 }
 
-func prof(t *testing.T, name string) workload.Profile {
+// newSim records profiles under cfg and seed and builds a simulator
+// replaying them.
+func newSim(t testing.TB, cfg Config, profiles []workload.Profile, seed uint64) *Sim {
+	t.Helper()
+	tr, err := Record(cfg, profiles, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func prof(t testing.TB, name string) workload.Profile {
 	t.Helper()
 	p, ok := workload.ByName(name)
 	if !ok {
@@ -25,11 +40,7 @@ func prof(t *testing.T, name string) workload.Profile {
 }
 
 func TestSimRunsSingleCore(t *testing.T) {
-	sim, err := New(quickCfg(), []workload.Profile{prof(t, "433.milc")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sim.Run()
+	res := newSim(t, quickCfg(), []workload.Profile{prof(t, "433.milc")}, 1).Run()
 	if len(res.Cores) != 1 {
 		t.Fatal("expected one core")
 	}
@@ -45,16 +56,8 @@ func TestSimRunsSingleCore(t *testing.T) {
 func TestRowHitRateTracksProfile(t *testing.T) {
 	// A row-buffer-friendly workload must see a far higher hit rate than a
 	// random-access one under the open-row policy.
-	friendly, err := New(quickCfg(), []workload.Profile{prof(t, "462.libquantum")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hostile, err := New(quickCfg(), []workload.Profile{prof(t, "429.mcf")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := friendly.Run().Cores[0].RowHitRate()
-	hr := hostile.Run().Cores[0].RowHitRate()
+	fr := newSim(t, quickCfg(), []workload.Profile{prof(t, "462.libquantum")}, 1).Run().Cores[0].RowHitRate()
+	hr := newSim(t, quickCfg(), []workload.Profile{prof(t, "429.mcf")}, 1).Run().Cores[0].RowHitRate()
 	if fr < 0.8 {
 		t.Errorf("libquantum row-hit rate = %.2f, want > 0.8", fr)
 	}
@@ -90,18 +93,12 @@ func TestClosedRowHurtsLocality(t *testing.T) {
 func TestMitigationCostsPerformance(t *testing.T) {
 	base := quickCfg()
 	mix := []workload.Profile{prof(t, "429.mcf")}
-	res0, err := runOne(base, mix, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res0 := newSim(t, base, mix, 5).Run()
 	withPARA := base
 	withPARA.NewMitigation = func(bank int) mitigate.Mitigation {
 		return mitigate.NewPARA(0.2, uint64(bank)+9)
 	}
-	res1, err := runOne(withPARA, mix, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := newSim(t, withPARA, mix, 5).Run()
 	if res1.PreventiveRefreshes == 0 {
 		t.Fatal("PARA issued no preventive refreshes")
 	}
@@ -118,16 +115,10 @@ func TestGrapheneCheaperThanPARA(t *testing.T) {
 	mix := []workload.Profile{prof(t, "433.milc")}
 	g := quickCfg()
 	g.NewMitigation = BaselineFactory(KindGraphene, 1)
-	resG, err := runOne(g, mix, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resG := newSim(t, g, mix, 7).Run()
 	p := quickCfg()
 	p.NewMitigation = BaselineFactory(KindPARA, 1)
-	resP, err := runOne(p, mix, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resP := newSim(t, p, mix, 7).Run()
 	if resG.PreventiveRefreshes >= resP.PreventiveRefreshes {
 		t.Errorf("Graphene refreshes (%d) should be far below PARA's (%d)",
 			resG.PreventiveRefreshes, resP.PreventiveRefreshes)

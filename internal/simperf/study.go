@@ -27,16 +27,6 @@ const BaseTRH = 1000
 // per the original Graphene configuration at the simulated scale).
 const GrapheneTableSize = 64
 
-// runOne simulates one workload set under a policy + mitigation factory
-// and returns per-core IPCs and the result.
-func runOne(cfg Config, profiles []workload.Profile, seed uint64) (Result, error) {
-	sim, err := New(cfg, profiles, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.Run(), nil
-}
-
 // MitigationKind selects the mechanism family for the Table 3 study.
 type MitigationKind int
 
@@ -95,63 +85,59 @@ type OverheadRow struct {
 // MitigationStudy produces Table 3: for each tmro, the performance of the
 // adapted mechanism (reduced threshold + capped row-open time) normalized
 // to the original mechanism with the open-row policy, across 4-core
-// workload mixes.
+// workload mixes. Each mix is recorded once and replayed for the baseline
+// and every tmro; a profile's alone IPC is simulated once per call.
 func MitigationStudy(kind MitigationKind, cfg Config, mixes [][]workload.Profile, seed uint64) ([]OverheadRow, error) {
 	baseCfg := cfg
 	baseCfg.Policy = memctrl.OpenRow()
 	baseCfg.NewMitigation = BaselineFactory(kind, seed)
 
-	baseWS := make([]float64, len(mixes))
-	alone := make([][]float64, len(mixes))
-	for i, mix := range mixes {
-		al, err := AloneIPCs(cfg, mix, seed)
+	aloneOf := make(map[workload.Profile]float64)
+	overheads := make([][]float64, len(TmroLattice))
+	for _, mix := range mixes {
+		alone, err := AloneIPCs(cfg, mix, seed, aloneOf)
 		if err != nil {
 			return nil, err
 		}
-		alone[i] = al
-		res, err := runOne(baseCfg, mix, seed)
+		tr, err := Record(cfg, mix, seed)
 		if err != nil {
 			return nil, err
 		}
-		baseWS[i] = res.WeightedSpeedup(al)
-	}
-
-	var rows []OverheadRow
-	for _, tmro := range TmroLattice {
-		factory, err := AdaptedFactory(kind, tmro, seed)
+		base, err := RunMix(baseCfg, tr)
 		if err != nil {
 			return nil, err
 		}
-		ac, _ := mitigate.Adapt(BaseTRH, mitigate.SamsungBDieCurve, tmro)
-		adCfg := cfg
-		adCfg.Policy = memctrl.TmroCap(tmro)
-		adCfg.NewMitigation = factory
-
-		row := OverheadRow{TMro: tmro, TPrime: ac.TPrimeRH}
-		var overheads []float64
-		for i, mix := range mixes {
-			res, err := runOne(adCfg, mix, seed)
+		baseWS := base.WeightedSpeedup(alone)
+		for j, tmro := range TmroLattice {
+			res, err := RunAdapted(kind, tmro, cfg, tr, seed)
 			if err != nil {
 				return nil, err
 			}
-			ws := res.WeightedSpeedup(alone[i])
-			overheads = append(overheads, 1-ws/baseWS[i])
+			overheads[j] = append(overheads[j], 1-res.WeightedSpeedup(alone)/baseWS)
 		}
-		row.AvgOverhead = stats.Mean(overheads)
-		row.MaxOverhead = stats.Max(overheads)
-		rows = append(rows, row)
+	}
+
+	rows := make([]OverheadRow, len(TmroLattice))
+	for j, tmro := range TmroLattice {
+		ac, _ := mitigate.Adapt(BaseTRH, mitigate.SamsungBDieCurve, tmro) // every lattice point is in the curve
+		rows[j] = OverheadRow{TMro: tmro, TPrime: ac.TPrimeRH,
+			AvgOverhead: stats.Mean(overheads[j]), MaxOverhead: stats.Max(overheads[j])}
 	}
 	return rows, nil
 }
 
-// RunMix simulates one workload mix under the given configuration.
-func RunMix(cfg Config, mix []workload.Profile, seed uint64) (Result, error) {
-	return runOne(cfg, mix, seed)
+// RunMix replays a recorded mix under the given configuration.
+func RunMix(cfg Config, tr *Trace) (Result, error) {
+	sim, err := New(cfg, tr)
+	if err != nil {
+		return Result{}, err
+	}
+	return sim.Run(), nil
 }
 
-// RunAdapted simulates a mix under the adapted mechanism (reduced
+// RunAdapted replays a recorded mix under the adapted mechanism (reduced
 // threshold + tmro-capped row policy) at one tmro point.
-func RunAdapted(kind MitigationKind, tmro dram.TimePS, cfg Config, mix []workload.Profile, seed uint64) (Result, error) {
+func RunAdapted(kind MitigationKind, tmro dram.TimePS, cfg Config, tr *Trace, seed uint64) (Result, error) {
 	factory, err := AdaptedFactory(kind, tmro, seed)
 	if err != nil {
 		return Result{}, err
@@ -159,22 +145,33 @@ func RunAdapted(kind MitigationKind, tmro dram.TimePS, cfg Config, mix []workloa
 	c := cfg
 	c.Policy = memctrl.TmroCap(tmro)
 	c.NewMitigation = factory
-	return runOne(c, mix, seed)
+	return RunMix(c, tr)
 }
 
 // AloneIPCs simulates each profile alone (no mitigation, open-row) for the
-// weighted-speedup denominator.
-func AloneIPCs(cfg Config, mix []workload.Profile, seed uint64) ([]float64, error) {
+// weighted-speedup denominator. memo holds the alone IPCs already
+// simulated under the same cfg and seed, and gains the new ones: light
+// profiles repeat across a study's mixes.
+func AloneIPCs(cfg Config, mix []workload.Profile, seed uint64, memo map[workload.Profile]float64) ([]float64, error) {
+	c := cfg
+	c.Policy = memctrl.OpenRow()
+	c.NewMitigation = nil
 	out := make([]float64, len(mix))
 	for i, p := range mix {
-		c := cfg
-		c.Policy = memctrl.OpenRow()
-		c.NewMitigation = nil
-		res, err := runOne(c, []workload.Profile{p}, seed)
-		if err != nil {
-			return nil, err
+		ipc, ok := memo[p]
+		if !ok {
+			tr, err := Record(c, []workload.Profile{p}, seed)
+			if err != nil {
+				return nil, err
+			}
+			res, err := RunMix(c, tr)
+			if err != nil {
+				return nil, err
+			}
+			ipc = res.Cores[0].IPC()
+			memo[p] = ipc
 		}
-		out[i] = res.Cores[0].IPC()
+		out[i] = ipc
 	}
 	return out, nil
 }
@@ -192,15 +189,19 @@ type MinOpenRowRow struct {
 func MinOpenRowStudy(cfg Config, profiles []workload.Profile, seed uint64) ([]MinOpenRowRow, error) {
 	var out []MinOpenRowRow
 	for _, p := range profiles {
+		tr, err := Record(cfg, []workload.Profile{p}, seed)
+		if err != nil {
+			return nil, err
+		}
 		open := cfg
 		open.Policy = memctrl.OpenRow()
-		ro, err := runOne(open, []workload.Profile{p}, seed)
+		ro, err := RunMix(open, tr)
 		if err != nil {
 			return nil, err
 		}
 		closed := cfg
 		closed.Policy = memctrl.ClosedRow()
-		rc, err := runOne(closed, []workload.Profile{p}, seed)
+		rc, err := RunMix(closed, tr)
 		if err != nil {
 			return nil, err
 		}
