@@ -453,4 +453,51 @@ func TestHammerRunValidation(t *testing.T) {
 	if _, err := m.HammerRun(0, spec, spec.TotalTime(m.Timing), 5); err != nil {
 		t.Errorf("back-to-back windows: %v", err)
 	}
+	if _, err := m.HammerBatch(end0(m)-1, spec); err == nil {
+		t.Error("a batch starting inside tRP of the last PRE should fail")
+	}
+}
+
+// TestRunsAllocateNothing: a probe's closed form into a reused buffer, and
+// a hammer run and a trace run that fold, on warm fold buffers, allocate
+// nothing, so a window that escaped to the heap fails here and not only
+// in a benchmark.
+func TestRunsAllocateNothing(t *testing.T) {
+	m := testModule(newRunDisturber(2))
+	for row := 0; row < 32; row++ {
+		if err := m.InitRow(0, 0, row, 0x5A); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := HammerSpec{Bank: 0, Rows: []int{10, 12}, Count: 40, OnTime: 36 * Nanosecond}
+	window := []Slot{{Row: 20, OnTime: 36 * Nanosecond}, {Row: 22, OnTime: 2 * Microsecond},
+		{Row: 20, OnTime: 36 * Nanosecond, ExtraOff: 100 * Nanosecond}}
+	var exps []VictimExposure
+	at, folded := 2*Microsecond, 0
+	for name, run := range map[string]func() (int, error){
+		"AppendHammerExposures": func() (int, error) {
+			exps = m.AppendHammerExposures(exps[:0], at, spec, nil)
+			return 1, nil
+		},
+		"HammerRun": func() (n int, err error) {
+			at, n, err = m.hammerRun(at, spec, spec.TotalTime(m.Timing)+Microsecond, 20)
+			return n, err
+		},
+		"TraceRun": func() (n int, err error) {
+			at, n, err = m.TraceRun(at, 0, window, 20)
+			return n, err
+		},
+	} {
+		var err error
+		folded = 0
+		if n := testing.AllocsPerRun(20, func() {
+			n, e := run()
+			folded += n
+			if e != nil {
+				err = e
+			}
+		}); n != 0 || err != nil || folded == 0 {
+			t.Errorf("%s: %v allocs per call, %d windows folded, err %v", name, n, folded, err)
+		}
+	}
 }
